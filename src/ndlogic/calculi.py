@@ -21,18 +21,25 @@ therefore greedy, without backtracking, and a label with no applicable
 instance left is a sound "not provable within the fence" witness.  For
 theta-analytic calculi that equals non-provability; in general it is only
 relative to the fence.
+
+The fence-bounded instances are found by one-way matching of each rule's
+schema formulas against the fence, so no instance that leaves the fence is
+built.  This is complete because every schema variable occurs in some
+schema formula and every instantiated formula must lie in the fence.  The
+instances are ordered by fewest branches, then rule order, then the fence
+positions of the substitution's values: the order a product over the
+fence, tuple by tuple, would visit them in.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Union
 
 from .errors import CalculiError
-from .language import (Formula, Substitution, gen_subformulas, size,
-                       substitute, theta_set, variables)
+from .language import (App, Formula, Substitution, Var, gen_subformulas,
+                       size, substitute, theta_set, variables)
 from .semantics import BStatement, Statement1D, _fset, _sorted
 
 
@@ -71,13 +78,8 @@ class RuleSchema:
         return self.nacc
 
     def schema_variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for f in (_sorted(self.acc) + _sorted(self.nacc)
-                  + _sorted(self.rej) + _sorted(self.nrej)):
-            for v in variables(f):
-                if v not in seen:
-                    seen.append(v)
-        return tuple(sorted(seen))
+        return tuple(sorted({v for f in self.acc | self.nacc | self.rej
+                             | self.nrej for v in variables(f)}))
 
 
 @dataclass(frozen=True)
@@ -267,22 +269,80 @@ def _fence_order(fence: Iterable[Formula]) -> list[Formula]:
     return sorted(fence, key=lambda f: (size(f), str(f)))
 
 
+def _match(pattern: Formula, f: Formula, s: dict[str, Formula]) -> bool:
+    """One-way matching: extend ``s`` in place so that ``pattern`` under
+    ``s`` is ``f``; False (with ``s`` partly extended) when impossible."""
+    if isinstance(pattern, Var):
+        return s.setdefault(pattern.name, f) == f
+    return (isinstance(f, App) and f.conn == pattern.conn
+            and len(f.args) == len(pattern.args)
+            and all(_match(a, b, s) for a, b in zip(pattern.args, f.args)))
+
+
+def _fence_substitutions(rule: RuleSchema, fence_list: list[Formula],
+                         by_head: dict[str, list[Formula]],
+                         position: dict[Formula, int]) -> list[dict]:
+    """Every substitution of fence formulas for the rule's variables under
+    which each schema formula lands in the fence, in the order of the
+    fence positions of the values of ``schema_variables()``.
+
+    Schema formulas are matched one way against the fence, largest first;
+    a formula whose variables are already bound is substituted and looked
+    up instead.  Every variable occurs in some schema formula, so this
+    finds exactly the substitutions a product over the fence would keep.
+    """
+    steps = []
+    bound: set[str] = set()
+    for pat in sorted(rule.acc | rule.nacc | rule.rej | rule.nrej,
+                      key=lambda f: (-size(f), str(f))):
+        fresh = [v for v in variables(pat) if v not in bound]
+        bound.update(fresh)
+        candidates = (fence_list if isinstance(pat, Var)
+                      else by_head.get(pat.conn, []))
+        steps.append((pat, fresh, candidates))
+    found: list[dict] = []
+
+    def extend(i: int, s: dict[str, Formula]):
+        if i == len(steps):
+            found.append(s)
+            return
+        pat, fresh, candidates = steps[i]
+        if not fresh:
+            if substitute(pat, s) in position:
+                extend(i + 1, s)
+            return
+        for g in candidates:
+            s2 = dict(s)
+            if _match(pat, g, s2) and all(s2[v] in position for v in fresh):
+                extend(i + 1, s2)
+
+    extend(0, {})
+    schema_vars = rule.schema_variables()
+    found.sort(key=lambda s: [position[s[v]] for v in schema_vars])
+    return found
+
+
 def _instance_pool(c: Calculus,
                    fence: Iterable[Formula]) -> list[RuleInstance]:
-    """Every fence-bounded instance of every rule, deduplicated, ordered
-    by branch count (closing instances have zero), then rule order, then
-    substitution order.  Computed once per fence and filtered per label."""
-    fence_list = _fence_order(fence)
-    fence_set = frozenset(fence_list)
+    """Every fence-bounded instance of every rule, found by one-way
+    matching of the schema formulas against the fence, deduplicated, and
+    ordered by branch count (closing instances have zero), then rule order,
+    then substitution order: the order in which ``itertools.product`` over
+    the fence (in ``_fence_order``) would visit the values of
+    ``schema_variables()``, keeping the first of equal instances.
+    Computed once per fence and filtered per label."""
+    fence_list = list(dict.fromkeys(_fence_order(fence)))
+    position = {f: i for i, f in enumerate(fence_list)}
+    by_head: dict[str, list[Formula]] = {}
+    for g in fence_list:
+        if isinstance(g, App):
+            by_head.setdefault(g.conn, []).append(g)
     out: list[tuple[int, int, RuleInstance]] = []
     seen: set[tuple] = set()
     for ri, rule in enumerate(c.rules):
-        schema_vars = rule.schema_variables()
-        for combo in product(fence_list, repeat=len(schema_vars)):
-            inst = instantiate_rule(rule, dict(zip(schema_vars, combo)))
-            if not (inst.acc <= fence_set and inst.nacc <= fence_set
-                    and inst.rej <= fence_set and inst.nrej <= fence_set):
-                continue
+        for s in _fence_substitutions(rule, fence_list, by_head,
+                                      position):
+            inst = instantiate_rule(rule, s)
             key = (ri, inst.acc, inst.nacc, inst.rej, inst.nrej)
             if key in seen:
                 continue
@@ -308,12 +368,16 @@ def applicable_instances(c: Calculus, label: Label,
                          fence: Iterable[Formula]) -> list[RuleInstance]:
     """All fence-bounded instances applicable at ``label`` that make
     progress, deterministically ordered: fewest branches first (closing
-    instances have zero), then rule order, then substitution order.
+    instances have zero), then rule order, then substitution order (the
+    fence positions of the values of ``schema_variables()``, in
+    ``_fence_order``).
 
     An instance is applicable when every instantiated formula lies in the
     fence and its antecedent pair is contained in the label; it makes
     progress when its succedent is empty or no succedent formula is already
-    present in its component (otherwise it is satisfied and skipped).
+    present in its component (otherwise it is satisfied and skipped).  The
+    candidates come from one-way matching against the fence (see
+    ``_instance_pool``).
     """
     return [inst for inst in _instance_pool(c, fence)
             if _applies(inst, label)]
@@ -449,7 +513,9 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     Expands the leftmost open branch with the first applicable instance;
     a branch stops when its label meets the succedent pair.  Greedy
     expansion is complete relative to the fence (larger labels inherit
-    proofs), so the first saturated label ends the search.
+    proofs), so the first saturated label ends the search.  A label with
+    no applicable instance saturates even at the depth limit, so the empty
+    statement (empty fence, depth limit 0) gives ``Saturated(Label())``.
     """
     ant, suc = _statement_pairs(c, s)
     theta = theta_set(theta)
@@ -468,11 +534,11 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
             raise _Limit("max_nodes")
         if _meets(label, suc):
             return Node(label)
-        if depth >= max_depth:
-            raise _Limit("max_depth")
         inst = next((i for i in pool if _applies(i, label)), None)
         if inst is None:
             raise _Saturation(label)
+        if depth >= max_depth:
+            raise _Limit("max_depth")
         if inst.closing:
             nodes += 1
             children = (Node(STAR),)

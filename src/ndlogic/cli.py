@@ -6,7 +6,8 @@ are loaded from ``builtin:`` names, file paths, ``@file`` references, or
 inline JSON; statements, trees, and theta sets from inline JSON or
 ``@file``.  Exit codes: 0 for valid/proved/pass, 1 for the checked
 property failing (countermodel or open label printed), 2 for usage or
-input errors, reported as a one-line diagnostic.
+input errors and for any unexpected failure, reported as a one-line
+diagnostic.
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ def _statement_option(statement, bstatement, sig=None):
 
 
 def _guarded(fn):
-    """Report domain and input errors as one-line diagnostics, exit 2."""
+    """Report domain and input errors as one-line diagnostics, exit 2.
+
+    Any other exception (say, a RecursionError on a formula nested too
+    deep) is reported the same way, naming its type: a crash is never a
+    verdict, so it must not exit 1."""
 
     @wraps(fn)
     def run(*args, **kwargs):
@@ -150,6 +155,10 @@ def _guarded(fn):
             return fn(*args, **kwargs)
         except (CliInputError, NdlogicError) as e:
             click.echo(f"error: {e}", err=True)
+            sys.exit(2)
+        except Exception as e:
+            message = f"{type(e).__name__}: {e}".splitlines()[0]
+            click.echo(f"error: {message}", err=True)
             sys.exit(2)
 
     return run

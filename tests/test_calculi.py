@@ -2,15 +2,22 @@
 ordering, derivation checking against hand-built trees, and saturation
 proof search with frozen outcomes and renderings."""
 
+import random
+from itertools import product
+
 import pytest
 
 from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
-                             Proved, RuleSchema, Saturated,
-                             applicable_instances, check_derivation,
-                             check_proof, instantiate_rule, lift_calculus,
-                             prove, render_tree_dot, render_tree_text)
+                             Proved, RuleSchema, Saturated, _fence_order,
+                             _instance_pool, applicable_instances,
+                             check_derivation, check_proof, instantiate_rule,
+                             lift_calculus, prove, render_tree_dot,
+                             render_tree_text)
 from ndlogic.errors import CalculiError, LanguageError
-from ndlogic.language import Signature, Var, parse_formula
+from ndlogic.language import (App, Signature, Var, gen_subformulas,
+                              parse_formula, subformulas, substitute)
+from ndlogic.logics import (cpl_pos, example1_rules, example2, hmci_axioms,
+                            mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
 
 p = Var("p")
@@ -127,6 +134,112 @@ class TestApplicableInstances:
     def test_empty_label_no_antecedent_rules(self):
         insts = applicable_instances(HILBERT, Label(), [p])
         assert insts == []
+
+
+def reference_pool(c, fence):
+    """The brute-force pool: every rule at every tuple of fence formulas,
+    filtered to the fence, first of equal instances kept, stably sorted by
+    (branches, rule index)."""
+    fence_list = _fence_order(fence)
+    fence_set = frozenset(fence_list)
+    out = []
+    seen = set()
+    for ri, rule in enumerate(c.rules):
+        schema_vars = rule.schema_variables()
+        for combo in product(fence_list, repeat=len(schema_vars)):
+            inst = instantiate_rule(rule, dict(zip(schema_vars, combo)))
+            if not (inst.acc <= fence_set and inst.nacc <= fence_set
+                    and inst.rej <= fence_set and inst.nrej <= fence_set):
+                continue
+            key = (ri, inst.acc, inst.nacc, inst.rej, inst.nrej)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((inst.branches, ri, inst))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return [inst for _, _, inst in out]
+
+
+BOT, TOP = App("bot"), App("top")
+# a zero-variable rule, a rule with no formulas at all, two-variable rules
+# whose variables sit in different schema formulas, and a symmetric rule
+# whose swapped substitutions give one instance
+MIXED = Calculus("mixed", 2, (
+    RuleSchema("const", 2, acc={BOT}, nrej={TOP}),
+    RuleSchema("none", 2),
+    RuleSchema("sym", 2, acc={p, q}),
+    RuleSchema("split", 2, acc={fgh("g(p)")}, nrej={fgh("h(q)")}),
+    RuleSchema("bare", 2, rej={p}, nacc={q, fgh("g(q)")}),
+    R1, R2, R3))
+
+POOL_CALCULI = {
+    "hmci2d": mci_artifacts().hmci2d,
+    "ex2-calc": example2()[1],
+    "cplpos": cpl_pos(),
+    "hmci:0": hmci_axioms(0).calculus,
+    "hmci:2": hmci_axioms(2).calculus,
+    "ex1-rules:0": example1_rules(0),
+    "ex1-rules:3": example1_rules(3),
+    "lifted-cplpos": lift_calculus(cpl_pos()),
+    "mixed": MIXED,
+}
+
+
+def random_fence(c, rng, cap):
+    """Generalized subformulas, under the calculus theta or {p}, of random
+    formulas over the rules' connectives and of random rule instances;
+    sometimes thinned to a set that is not subformula-closed, sometimes
+    listed with repeats."""
+    schema = [f for r in c.rules for f in r.acc | r.nacc | r.rej | r.nrej]
+    conns = sorted({(g.conn, len(g.args)) for f in schema
+                    for g in subformulas(f) if isinstance(g, App)})
+
+    def formula(depth):
+        if not conns or depth == 0 or rng.random() < 0.3:
+            return Var(rng.choice("pq"))
+        name, k = rng.choice(conns)
+        return App(name, tuple(formula(depth - 1) for _ in range(k)))
+
+    seeds = [formula(2) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        if schema:
+            f = rng.choice(schema)
+            seeds.append(substitute(f, {v: formula(1) for v in "pqr"}))
+    fence = _fence_order(gen_subformulas(c.theta or {p}, seeds))
+    if len(fence) > cap or rng.random() < 0.3:
+        fence = rng.sample(fence, min(cap, rng.randint(0, len(fence))))
+    if fence and rng.random() < 0.2:
+        fence += rng.sample(fence, 1)
+    return fence
+
+
+class TestInstancePool:
+    @pytest.mark.parametrize("name", sorted(POOL_CALCULI))
+    def test_equals_brute_force(self, name):
+        c = POOL_CALCULI[name]
+        most = max(len(r.schema_variables()) for r in c.rules)
+        cap = {0: 40, 1: 40, 2: 20}.get(most, 10)
+        rng = random.Random(f"pool-{name}")
+        kept = 0
+        for _ in range(25):
+            fence = random_fence(c, rng, cap)
+            got = _instance_pool(c, fence)
+            assert got == reference_pool(c, fence), [str(f) for f in fence]
+            kept += len(got)
+        assert kept > 0
+
+    def test_mixed_rules_instantiate(self):
+        fence = [p, q, BOT, TOP, fgh("g(p)"), fgh("h(q)"), fgh("g(q)")]
+        pool = _instance_pool(MIXED, fence)
+        assert pool == reference_pool(MIXED, fence)
+        substs = [(inst.rule, dict(inst.subst)) for inst in pool]
+        assert ("const", {}) in substs and ("none", {}) in substs
+        sym = [(inst.acc, dict(inst.subst)) for inst in pool
+               if inst.rule == "sym"]
+        assert len(sym) == len({acc for acc, _ in sym})
+        assert (frozenset({p, q}), {"p": p, "q": q}) in sym
+        assert [s for rule, s in substs if rule == "split"] == \
+            [{"p": p, "q": q}, {"p": q, "q": q}]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +387,12 @@ class TestProve:
         out = prove(GH_CALC, TestCheckProof.S_R2, {p}, max_depth=0)
         assert isinstance(out, LimitExceeded)
         assert out.limit == "max_depth"
+
+    def test_empty_statement_saturates(self):
+        # the fence is empty, so the depth limit is 0; the root label has
+        # no applicable instance, which is a verdict, not a limit
+        c = mci_artifacts().hmci2d
+        assert prove(c, BStatement(), c.theta) == Saturated(Label())
 
     def test_theta_must_contain_p(self):
         with pytest.raises(LanguageError):

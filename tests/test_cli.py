@@ -83,6 +83,15 @@ class TestCheck:
         assert res.exit_code == 2
         assert "cannot read matrix" in res.output
 
+    def test_deep_formula_is_an_error_not_a_verdict(self, runner):
+        deep = "neg(" * 300 + "p" + ")" * 300
+        res = invoke(runner, "check", "--matrix", "builtin:mci5",
+                     "--statement",
+                     json.dumps({"antecedent": [deep], "succedent": ["q"]}))
+        assert res.exit_code == 2
+        assert res.output.startswith("error: RecursionError")
+        assert res.output.count("\n") == 1
+
     def test_bad_json(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci5",
                      "--statement", "{broken")
@@ -119,6 +128,14 @@ class TestProve:
                      "--bstatement", '{"acc":["p"],"nacc":["q"]}')
         assert res.exit_code == 1
         assert res.output.startswith("not proved: saturated at open label ")
+
+    def test_empty_statement_saturated(self, runner):
+        res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
+                     "--bstatement",
+                     '{"acc":[],"nacc":[],"rej":[],"nrej":[]}')
+        assert res.exit_code == 1
+        assert res.output == \
+            "not proved: saturated at open label acc{} | rej{}\n"
 
     def test_limit(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
