@@ -20,16 +20,16 @@ from .errors import (CalculiError, LanguageError, LogicsError, NdlogicError,
                      NonTotalAlgebraError, ParseError, SemanticsError,
                      SerializeError)
 from .language import (App, Formula, Signature, Var, compose, depth,
-                       enumerate_unary_formulas, format_formula,
-                       gen_subformulas, parse_formula, size, subformula_sequence,
-                       subformulas, substitute, theta_set, variables)
+                       enumerate_unary_formulas, gen_subformulas,
+                       parse_formula, size, subformula_sequence, subformulas,
+                       substitute, theta_set, variables)
 from .logics import (HmciFamily, MciArtifacts, MkMatrix, SuiteItem,
                      SuiteReport, cpl_pos, example1, example1_rules, example2,
                      example2_repair, hmci_axioms, iter_neg_formula,
                      iterated_neg, mci_artifacts, mci_worked_derivations,
                      mk_boolean_collapse, mk_matrix,
                      two_valued_positive_matrix, verify_paper_suite)
-from .semantics import (Attitude, BMatrix, BStatement, ExpressivenessReport,
+from .semantics import (BMatrix, BStatement, ExpressivenessReport,
                         NdAlgebra, NdMatrix, PairSeparation, Statement1D,
                         Valuation, Verdict, aspect_entails, b_entails,
                         b_product, check_strong_hom, check_total,
@@ -38,7 +38,7 @@ from .semantics import (Attitude, BMatrix, BStatement, ExpressivenessReport,
                         strong_hom_report, validate_rule)
 
 __all__ = [
-    "App", "Attitude", "BMatrix", "BStatement", "CalculiError", "Calculus",
+    "App", "BMatrix", "BStatement", "CalculiError", "Calculus",
     "ExpressivenessReport", "Formula", "HmciFamily", "Label", "LanguageError",
     "LimitExceeded", "LogicsError", "MciArtifacts", "MkMatrix", "NdAlgebra",
     "NdMatrix", "NdlogicError", "Node", "NonTotalAlgebraError",
@@ -49,7 +49,7 @@ __all__ = [
     "check_derivation", "check_proof", "check_strong_hom", "check_total",
     "coherent_valuations", "compose", "cpl_pos", "depth",
     "entails_1d", "enumerate_unary_formulas", "example1", "example1_rules",
-    "example2", "example2_repair", "expressiveness_report", "format_formula",
+    "example2", "example2_repair", "expressiveness_report",
     "gen_subformulas", "hmci_axioms", "induced_multifunction",
     "instantiate_rule", "iter_neg_formula", "iterated_neg", "lift_calculus",
     "mci_artifacts", "mci_worked_derivations", "mk_boolean_collapse",

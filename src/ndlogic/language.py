@@ -218,11 +218,6 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     return f
 
 
-def format_formula(f: Formula) -> str:
-    """Canonical prefix rendering; round-trips through parse_formula."""
-    return str(f)
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -258,17 +253,14 @@ def compose(s2: Substitution, s1: Substitution) -> dict[str, Formula]:
 
 def variables(f: Formula) -> tuple[str, ...]:
     """Distinct variable names in first-occurrence (leftmost) order."""
-    seen: list[str] = []
-
-    def go(g: Formula):
+    seen: dict[str, None] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Var):
-            if g.name not in seen:
-                seen.append(g.name)
+            seen[g.name] = None
         else:
-            for a in g.args:
-                go(a)
-
-    go(f)
+            stack += g.args[::-1]
     return tuple(seen)
 
 
@@ -299,16 +291,22 @@ def subformula_sequence(fs: Iterable[Formula]) -> tuple[Formula, ...]:
 
 def depth(f: Formula) -> int:
     """Connective-nesting depth: 0 for variables."""
-    if isinstance(f, Var):
-        return 0
-    return 1 + max((depth(a) for a in f.args), default=0)
+    n, level = 0, [f]
+    while any(isinstance(g, App) for g in level):
+        n += 1
+        level = [a for g in level if isinstance(g, App) for a in g.args]
+    return n
 
 
 def size(f: Formula) -> int:
     """Node count."""
-    if isinstance(f, Var):
-        return 1
-    return 1 + sum(size(a) for a in f.args)
+    n, stack = 0, [f]
+    while stack:
+        n += 1
+        g = stack.pop()
+        if isinstance(g, App):
+            stack += g.args
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +352,36 @@ def gen_subformulas(theta: Iterable[Formula],
     return frozenset(out)
 
 
-def enumerate_unary_formulas(sig: Signature, max_depth: int) -> list[Formula]:
-    """All formulas over the single variable ``p`` of depth <= max_depth,
-    duplicate-free, depth-major, then lexicographic by connective name,
-    then by argument tuple in enumeration order."""
+def _unary_nodes(sig: Signature, max_depth: int,
+                 ) -> list[tuple[str | None, tuple[int, ...]]]:
+    """The pool of enumerate_unary_formulas as nodes ``(conn, arg ids)``;
+    an id is a pool position, ``(None, ())`` is ``p``, and ids grow with
+    depth, so arguments reach depth d - 1 iff their largest id does."""
     if max_depth < 0:
         raise LanguageError("max_depth must be >= 0")
-    pool: list[Formula] = [P]
-    depth_of: dict[Formula, int] = {P: 0}
+    nodes: list[tuple[str | None, tuple[int, ...]]] = [(None, ())]
     names = sorted(sig.connectives)
+    first = 0  # first id of depth d - 1
     for d in range(1, max_depth + 1):
-        fresh: list[Formula] = []
+        below = len(nodes)
         for name in names:
             k = sig.connectives[name]
             if k == 0:
                 if d == 1:
-                    f = App(name, ())
-                    fresh.append(f)
-                    depth_of[f] = 1
+                    nodes.append((name, ()))
                 continue
-            for combo in product(pool, repeat=k):
-                if max(depth_of[a] for a in combo) == d - 1:
-                    f = App(name, combo)
-                    fresh.append(f)
-                    depth_of[f] = d
-        pool.extend(fresh)
+            nodes.extend((name, ids) for ids in product(range(below), repeat=k)
+                         if max(ids) >= first)
+        first = below
+    return nodes
+
+
+def enumerate_unary_formulas(sig: Signature, max_depth: int) -> list[Formula]:
+    """All formulas over the single variable ``p`` of depth <= max_depth,
+    duplicate-free, depth-major, then lexicographic by connective name,
+    then by argument tuple in enumeration order."""
+    pool: list[Formula] = []
+    for conn, ids in _unary_nodes(sig, max_depth):
+        pool.append(P if conn is None else
+                    App(conn, tuple(pool[i] for i in ids)))
     return pool

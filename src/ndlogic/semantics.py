@@ -17,11 +17,12 @@ NonTotalAlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonTotalAlgebraError, SemanticsError
-from .language import (App, Formula, Signature, Var, enumerate_unary_formulas,
+from .language import (P, App, Formula, Signature, Var, _unary_nodes,
                        subformula_sequence, variables)
 
 # ---------------------------------------------------------------------------
@@ -134,22 +135,6 @@ class BMatrix:
 Matrix = Union[NdMatrix, BMatrix]
 
 
-class Attitude(Enum):
-    """The four cognitive attitudes indexing a BStatement's components."""
-
-    ACC = "acc"
-    NACC = "nacc"
-    REJ = "rej"
-    NREJ = "nrej"
-
-    def flip(self) -> "Attitude":
-        return _FLIP[self]
-
-
-_FLIP = {Attitude.ACC: Attitude.NACC, Attitude.NACC: Attitude.ACC,
-         Attitude.REJ: Attitude.NREJ, Attitude.NREJ: Attitude.REJ}
-
-
 # ---------------------------------------------------------------------------
 # statements and verdicts
 
@@ -190,9 +175,6 @@ class BStatement:
     def __post_init__(self):
         for att in ("acc", "nacc", "rej", "nrej"):
             object.__setattr__(self, att, _fset(getattr(self, att)))
-
-    def get(self, attitude: Attitude) -> frozenset[Formula]:
-        return getattr(self, attitude.value)
 
     def formulas(self) -> tuple[Formula, ...]:
         return (_sorted(self.acc) + _sorted(self.nacc)
@@ -433,86 +415,99 @@ def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # separators and expressiveness
 
-_STRADDLES = object()  # sentinel: value set meets both sides of every
-                       # distinguished set, so the formula separates nothing
-
-
-def _distinguished(target: Matrix) -> list[tuple[str, frozenset[str]]]:
-    if isinstance(target, BMatrix):
-        return [("designated", target.designated),
-                ("antidesignated", target.antidesignated)]
-    return [("designated", target.designated)]
-
-
-def _induced_set_pruned(alg: NdAlgebra, plan: _Plan, root: int,
-                        x: int, dist: list[frozenset[int]]):
-    """Exact set of root values reachable with the single variable fixed to
-    ``x``; aborts with the _STRADDLES sentinel as soon as the set meets both
-    sides of every distinguished set."""
-    achieved: set[int] = set()
-    n_dist = len(dist)
-    inside = [False] * n_dist
-    outside = [False] * n_dist
-
-    for vals in _iter_raw(alg, plan, {"p": x}):
-        v = vals[root]
-        if v in achieved:
-            continue
-        achieved.add(v)
-        straddling = True
-        for i, d in enumerate(dist):
-            if v in d:
-                inside[i] = True
-            else:
-                outside[i] = True
-            if not (inside[i] and outside[i]):
-                straddling = False
-        if straddling:
-            return _STRADDLES
-    return frozenset(achieved)
-
-
 class _SeparatorScan:
-    """Shared machinery for separator search over one target matrix;
-    caches per-formula compiled plans and induced sets."""
+    """Separator search over one target matrix up to one depth.  The unary
+    pool is built once, as nodes ``(conn, arg ids)``, and each induced
+    value set is cached per (id, value) as a bit mask."""
 
-    def __init__(self, target: Matrix):
-        self.target = target
-        self.alg = target.algebra
-        _require_total(self.alg)
-        self.dist = _distinguished(target)
-        self.dist_int = [frozenset(self.alg._index[v] for v in d)
-                         for _, d in self.dist]
-        self.plans: dict[Formula, tuple] = {}
-        self.sets: dict[tuple[Formula, int], object] = {}
+    def __init__(self, target: Matrix, max_depth: int):
+        self.alg = alg = target.algebra
+        _require_total(alg)
+        self.max_depth = max_depth
+        dist = [("designated", target.designated)]
+        if isinstance(target, BMatrix):
+            dist.append(("antidesignated", target.antidesignated))
+        self.dist = [(name, sum(1 << alg._index[v] for v in d))
+                     for name, d in dist]
+        self.cells = {c: {args: sum(1 << v for v in out)
+                          for args, out in cells.items()}
+                      for c, cells in alg._tables.items()}
+        self.images: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.closures: dict[int, frozenset[int]] = {0: frozenset()}
+        self.sets: dict[int, int] = {}
 
-    def induced(self, theta: Formula, x: int):
-        key = (theta, x)
+    @cached_property
+    def nodes(self) -> list[tuple[str | None, tuple[int, ...]]]:
+        return _unary_nodes(self.alg.signature, self.max_depth)
+
+    def formula(self, i: int) -> Formula:
+        conn, ids = self.nodes[i]
+        return P if conn is None else \
+            App(conn, tuple(self.formula(a) for a in ids))
+
+    def closure(self, i: int) -> frozenset[int]:
+        """Ids of the compound subformulas of node i."""
+        got = self.closures.get(i)
+        if got is None:
+            got = self.closures[i] = frozenset({i}).union(
+                *(self.closure(a) for a in self.nodes[i][1]))
+        return got
+
+    def induced(self, i: int, x: int) -> int:
+        """The values node i can take when p is x.  If every compound the
+        arguments share can take only one value, the arguments take their
+        values independently: coherent valuations that agree on the shared
+        part combine.  Otherwise the values come from a search over the
+        closure."""
+        key = i * len(self.alg.values) + x
         got = self.sets.get(key)
         if got is None:
-            compiled = self.plans.get(theta)
-            if compiled is None:
-                doms, plan = _compile(self.alg, [theta])
-                compiled = (plan, len(doms) - 1)
-                self.plans[theta] = compiled
-            plan, root = compiled
-            got = _induced_set_pruned(self.alg, plan, root, x, self.dist_int)
+            conn, ids = self.nodes[i]
+            seen, shared = set(), set()
+            for a in ids:
+                shared |= seen & self.closure(a)
+                seen |= self.closure(a)
+            if conn is None:
+                got = 1 << x
+            elif all(self.induced(a, x).bit_count() == 1 for a in shared):
+                got = self.image(conn, tuple(self.induced(a, x) for a in ids))
+            else:
+                got = self.search(sorted(seen) + [i], x)
             self.sets[key] = got
         return got
 
-    def separates(self, theta: Formula, x: int, y: int):
-        """None, or (set-name, value-landing-inside) when theta puts x and
+    def image(self, conn: str, masks: tuple[int, ...]) -> int:
+        """Union of the cells of ``conn`` over the product of ``masks``."""
+        got = self.images.get((conn, masks))
+        if got is None:
+            values = range(len(self.alg.values))
+            got = 0
+            for args in product(*([v for v in values if m >> v & 1]
+                                  for m in masks)):
+                got |= self.cells[conn][args]
+            self.images[conn, masks] = got
+        return got
+
+    def search(self, ids: list[int], x: int) -> int:
+        """Root values over the coherent valuations of the closure ``ids``
+        (ascending, so bottom-up) with p fixed to x."""
+        pos = {a: k for k, a in enumerate([0] + ids)}
+        plan: _Plan = [(None, "p")] + [
+            (self.nodes[a][0], tuple(pos[b] for b in self.nodes[a][1]))
+            for a in ids]
+        got = 0
+        for vals in _iter_raw(self.alg, plan, {"p": x}):
+            got |= 1 << vals[-1]
+        return got
+
+    def separates(self, i: int, x: int, y: int):
+        """None, or (set-name, value-landing-inside) when node i puts x and
         y on opposite sides of that distinguished set."""
-        sx = self.induced(theta, x)
-        if sx is _STRADDLES:
-            return None
-        sy = self.induced(theta, y)
-        if sy is _STRADDLES:
-            return None
-        for (name, _), d in zip(self.dist, self.dist_int):
-            if sx <= d and not (sy & d):
+        sx, sy = self.induced(i, x), self.induced(i, y)
+        for name, d in self.dist:
+            if not sx & ~d and not sy & d:
                 return name, x
-            if sy <= d and not (sx & d):
+            if not sy & ~d and not sx & d:
                 return name, y
         return None
 
@@ -522,11 +517,11 @@ def separator_for_pair(target: Matrix, x: str, y: str,
     """First unary formula (in enumeration order) whose induced value sets
     at ``x`` and ``y`` fall on opposite sides of a distinguished set; None
     if no formula up to ``max_depth`` does."""
-    found = _separator_search(_SeparatorScan(target), x, y, max_depth)
+    found = _separator_search(_SeparatorScan(target, max_depth), x, y)
     return found[0] if found else None
 
 
-def _separator_search(scan: _SeparatorScan, x: str, y: str, max_depth: int):
+def _separator_search(scan: _SeparatorScan, x: str, y: str):
     if x == y:
         raise SemanticsError("separator search requires two distinct values")
     index = scan.alg._index
@@ -534,10 +529,10 @@ def _separator_search(scan: _SeparatorScan, x: str, y: str, max_depth: int):
         if v not in index:
             raise SemanticsError(f"unknown value {v!r}")
     xi, yi = index[x], index[y]
-    for theta in enumerate_unary_formulas(scan.alg.signature, max_depth):
-        hit = scan.separates(theta, xi, yi)
+    for i in range(len(scan.nodes)):
+        hit = scan.separates(i, xi, yi)
         if hit:
-            return theta, hit[0], scan.alg.values[hit[1]]
+            return scan.formula(i), hit[0], scan.alg.values[hit[1]]
     return None
 
 
@@ -578,12 +573,12 @@ class ExpressivenessReport:
 def expressiveness_report(target: Matrix, max_depth: int,
                           ) -> ExpressivenessReport:
     """Separator search over every unordered pair of distinct values."""
-    scan = _SeparatorScan(target)
+    scan = _SeparatorScan(target, max_depth)
     values = scan.alg.values
     entries = []
     for i, x in enumerate(values):
         for y in values[i + 1:]:
-            found = _separator_search(scan, x, y, max_depth)
+            found = _separator_search(scan, x, y)
             if found:
                 entries.append(PairSeparation(x, y, *found))
             else:

@@ -143,6 +143,27 @@ class TestSubformulas:
         assert seq == (p, neg(p), q, conj(neg(p), q))
 
 
+class TestStructure:
+    def test_variables_first_occurrence_order(self):
+        assert variables(imp(conj(q, neg(p)), disj(r, q))) == ("q", "p", "r")
+
+    def test_depth_and_size(self):
+        bottom = App("bottom", ())
+        assert (depth(p), size(p)) == (0, 1)
+        assert (depth(bottom), size(bottom)) == (1, 1)
+        assert (depth(conj(neg(bottom), p)), size(conj(neg(bottom), p))) \
+            == (3, 4)
+
+    def test_deep_formula_without_recursion(self):
+        # built in a loop: parsing and hashing still recurse per level
+        f = p
+        for i in range(5_000):
+            f = conj(neg(f), Var(f"x{i % 3}"))
+        assert depth(f) == 10_000
+        assert size(f) == 15_001
+        assert variables(f) == ("p", "x0", "x1", "x2")
+
+
 class TestThetaSet:
     def test_requires_p(self):
         with pytest.raises(LanguageError):

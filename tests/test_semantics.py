@@ -2,19 +2,23 @@
 enumeration order, first countermodels, products, aspects, strong
 homomorphisms, separator search and rule validation."""
 
+import random
+
 import pytest
 
 from conftest import D5, INTERP5, R5, SIG5, V5, make_alg5
 from ndlogic.calculi import RuleSchema
 from ndlogic.errors import NonTotalAlgebraError, SemanticsError
-from ndlogic.language import Signature, Var, parse_formula
+from ndlogic.language import (Signature, Var, enumerate_unary_formulas,
+                              parse_formula, variables)
+from ndlogic.logics import example1, example2
 from ndlogic.semantics import (BMatrix, BStatement, NdAlgebra, NdMatrix,
                                Statement1D, aspect_entails, b_entails,
                                b_product, check_strong_hom, check_total,
                                coherent_valuations, entails_1d,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
-                               validate_rule)
+                               validate_rule, _SeparatorScan)
 
 p = Var("p")
 q = Var("q")
@@ -397,6 +401,75 @@ class TestSeparators:
         lines = expressiveness_report(b_gh, 0).lines()
         assert lines[0].startswith("expressiveness report")
         assert lines[-1].endswith("sufficiently expressive (up to bound)")
+
+
+# ---------------------------------------------------------------------------
+# separator scan against induced_multifunction
+
+# a non-deterministic constant c and a binary k whose cells on equal
+# arguments differ from those on unequal ones, so a shared argument makes
+# k(c,c) and k(k(p,p),k(p,p)) narrower than the product of their arguments
+SIG_CK = Signature({"c": 0, "k": 2})
+V_CK = ("u", "v", "w")
+ALG_CK = NdAlgebra(SIG_CK, V_CK, {
+    "c": {(): {"v", "w"}},
+    "k": {(x, y): ({"v", "w"} if x == y == "u" else {"u"} if x == y
+                   else {"w"}) for x in V_CK for y in V_CK},
+})
+
+
+def _random_algebra(rng):
+    """Three values, a constant, a unary and a binary connective; every
+    cell a random non-empty set."""
+    sig = Signature({"c": 0, "g": 1, "k": 2})
+    values = ("a", "b", "d")
+
+    def cell():
+        return set(rng.sample(values, rng.randint(1, 3)))
+
+    return NdAlgebra(sig, values, {
+        "c": {(): cell()},
+        "g": {(x,): cell() for x in values},
+        "k": {(x, y): cell() for x in values for y in values}})
+
+
+def _assert_scan_matches_oracle(target, max_depth):
+    scan = _SeparatorScan(target, max_depth)
+    alg = target.algebra
+    pool = enumerate_unary_formulas(alg.signature, max_depth)
+    assert [scan.formula(i) for i in range(len(scan.nodes))] == pool
+    for i, f in enumerate(pool):
+        for x, value in enumerate(alg.values):
+            got = {v for j, v in enumerate(alg.values)
+                   if scan.induced(i, x) >> j & 1}
+            inputs = [value] if variables(f) else []
+            assert got == induced_multifunction(alg, f, inputs), (f, value)
+
+
+class TestSeparatorScanOracle:
+    def test_mci5(self, m5):
+        _assert_scan_matches_oracle(m5, 2)
+
+    def test_mci_b(self, b5):
+        _assert_scan_matches_oracle(b5, 2)
+
+    def test_examples(self):
+        _assert_scan_matches_oracle(example1()[0], 2)
+        _assert_scan_matches_oracle(example2()[0], 2)
+
+    def test_shared_arguments_are_not_a_product(self):
+        m = NdMatrix(ALG_CK, frozenset({"u"}))
+        k = lambda a, b: parse_formula(f"k({a},{b})", SIG_CK)
+        assert induced_multifunction(ALG_CK, k("c", "c"), []) == {"u"}
+        assert induced_multifunction(
+            ALG_CK, k("k(p,p)", "k(p,p)"), ["u"]) == {"u"}
+        _assert_scan_matches_oracle(m, 3)
+
+    def test_random_algebras(self):
+        rng = random.Random(4)
+        for _ in range(20):
+            alg = _random_algebra(rng)
+            _assert_scan_matches_oracle(NdMatrix(alg, frozenset({"a"})), 2)
 
 
 # ---------------------------------------------------------------------------
