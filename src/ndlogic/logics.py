@@ -822,8 +822,11 @@ def verify_paper_suite(artifacts: MciArtifacts | None = None,
 
     ``artifacts`` substitutes the bundled five-valued artifacts, which
     lets corrupted inputs demonstrate that the battery actually bites;
-    ``chain_k`` bounds the family checks (runtime grows quickly with it).
+    ``chain_k`` bounds the family checks (runtime grows quickly with it)
+    and must be at least 1, or the chain items would check nothing.
     """
+    if chain_k < 1:
+        raise LogicsError(f"chain_k must be >= 1, got {chain_k}")
     arts = artifacts if artifacts is not None else mci_artifacts()
     items = []
     for name, fn in _suite_items(arts, chain_k):

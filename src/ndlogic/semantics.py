@@ -418,7 +418,8 @@ def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
 class _SeparatorScan:
     """Separator search over one target matrix up to one depth.  The unary
     pool is built once, as nodes ``(conn, arg ids)``, and each induced
-    value set is cached per (id, value) as a bit mask."""
+    value set is cached per (id, value) as a bit mask; the joint relations
+    that some sets are read from are cached per (ids, value)."""
 
     def __init__(self, target: Matrix, max_depth: int):
         self.alg = alg = target.algebra
@@ -435,6 +436,9 @@ class _SeparatorScan:
         self.images: dict[tuple[str, tuple[int, ...]], int] = {}
         self.closures: dict[int, frozenset[int]] = {0: frozenset()}
         self.sets: dict[int, int] = {}
+        self.joints: dict[tuple[tuple[int, ...], int],
+                          tuple[tuple[int, ...], ...]] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @cached_property
     def nodes(self) -> list[tuple[str | None, tuple[int, ...]]]:
@@ -457,8 +461,8 @@ class _SeparatorScan:
         """The values node i can take when p is x.  If every compound the
         arguments share can take only one value, the arguments take their
         values independently: coherent valuations that agree on the shared
-        part combine.  Otherwise the values come from a search over the
-        closure."""
+        part combine.  Otherwise the values are the cells of the node's
+        connective over the joint relation of its distinct arguments."""
         key = i * len(self.alg.values) + x
         got = self.sets.get(key)
         if got is None:
@@ -472,7 +476,12 @@ class _SeparatorScan:
             elif all(self.induced(a, x).bit_count() == 1 for a in shared):
                 got = self.image(conn, tuple(self.induced(a, x) for a in ids))
             else:
-                got = self.search(sorted(seen) + [i], x)
+                below = tuple(sorted(set(ids)))
+                at = [below.index(a) for a in ids]
+                cells = self.cells[conn]
+                got = 0
+                for row in self.joint(below, x):
+                    got |= cells[tuple(row[k] for k in at)]
             self.sets[key] = got
         return got
 
@@ -488,16 +497,31 @@ class _SeparatorScan:
             self.images[conn, masks] = got
         return got
 
-    def search(self, ids: list[int], x: int) -> int:
-        """Root values over the coherent valuations of the closure ``ids``
-        (ascending, so bottom-up) with p fixed to x."""
-        pos = {a: k for k, a in enumerate([0] + ids)}
-        plan: _Plan = [(None, "p")] + [
-            (self.nodes[a][0], tuple(pos[b] for b in self.nodes[a][1]))
-            for a in ids]
-        got = 0
-        for vals in _iter_raw(self.alg, plan, {"p": x}):
-            got |= 1 << vals[-1]
+    def joint(self, ids: tuple[int, ...], x: int,
+              ) -> Iterable[tuple[int, ...]]:
+        """The value tuples that the ascending, distinct ``ids`` take
+        together over the coherent valuations with p = x.  Several ids are
+        reduced by expanding the largest, n, into its arguments: ids grow
+        with depth, so n lies in no other closure, and the valuations on
+        the closure of ``ids`` are those on the closure of the rest and
+        n's arguments, each extended by one cell value for n."""
+        if len(ids) == 1:
+            mask = self.induced(ids[0], x)
+            return [(v,) for v in range(len(self.alg.values)) if mask >> v & 1]
+        got = self.joints.get((ids, x))
+        if got is None:
+            *rest, n = ids
+            conn, args = self.nodes[n]
+            below = tuple(sorted(set(rest).union(args)))
+            keep = [below.index(a) for a in rest]
+            at = [below.index(a) for a in args]
+            cells = self.alg._tables[conn]
+            rows = {tuple(row[k] for k in keep) + (w,)
+                    for row in self.joint(below, x)
+                    for w in cells[tuple(row[k] for k in at)]}
+            # one shared tuple per distinct row keeps the memo small
+            got = self.joints[ids, x] = tuple(
+                self.rows.setdefault(r, r) for r in rows)
         return got
 
     def separates(self, i: int, x: int, y: int):

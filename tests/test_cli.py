@@ -332,6 +332,13 @@ class TestVerifySuite:
         assert lines[-1].startswith("OK: ")
         assert lines[-1].endswith("items passed")
 
+    @pytest.mark.parametrize("chain_k", ["0", "-1"])
+    def test_empty_chain_range_is_bad_input(self, runner, chain_k):
+        res = invoke(runner, "verify-suite", "--chain-k", chain_k)
+        assert res.exit_code == 2
+        assert "PASS" not in res.output
+        assert "chain_k must be >= 1" in res.output
+
 
 class TestUsage:
 

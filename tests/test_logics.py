@@ -314,3 +314,8 @@ class TestSuite:
         passing = {it.name for it in bad_report.items if it.ok}
         assert "worked-derivations-check" in passing
         assert "chain-soundness" in passing
+
+    @pytest.mark.parametrize("chain_k", [0, -1])
+    def test_empty_chain_range_rejected(self, chain_k):
+        with pytest.raises(LogicsError):
+            verify_paper_suite(chain_k=chain_k)

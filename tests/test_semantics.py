@@ -433,6 +433,20 @@ def _random_algebra(rng):
         "k": {(x, y): cell() for x in values for y in values}})
 
 
+def _takes_joint(scan, i):
+    """Whether node i has two or more distinct arguments that share a
+    compound with several possible values at some value of p."""
+    ids = scan.nodes[i][1]
+    if len(set(ids)) < 2:
+        return False
+    seen, shared = set(), set()
+    for a in ids:
+        shared |= seen & scan.closure(a)
+        seen |= scan.closure(a)
+    return any(scan.induced(a, x).bit_count() > 1
+               for a in shared for x in range(len(scan.alg.values)))
+
+
 def _assert_scan_matches_oracle(target, max_depth):
     scan = _SeparatorScan(target, max_depth)
     alg = target.algebra
@@ -470,6 +484,24 @@ class TestSeparatorScanOracle:
         for _ in range(20):
             alg = _random_algebra(rng)
             _assert_scan_matches_oracle(NdMatrix(alg, frozenset({"a"})), 2)
+
+    def test_mci5_joint_relations(self, m5):
+        # on mci5, joints over two or more argument ids first occur at
+        # depth 3: check a seeded sample of the nodes that take them
+        scan = _SeparatorScan(m5, 3)
+        first = len(enumerate_unary_formulas(m5.algebra.signature, 2))
+        depth3 = list(range(first, len(scan.nodes)))
+        random.Random(5).shuffle(depth3)
+        sample = [i for i in depth3 if _takes_joint(scan, i)][:500]
+        assert len(sample) == 500
+        for i in sample:
+            f = scan.formula(i)
+            for x, value in enumerate(V5):
+                got = {v for j, v in enumerate(V5)
+                       if scan.induced(i, x) >> j & 1}
+                assert got == induced_multifunction(m5.algebra, f, [value]), \
+                    (f, value)
+        assert scan.joints
 
 
 # ---------------------------------------------------------------------------
