@@ -23,9 +23,11 @@ theta-analytic calculi that equals non-provability; in general it is only
 relative to the fence.
 
 The fence-bounded instances are found by one-way matching of each rule's
-schema formulas against the fence, so no instance that leaves the fence is
-built.  This is complete because every schema variable occurs in some
-schema formula and every instantiated formula must lie in the fence.  The
+schema formulas against the fence, in a plan stored with the rule, so no
+instance that leaves the fence is built.  This is complete because every
+schema variable occurs in some schema formula and every instantiated
+formula must lie in the fence.  Each instance is made of the fence
+formulas (whose hashes are cached) that its schema formulas matched.  The
 instances are ordered by fewest branches, then rule order, then the fence
 positions of the substitution's values: the order a product over the
 fence, tuple by tuple, would visit them in.
@@ -34,7 +36,7 @@ fence, tuple by tuple, would visit them in.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import CalculiError
@@ -58,6 +60,11 @@ class RuleSchema:
     nacc: frozenset[Formula] = frozenset()
     rej: frozenset[Formula] = frozenset()
     nrej: frozenset[Formula] = frozenset()
+    # the match plan: (schema formula, variables it binds first), largest
+    # formula first, and the sorted schema variables
+    _steps: tuple[tuple[Formula, tuple[str, ...]], ...] = field(
+        init=False, compare=False, repr=False)
+    _vars: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -68,6 +75,14 @@ class RuleSchema:
             raise CalculiError(
                 f"rule {self.name!r}: one-dimensional rules must leave the "
                 f"rej-side empty")
+        steps, bound = [], {}
+        for pat in sorted(self.acc | self.nacc | self.rej | self.nrej,
+                          key=lambda f: (-size(f), str(f))):
+            fresh = tuple(v for v in variables(pat) if v not in bound)
+            bound.update(dict.fromkeys(fresh))
+            steps.append((pat, fresh))
+        object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "_vars", tuple(sorted(bound)))
 
     @property
     def antecedent(self) -> frozenset[Formula]:
@@ -78,8 +93,7 @@ class RuleSchema:
         return self.nacc
 
     def schema_variables(self) -> tuple[str, ...]:
-        return tuple(sorted({v for f in self.acc | self.nacc | self.rej
-                             | self.nrej for v in variables(f)}))
+        return self._vars
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,7 @@ def lift_calculus(c: Calculus) -> Calculus:
 
 def instantiate_rule(r: RuleSchema, s: Substitution) -> RuleInstance:
     """Apply a substitution to every schema formula."""
-    used = {v: s[v] for v in r.schema_variables() if v in s}
+    used = {v: s[v] for v in r._vars if v in s}
     sub = lambda fs: frozenset(substitute(f, used) for f in fs)
     return RuleInstance(r.name, r.dimension, sub(r.acc), sub(r.nacc),
                         sub(r.rej), sub(r.nrej),
@@ -279,58 +293,61 @@ def _match(pattern: Formula, f: Formula, s: dict[str, Formula]) -> bool:
             and all(_match(a, b, s) for a, b in zip(pattern.args, f.args)))
 
 
-def _fence_substitutions(rule: RuleSchema, fence_list: list[Formula],
-                         by_head: dict[str, list[Formula]],
-                         position: dict[Formula, int]) -> list[dict]:
+def _fence_matches(rule: RuleSchema, fence_list: list[Formula],
+                   by_head: dict[str, list[Formula]],
+                   position: dict[Formula, int]) -> list[tuple[dict, dict]]:
     """Every substitution of fence formulas for the rule's variables under
-    which each schema formula lands in the fence, in the order of the
+    which each schema formula lands in the fence, paired with the map from
+    schema formula to that fence formula (its image), in the order of the
     fence positions of the values of ``schema_variables()``.
 
     Schema formulas are matched one way against the fence, largest first;
-    a formula whose variables are already bound is substituted and looked
-    up instead.  Every variable occurs in some schema formula, so this
-    finds exactly the substitutions a product over the fence would keep.
+    the image of a formula whose variables are already bound is looked up
+    instead.  Every variable occurs in some schema formula, so this finds
+    exactly the substitutions a product over the fence would keep.
     """
-    steps = []
-    bound: set[str] = set()
-    for pat in sorted(rule.acc | rule.nacc | rule.rej | rule.nrej,
-                      key=lambda f: (-size(f), str(f))):
-        fresh = [v for v in variables(pat) if v not in bound]
-        bound.update(fresh)
-        candidates = (fence_list if isinstance(pat, Var)
-                      else by_head.get(pat.conn, []))
-        steps.append((pat, fresh, candidates))
-    found: list[dict] = []
+    steps = rule._steps
+    found: list[tuple[dict, dict]] = []
+    s: dict[str, Formula] = {}
+    image: dict[Formula, Formula] = {}
 
-    def extend(i: int, s: dict[str, Formula]):
+    def extend(i: int):
         if i == len(steps):
-            found.append(s)
+            found.append((dict(s), dict(image)))
             return
-        pat, fresh, candidates = steps[i]
+        pat, fresh = steps[i]
         if not fresh:
-            if substitute(pat, s) in position:
-                extend(i + 1, s)
+            at = position.get(s[pat.name] if isinstance(pat, Var)
+                              else substitute(pat, s))
+            if at is not None:
+                image[pat] = fence_list[at]
+                extend(i + 1)
             return
+        candidates = (fence_list if isinstance(pat, Var)
+                      else by_head.get(pat.conn, ()))
+        # s is extended in place: unbinding the fresh variables undoes it
         for g in candidates:
-            s2 = dict(s)
-            if _match(pat, g, s2) and all(s2[v] in position for v in fresh):
-                extend(i + 1, s2)
+            if _match(pat, g, s) and all(s[v] in position for v in fresh):
+                image[pat] = g
+                extend(i + 1)
+            for v in fresh:
+                s.pop(v, None)
 
-    extend(0, {})
-    schema_vars = rule.schema_variables()
-    found.sort(key=lambda s: [position[s[v]] for v in schema_vars])
+    extend(0)
+    schema_vars = rule._vars
+    found.sort(key=lambda m: [position[m[0][v]] for v in schema_vars])
     return found
 
 
 def _instance_pool(c: Calculus,
                    fence: Iterable[Formula]) -> list[RuleInstance]:
-    """Every fence-bounded instance of every rule, found by one-way
-    matching of the schema formulas against the fence, deduplicated, and
-    ordered by branch count (closing instances have zero), then rule order,
-    then substitution order: the order in which ``itertools.product`` over
-    the fence (in ``_fence_order``) would visit the values of
-    ``schema_variables()``, keeping the first of equal instances.
-    Computed once per fence and filtered per label."""
+    """Every fence-bounded instance of every rule, built from the fence
+    formulas its schema formulas matched (see ``_fence_matches``),
+    deduplicated, and ordered by branch count (closing instances have
+    zero), then rule order, then substitution order: the order in which
+    ``itertools.product`` over the fence (in ``_fence_order``) would visit
+    the values of ``schema_variables()``, keeping the first of equal
+    instances.  Computed once per fence and filtered per label."""
     fence_list = list(dict.fromkeys(_fence_order(fence)))
     position = {f: i for i, f in enumerate(fence_list)}
     by_head: dict[str, list[Formula]] = {}
@@ -340,13 +357,15 @@ def _instance_pool(c: Calculus,
     out: list[tuple[int, int, RuleInstance]] = []
     seen: set[tuple] = set()
     for ri, rule in enumerate(c.rules):
-        for s in _fence_substitutions(rule, fence_list, by_head,
-                                      position):
-            inst = instantiate_rule(rule, s)
-            key = (ri, inst.acc, inst.nacc, inst.rej, inst.nrej)
+        for s, image in _fence_matches(rule, fence_list, by_head, position):
+            sets = tuple(frozenset(map(image.__getitem__, fs)) for fs in
+                         (rule.acc, rule.nacc, rule.rej, rule.nrej))
+            key = (ri, *sets)
             if key in seen:
                 continue
             seen.add(key)
+            inst = RuleInstance(rule.name, rule.dimension, *sets,
+                                tuple((v, s[v]) for v in rule._vars))
             out.append((inst.branches, ri, inst))
     out.sort(key=lambda t: (t[0], t[1]))
     return [inst for _, _, inst in out]
@@ -376,8 +395,8 @@ def applicable_instances(c: Calculus, label: Label,
     fence and its antecedent pair is contained in the label; it makes
     progress when its succedent is empty or no succedent formula is already
     present in its component (otherwise it is satisfied and skipped).  The
-    candidates come from one-way matching against the fence (see
-    ``_instance_pool``).
+    candidates are built from the fence formulas that one-way matching
+    finds for the schema formulas (see ``_instance_pool``).
     """
     return [inst for inst in _instance_pool(c, fence)
             if _applies(inst, label)]

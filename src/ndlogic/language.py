@@ -40,8 +40,22 @@ class Var(Formula):
 
 @dataclass(frozen=True, slots=True)
 class App(Formula):
+    """A connective applied to arguments.  Its hash, ``hash((conn, args))``,
+    is computed once, from the arguments' cached hashes."""
+
     conn: str
     args: tuple[Formula, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.conn, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: str hashes differ per process
+        return App, (self.conn, self.args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -228,19 +242,10 @@ def substitute(f: Formula, s: Substitution) -> Formula:
     """Simultaneously replace every variable occurrence; identity on
     variables absent from ``s``."""
     memo: dict[Formula, Formula] = {}
-
-    def go(g: Formula) -> Formula:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Var):
-            out = s.get(g.name, g)
-        else:
-            out = App(g.conn, tuple(go(a) for a in g.args))
-        memo[g] = out
-        return out
-
-    return go(f)
+    for g in subformula_sequence((f,)):
+        memo[g] = (s.get(g.name, g) if isinstance(g, Var) else
+                   App(g.conn, tuple(map(memo.__getitem__, g.args))))
+    return memo[f]
 
 
 def compose(s2: Substitution, s1: Substitution) -> dict[str, Formula]:
@@ -274,18 +279,18 @@ def subformula_sequence(fs: Iterable[Formula]) -> tuple[Formula, ...]:
     occurrence: every formula appears after all of its parts."""
     out: list[Formula] = []
     seen: set[Formula] = set()
-
-    def go(g: Formula):
-        if g in seen:
-            return
-        if isinstance(g, App):
-            for a in g.args:
-                go(a)
-        seen.add(g)
-        out.append(g)
-
     for f in fs:
-        go(f)
+        stack = [(f, False)]
+        while stack:
+            g, parts_done = stack.pop()
+            if g in seen:
+                continue
+            if parts_done or isinstance(g, Var) or not g.args:
+                seen.add(g)
+                out.append(g)
+            else:
+                stack.append((g, True))
+                stack += ((a, False) for a in reversed(g.args))
     return tuple(out)
 
 

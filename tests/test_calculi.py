@@ -16,8 +16,8 @@ from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
 from ndlogic.errors import CalculiError, LanguageError
 from ndlogic.language import (App, Signature, Var, gen_subformulas,
                               parse_formula, subformulas, substitute)
-from ndlogic.logics import (cpl_pos, example1_rules, example2, hmci_axioms,
-                            mci_artifacts)
+from ndlogic.logics import (_hmci2d_rules, cpl_pos, example1_rules, example2,
+                            hmci_axioms, mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
 
 p = Var("p")
@@ -104,6 +104,20 @@ class TestSchemas:
                    for r in lifted.rules)
         with pytest.raises(CalculiError):
             lift_calculus(lifted)
+
+    def test_lifted_rules_get_their_own_plans(self):
+        for r, lifted in zip(HILBERT.rules, lift_calculus(HILBERT).rules):
+            assert lifted is not r and lifted._steps == r._steps
+            assert lifted.schema_variables() == r.schema_variables()
+        assert MP._steps == ((fi("(p -> q)"), ("p", "q")), (p, ()), (q, ()))
+
+    def test_match_plan_leaves_equality_alone(self):
+        pairs = list(zip(_hmci2d_rules(), _hmci2d_rules()))
+        pairs.append((R2, RuleSchema("r2", 2, nacc={fgh("g(p)"), Var("p")},
+                                     nrej={Var("p")})))
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) and "_steps" not in repr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +239,24 @@ class TestInstancePool:
             fence = random_fence(c, rng, cap)
             got = _instance_pool(c, fence)
             assert got == reference_pool(c, fence), [str(f) for f in fence]
+            for inst in got:
+                rule = c.rule_named(inst.rule)
+                assert inst == instantiate_rule(rule, dict(inst.subst))
             kept += len(got)
         assert kept > 0
+
+    def test_pattern_in_two_attitudes_gets_one_image(self):
+        c = mci_artifacts().hmci2d
+        neg3 = c.rule_named("neg3")
+        assert p in neg3.acc and neg3.nrej == {p}
+        fence = _fence_order(gen_subformulas(c.theta, [
+            parse_formula("neg(and(p,neg(q)))"), parse_formula("neg(q)")]))
+        insts = [i for i in _instance_pool(c, fence) if i.rule == "neg3"]
+        assert len(insts) == 2
+        for inst in insts:
+            image = dict(inst.subst)["p"]
+            assert inst.nrej == {image}
+            assert inst.acc == {image, App("neg", (image,))}
 
     def test_mixed_rules_instantiate(self):
         fence = [p, q, BOT, TOP, fgh("g(p)"), fgh("h(q)"), fgh("g(q)")]

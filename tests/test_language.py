@@ -1,8 +1,15 @@
 """Language layer: parsing, printing, substitution, subformulas, enumeration."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ndlogic
 from ndlogic import (App, LanguageError, ParseError, Signature, Var,
                      compose, depth, enumerate_unary_formulas, gen_subformulas,
                      parse_formula, size, subformula_sequence, subformulas,
@@ -155,13 +162,46 @@ class TestStructure:
             == (3, 4)
 
     def test_deep_formula_without_recursion(self):
-        # built in a loop: parsing and hashing still recurse per level
+        # built in a loop: parsing and printing still recurse per level
         f = p
         for i in range(5_000):
             f = conj(neg(f), Var(f"x{i % 3}"))
         assert depth(f) == 10_000
         assert size(f) == 15_001
         assert variables(f) == ("p", "x0", "x1", "x2")
+
+    def test_deep_chain_hash_substitute_subformulas(self):
+        f = p
+        for _ in range(10_000):
+            f = neg(f)
+        assert hash(f) == hash(("neg", f.args))
+        assert f in {f} and f.args[0] not in {f}
+        g = substitute(f, {"p": q})
+        assert hash(g) != hash(f) and variables(g) == ("q",)
+        assert depth(g) == 10_000 and g.args[0].args[0].conn == "neg"
+        subs = subformulas(f)
+        assert len(subs) == 10_001 and p in subs and f in subs
+        assert len(gen_subformulas({p, cons(p)}, [f])) == 20_002
+
+    def test_cached_hash_is_the_tuple_hash(self):
+        for f in (App("bot", ()), neg(p), imp(conj(p, q), cons(r))):
+            assert hash(f) == hash((f.conn, f.args))
+        assert hash(neg(p)) == hash(neg(Var("p")))
+        assert repr(neg(p)) == "App('neg', (Var('p'),))"
+
+    def test_unpickled_formula_hashes_in_this_process(self):
+        # str hashes differ between processes, so a pickle must not carry
+        # the cached hash
+        code = ("import pickle, sys; from ndlogic import App, Var; "
+                "sys.stdout.buffer.write(pickle.dumps("
+                "App('imp', (App('neg', (Var('p'),)), Var('q')))))")
+        env = dict(os.environ, PYTHONHASHSEED="1",
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        got = pickle.loads(subprocess.run([sys.executable, "-c", code],
+                                          env=env, capture_output=True,
+                                          check=True, timeout=60).stdout)
+        assert got == imp(neg(p), q) and hash(got) == hash(imp(neg(p), q))
+        assert got in {imp(neg(p), q)}
 
 
 class TestThetaSet:
@@ -269,6 +309,36 @@ def test_subformula_closure(f):
     fs = subformulas(f)
     for g in fs:
         assert subformulas(g) <= fs
+
+
+def _post_order(fs):
+    """The recursive definition of ``subformula_sequence``."""
+    out = []
+
+    def go(g):
+        if g not in out:
+            for a in getattr(g, "args", ()):
+                go(a)
+            out.append(g)
+
+    for f in fs:
+        go(f)
+    return tuple(out)
+
+
+def _substituted(f, s):
+    """The recursive definition of ``substitute``."""
+    if isinstance(f, Var):
+        return s.get(f.name, f)
+    return App(f.conn, tuple(_substituted(a, s) for a in f.args))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(formula_st, max_size=3), subst_st)
+def test_iterative_walks_match_recursive_definitions(fs, s):
+    assert subformula_sequence(fs) == _post_order(fs)
+    for f in fs:
+        assert substitute(f, s) == _substituted(f, s)
 
 
 @settings(max_examples=50, derandomize=True)
