@@ -41,7 +41,8 @@ class Var(Formula):
 @dataclass(frozen=True, slots=True)
 class App(Formula):
     """A connective applied to arguments.  Its hash, ``hash((conn, args))``,
-    is computed once, from the arguments' cached hashes."""
+    is computed once, from the arguments' cached hashes; equality is
+    syntactic and compares hashes first."""
 
     conn: str
     args: tuple[Formula, ...] = ()
@@ -52,6 +53,27 @@ class App(Formula):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        # iterative, so that deep formulas compare without recursion
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f._hash != g._hash or f.conn != g.conn or \
+                    len(f.args) != len(g.args):
+                return False
+            for a, b in zip(f.args, g.args):
+                if a is b:
+                    continue
+                if a.__class__ is App and b.__class__ is App:
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
     def __reduce__(self):
         # rebuild through the constructor: str hashes differ per process
@@ -170,31 +192,54 @@ class _Parser:
         return tok
 
     def formula(self) -> Formula:
-        kind, text, at = self.peek()
-        if kind == _TOK_IDENT:
-            self.pos += 1
-            if self.peek()[0] == _TOK_LP:
-                return self._application(text, at)
-            return self._bare(text, at)
-        if kind == _TOK_LP:
-            self.pos += 1
-            left = self.formula()
-            k2, alias, at2 = self.peek()
-            if k2 != _TOK_INFIX:
-                raise ParseError(f"expected an infix operator, found {alias!r}", at2)
-            self.pos += 1
-            right = self.formula()
-            self.take(_TOK_RP)
-            return App(self.infix[alias], (left, right))
-        raise ParseError(f"expected a formula, found {text!r}", at)
+        """Recursive descent run on an explicit stack, so that nesting
+        depth is not limited by recursion.  A frame is ``[name, at,
+        args]`` for an open application and ``[None, at, parts]`` for an
+        open infix group, whose parts become left operand, operator and
+        right operand."""
+        stack: list[list] = []
+        while True:
+            kind, text, at = self.peek()
+            if kind == _TOK_IDENT:
+                self.pos += 1
+                if self.peek()[0] != _TOK_LP:
+                    done = self._bare(text, at)
+                else:
+                    self.pos += 1
+                    stack.append([text, at, []])
+                    continue
+            elif kind == _TOK_LP:
+                self.pos += 1
+                stack.append([None, at, []])
+                continue
+            else:
+                raise ParseError(f"expected a formula, found {text!r}", at)
+            # hand the finished formula to the open frames
+            while stack:
+                name, at, args = stack[-1]
+                args.append(done)
+                if name is None and len(args) == 1:
+                    k2, alias, at2 = self.peek()
+                    if k2 != _TOK_INFIX:
+                        raise ParseError(
+                            f"expected an infix operator, found {alias!r}", at2)
+                    self.pos += 1
+                    args.append(alias)
+                    break
+                if name is not None and self.peek()[0] == _TOK_COMMA:
+                    self.pos += 1
+                    break
+                self.take(_TOK_RP)
+                stack.pop()
+                if name is None:
+                    left, alias, right = args
+                    done = App(self.infix[alias], (left, right))
+                else:
+                    done = self._application(name, at, args)
+            else:
+                return done
 
-    def _application(self, name: str, at: int) -> Formula:
-        self.take(_TOK_LP)
-        args = [self.formula()]
-        while self.peek()[0] == _TOK_COMMA:
-            self.pos += 1
-            args.append(self.formula())
-        self.take(_TOK_RP)
+    def _application(self, name: str, at: int, args: list) -> Formula:
         if self.sig is not None:
             if name not in self.sig.connectives:
                 raise ParseError(f"unknown connective {name!r}", at)
@@ -358,27 +403,30 @@ def gen_subformulas(theta: Iterable[Formula],
 
 
 def _unary_nodes(sig: Signature, max_depth: int,
-                 ) -> list[tuple[str | None, tuple[int, ...]]]:
-    """The pool of enumerate_unary_formulas as nodes ``(conn, arg ids)``;
-    an id is a pool position, ``(None, ())`` is ``p``, and ids grow with
-    depth, so arguments reach depth d - 1 iff their largest id does."""
+                 ) -> Iterator[tuple[str | None, tuple[int, ...]]]:
+    """The pool of enumerate_unary_formulas as nodes ``(conn, arg ids)``,
+    generated in pool order; an id is a pool position, ``(None, ())`` is
+    ``p``, and ids grow with depth, so arguments reach depth d - 1 iff
+    their largest id does."""
     if max_depth < 0:
         raise LanguageError("max_depth must be >= 0")
-    nodes: list[tuple[str | None, tuple[int, ...]]] = [(None, ())]
+    yield None, ()
     names = sorted(sig.connectives)
-    first = 0  # first id of depth d - 1
+    first, count = 0, 1  # first id of depth d - 1, ids so far
     for d in range(1, max_depth + 1):
-        below = len(nodes)
+        below = count
         for name in names:
             k = sig.connectives[name]
             if k == 0:
                 if d == 1:
-                    nodes.append((name, ()))
+                    count += 1
+                    yield name, ()
                 continue
-            nodes.extend((name, ids) for ids in product(range(below), repeat=k)
-                         if max(ids) >= first)
+            for ids in product(range(below), repeat=k):
+                if max(ids) >= first:
+                    count += 1
+                    yield name, ids
         first = below
-    return nodes
 
 
 def enumerate_unary_formulas(sig: Signature, max_depth: int) -> list[Formula]:

@@ -17,8 +17,7 @@ NonTotalAlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonTotalAlgebraError, SemanticsError
@@ -416,15 +415,26 @@ def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
 # separators and expressiveness
 
 class _SeparatorScan:
-    """Separator search over one target matrix up to one depth.  The unary
-    pool is built once, as nodes ``(conn, arg ids)``, and each induced
-    value set is cached per (id, value) as a bit mask; the joint relations
-    that some sets are read from are cached per (ids, value)."""
+    """Separator search over one target matrix up to one depth.
+
+    The unary pool is read from ``_unary_nodes``, as nodes ``(conn, arg
+    ids)``, in chunks that double in length, so a search that stops early
+    builds only the front of the pool.  Each node gets one value vector:
+    its induced value set at every value of p, as bit masks.  Vectors are
+    interned; ``vector[i]`` is node i's index into ``vectors``.
+
+    A node whose arguments share no compound that can take several values
+    reads its vector from a memo keyed by its connective and its
+    arguments' vector indices.  Every other node reads its sets off the
+    joint relation of its distinct arguments, a bit mask over row codes
+    (a row of values, as digits in base |values|, the first column
+    lowest).  Relations are expanded and read through one memo keyed by
+    the relations themselves, so nodes of the same shape share the
+    work."""
 
     def __init__(self, target: Matrix, max_depth: int):
         self.alg = alg = target.algebra
         _require_total(alg)
-        self.max_depth = max_depth
         dist = [("designated", target.designated)]
         if isinstance(target, BMatrix):
             dist.append(("antidesignated", target.antidesignated))
@@ -433,16 +443,64 @@ class _SeparatorScan:
         self.cells = {c: {args: sum(1 << v for v in out)
                           for args, out in cells.items()}
                       for c, cells in alg._tables.items()}
+        self.pool = _unary_nodes(alg.signature, max_depth)
+        self.nodes: list[tuple[str | None, tuple[int, ...]]] = []
+        self.vector: list[int] = []
+        self.vectors: list[tuple[int, ...]] = []
+        self.vector_ids: dict[tuple[int, ...], int] = {}
+        self.multi: list[bool] = []  # per vector: some set has two values
+        self.by_args: dict[tuple[str, tuple[int, ...]], int] = {}
         self.images: dict[tuple[str, tuple[int, ...]], int] = {}
         self.closures: dict[int, frozenset[int]] = {0: frozenset()}
-        self.sets: dict[int, int] = {}
-        self.joints: dict[tuple[tuple[int, ...], int],
-                          tuple[tuple[int, ...], ...]] = {}
-        self.rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.joints: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.expansions: dict[tuple, int] = {}
 
-    @cached_property
-    def nodes(self) -> list[tuple[str | None, tuple[int, ...]]]:
-        return _unary_nodes(self.alg.signature, self.max_depth)
+    def grow(self) -> bool:
+        """Add the next chunk of the pool, as long as the pool so far, and
+        the vectors of its nodes; False once the pool is complete."""
+        start = len(self.nodes)
+        self.nodes += islice(self.pool, max(start, 32))
+        for conn, ids in self.nodes[start:]:
+            self.vector.append(self._vector(conn, ids))
+        return len(self.nodes) > start
+
+    def _vector(self, conn: str | None, ids: tuple[int, ...]) -> int:
+        values = range(len(self.alg.values))
+        if conn is None:
+            return self._intern(tuple(1 << x for x in values))
+        if len(ids) > 1 and self._shares_multi(ids):
+            below = tuple(sorted(set(ids)))
+            at = tuple(map(below.index, ids))
+            return self._intern(tuple(
+                self.expand(rel, len(below), (), at, conn)
+                for rel in self.joint(below)))
+        key = (conn, tuple(self.vector[a] for a in ids))
+        got = self.by_args.get(key)
+        if got is None:
+            args = [self.vectors[v] for v in key[1]]
+            got = self.by_args[key] = self._intern(tuple(
+                self.image(conn, tuple(vec[x] for vec in args))
+                for x in values))
+        return got
+
+    def _intern(self, vec: tuple[int, ...]) -> int:
+        got = self.vector_ids.get(vec)
+        if got is None:
+            got = self.vector_ids[vec] = len(self.vectors)
+            self.vectors.append(vec)
+            self.multi.append(any(m & (m - 1) for m in vec))
+        return got
+
+    def _shares_multi(self, ids: tuple[int, ...]) -> bool:
+        """Whether two of the arguments ``ids`` share a compound that can
+        take several values at some value of p."""
+        seen: set[int] = set()
+        for a in ids:
+            below = self.closure(a)
+            if any(self.multi[self.vector[c]] for c in seen & below):
+                return True
+            seen |= below
+        return False
 
     def formula(self, i: int) -> Formula:
         conn, ids = self.nodes[i]
@@ -458,32 +516,14 @@ class _SeparatorScan:
         return got
 
     def induced(self, i: int, x: int) -> int:
-        """The values node i can take when p is x.  If every compound the
-        arguments share can take only one value, the arguments take their
-        values independently: coherent valuations that agree on the shared
-        part combine.  Otherwise the values are the cells of the node's
-        connective over the joint relation of its distinct arguments."""
-        key = i * len(self.alg.values) + x
-        got = self.sets.get(key)
-        if got is None:
-            conn, ids = self.nodes[i]
-            seen, shared = set(), set()
-            for a in ids:
-                shared |= seen & self.closure(a)
-                seen |= self.closure(a)
-            if conn is None:
-                got = 1 << x
-            elif all(self.induced(a, x).bit_count() == 1 for a in shared):
-                got = self.image(conn, tuple(self.induced(a, x) for a in ids))
-            else:
-                below = tuple(sorted(set(ids)))
-                at = [below.index(a) for a in ids]
-                cells = self.cells[conn]
-                got = 0
-                for row in self.joint(below, x):
-                    got |= cells[tuple(row[k] for k in at)]
-            self.sets[key] = got
-        return got
+        """The values node i can take when p is x.  If no compound that
+        two of its arguments share can take several values, the arguments
+        take their values independently: coherent valuations that agree on
+        the shared part combine, so the set is the image of the product of
+        the arguments' sets.  Otherwise it is the union of the cells of the
+        node's connective over the joint relation of its distinct
+        arguments."""
+        return self.vectors[self.vector[i]][x]
 
     def image(self, conn: str, masks: tuple[int, ...]) -> int:
         """Union of the cells of ``conn`` over the product of ``masks``."""
@@ -497,37 +537,66 @@ class _SeparatorScan:
             self.images[conn, masks] = got
         return got
 
-    def joint(self, ids: tuple[int, ...], x: int,
-              ) -> Iterable[tuple[int, ...]]:
-        """The value tuples that the ascending, distinct ``ids`` take
-        together over the coherent valuations with p = x.  Several ids are
-        reduced by expanding the largest, n, into its arguments: ids grow
-        with depth, so n lies in no other closure, and the valuations on
-        the closure of ``ids`` are those on the closure of the rest and
-        n's arguments, each extended by one cell value for n."""
+    def joint(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The relation, at every value x of p, of the value rows that the
+        ascending, distinct ``ids`` take together over the coherent
+        valuations with p = x.  One id's relation is its vector.  Several
+        ids are reduced by expanding the largest, n, into its arguments:
+        ids grow with depth, so n lies in no other closure, and the
+        valuations on the closure of ``ids`` are those on the closure of
+        the rest and n's arguments, each extended by one cell value for
+        n."""
         if len(ids) == 1:
-            mask = self.induced(ids[0], x)
-            return [(v,) for v in range(len(self.alg.values)) if mask >> v & 1]
-        got = self.joints.get((ids, x))
+            return self.vectors[self.vector[ids[0]]]
+        got = self.joints.get(ids)
         if got is None:
             *rest, n = ids
             conn, args = self.nodes[n]
             below = tuple(sorted(set(rest).union(args)))
-            keep = [below.index(a) for a in rest]
-            at = [below.index(a) for a in args]
-            cells = self.alg._tables[conn]
-            rows = {tuple(row[k] for k in keep) + (w,)
-                    for row in self.joint(below, x)
-                    for w in cells[tuple(row[k] for k in at)]}
-            # one shared tuple per distinct row keeps the memo small
-            got = self.joints[ids, x] = tuple(
-                self.rows.setdefault(r, r) for r in rows)
+            keep = tuple(map(below.index, rest))
+            at = tuple(map(below.index, args))
+            got = self.joints[ids] = tuple(
+                self.expand(rel, len(below), keep, at, conn)
+                for rel in self.joint(below))
         return got
 
-    def separates(self, i: int, x: int, y: int):
-        """None, or (set-name, value-landing-inside) when node i puts x and
-        y on opposite sides of that distinguished set."""
-        sx, sy = self.induced(i, x), self.induced(i, y)
+    def _rows(self, rel: int, arity: int) -> Iterator[list[int]]:
+        """The rows of a relation over ``arity`` columns."""
+        nv = len(self.alg.values)
+        while rel:
+            low = rel & -rel
+            rel ^= low
+            code, row = low.bit_length() - 1, []
+            for _ in range(arity):
+                code, v = divmod(code, nv)
+                row.append(v)
+            yield row
+
+    def expand(self, rel: int, arity: int, keep: tuple[int, ...],
+               at: tuple[int, ...], conn: str) -> int:
+        """The relation whose rows are the ``keep`` columns of a row of
+        ``rel`` followed by each value of the cell of ``conn`` at that
+        row's ``at`` columns.  With no ``keep`` columns it is the union
+        of those cells, as a value mask."""
+        key = (rel, arity, keep, at, conn)
+        got = self.expansions.get(key)
+        if got is None:
+            nv = len(self.alg.values)
+            top = nv ** len(keep)
+            cells = self.alg._tables[conn]
+            got = 0
+            for row in self._rows(rel, arity):
+                code = sum(row[k] * nv ** j for j, k in enumerate(keep))
+                for w in cells[tuple(row[k] for k in at)]:
+                    got |= 1 << (code + w * top)
+            self.expansions[key] = got
+        return got
+
+    def separates(self, vec: int, x: int, y: int):
+        """None, or (set-name, value-landing-inside) when the nodes with
+        vector ``vec`` put x and y on opposite sides of that distinguished
+        set."""
+        sx, sy = self.vectors[vec][x], self.vectors[vec][y]
         for name, d in self.dist:
             if not sx & ~d and not sy & d:
                 return name, x
@@ -553,10 +622,16 @@ def _separator_search(scan: _SeparatorScan, x: str, y: str):
         if v not in index:
             raise SemanticsError(f"unknown value {v!r}")
     xi, yi = index[x], index[y]
-    for i in range(len(scan.nodes)):
-        hit = scan.separates(i, xi, yi)
+    hits: dict[int, tuple | None] = {}  # per vector
+    i = 0
+    while i < len(scan.nodes) or scan.grow():
+        vec = scan.vector[i]
+        if vec not in hits:
+            hits[vec] = scan.separates(vec, xi, yi)
+        hit = hits[vec]
         if hit:
             return scan.formula(i), hit[0], scan.alg.values[hit[1]]
+        i += 1
     return None
 
 

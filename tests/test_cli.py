@@ -238,6 +238,15 @@ class TestProductAndSeparators:
         assert res.output.splitlines()[-1] == \
             "  => not separated within bound"
 
+    def test_separators_mci_b_depth_four(self, runner):
+        # every pair separates by depth 1, so the scan stops early
+        res = invoke(runner, "separators", "--matrix", "builtin:mci-b",
+                     "--depth", "4")
+        assert res.exit_code == 0
+        lines = res.output.splitlines()
+        assert lines[0] == "expressiveness report (bmatrix, depth <= 4)"
+        assert "  <I,T>: cons(p)  [T inside designated]" in lines
+
 
 class TestValidateCalculus:
 

@@ -100,6 +100,23 @@ class TestParse:
     def test_whitespace_insignificant(self):
         assert parse_formula(" neg ( p ) ", SIG) == neg(p)
 
+    def test_deep_nesting_without_recursion(self):
+        f = p
+        for _ in range(10_000):
+            f = neg(f)
+        assert parse_formula("neg(" * 10_000 + "p" + ")" * 10_000, SIG) == f
+        g = p
+        for _ in range(5_000):
+            g = imp(p, g)
+        assert parse_formula("(p -> " * 5_000 + "p" + ")" * 5_000, SIG) == g
+
+    def test_deep_error_position(self):
+        text = "neg(" * 10_000 + "p" + ")" * 9_999
+        with pytest.raises(ParseError) as e:
+            parse_formula(text, SIG)
+        assert str(e.value) == f"expected ')', found '' (at position {len(text)})"
+        assert e.value.position == len(text)
+
 
 class TestPrint:
     def test_prefix_canonical(self):
@@ -162,7 +179,7 @@ class TestStructure:
             == (3, 4)
 
     def test_deep_formula_without_recursion(self):
-        # built in a loop: parsing and printing still recurse per level
+        # built in a loop: printing still recurses per level
         f = p
         for i in range(5_000):
             f = conj(neg(f), Var(f"x{i % 3}"))
@@ -182,6 +199,15 @@ class TestStructure:
         subs = subformulas(f)
         assert len(subs) == 10_001 and p in subs and f in subs
         assert len(gen_subformulas({p, cons(p)}, [f])) == 20_002
+
+    def test_deep_chains_compare_without_recursion(self):
+        f, g, h = p, p, q
+        for _ in range(10_000):
+            f, g, h = neg(f), neg(g), neg(h)
+        assert f is not g and f == g and not f != g
+        assert g in {f} and {f: 1}[g] == 1
+        assert f != h and h not in {f}
+        assert f != neg(g) and f.args[0] == g.args[0]
 
     def test_cached_hash_is_the_tuple_hash(self):
         for f in (App("bot", ()), neg(p), imp(conj(p, q), cons(r))):
@@ -339,6 +365,15 @@ def test_iterative_walks_match_recursive_definitions(fs, s):
     assert subformula_sequence(fs) == _post_order(fs)
     for f in fs:
         assert substitute(f, s) == _substituted(f, s)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(formula_st, formula_st)
+def test_equality_is_syntactic(f, g):
+    copy = substitute(f, {})  # equal, with fresh compound nodes
+    assert copy == f and hash(copy) == hash(f)
+    assert (f == g) == (copy == g) == (str(f) == str(g))
+    assert (f != g) == (str(f) != str(g))
 
 
 @settings(max_examples=50, derandomize=True)

@@ -18,7 +18,8 @@ from ndlogic.semantics import (BMatrix, BStatement, NdAlgebra, NdMatrix,
                                coherent_valuations, entails_1d,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
-                               validate_rule, _SeparatorScan)
+                               validate_rule, _SeparatorScan,
+                               _separator_search)
 
 p = Var("p")
 q = Var("q")
@@ -436,9 +437,14 @@ def _random_algebra(rng):
 def _takes_joint(scan, i):
     """Whether node i has two or more distinct arguments that share a
     compound with several possible values at some value of p."""
+    return len(set(scan.nodes[i][1])) > 1 and _takes_relation(scan, i)
+
+
+def _takes_relation(scan, i):
+    """Whether two argument positions of node i share a compound with
+    several possible values at some value of p: the nodes whose sets are
+    read off a joint relation."""
     ids = scan.nodes[i][1]
-    if len(set(ids)) < 2:
-        return False
     seen, shared = set(), set()
     for a in ids:
         shared |= seen & scan.closure(a)
@@ -447,17 +453,29 @@ def _takes_joint(scan, i):
                for a in shared for x in range(len(scan.alg.values)))
 
 
-def _assert_scan_matches_oracle(target, max_depth):
+def _full_scan(target, max_depth):
     scan = _SeparatorScan(target, max_depth)
-    alg = target.algebra
-    pool = enumerate_unary_formulas(alg.signature, max_depth)
-    assert [scan.formula(i) for i in range(len(scan.nodes))] == pool
-    for i, f in enumerate(pool):
+    while scan.grow():
+        pass
+    return scan
+
+
+def _assert_sample_matches_oracle(scan, sample):
+    alg = scan.alg
+    for i in sample:
+        f = scan.formula(i)
         for x, value in enumerate(alg.values):
             got = {v for j, v in enumerate(alg.values)
                    if scan.induced(i, x) >> j & 1}
             inputs = [value] if variables(f) else []
             assert got == induced_multifunction(alg, f, inputs), (f, value)
+
+
+def _assert_scan_matches_oracle(target, max_depth):
+    scan = _full_scan(target, max_depth)
+    pool = enumerate_unary_formulas(target.algebra.signature, max_depth)
+    assert [scan.formula(i) for i in range(len(scan.nodes))] == pool
+    _assert_sample_matches_oracle(scan, range(len(pool)))
 
 
 class TestSeparatorScanOracle:
@@ -488,20 +506,57 @@ class TestSeparatorScanOracle:
     def test_mci5_joint_relations(self, m5):
         # on mci5, joints over two or more argument ids first occur at
         # depth 3: check a seeded sample of the nodes that take them
-        scan = _SeparatorScan(m5, 3)
+        scan = _full_scan(m5, 3)
         first = len(enumerate_unary_formulas(m5.algebra.signature, 2))
         depth3 = list(range(first, len(scan.nodes)))
         random.Random(5).shuffle(depth3)
         sample = [i for i in depth3 if _takes_joint(scan, i)][:500]
         assert len(sample) == 500
-        for i in sample:
-            f = scan.formula(i)
-            for x, value in enumerate(V5):
-                got = {v for j, v in enumerate(V5)
-                       if scan.induced(i, x) >> j & 1}
-                assert got == induced_multifunction(m5.algebra, f, [value]), \
-                    (f, value)
+        _assert_sample_matches_oracle(scan, sample)
         assert scan.joints
+
+    def test_relation_nodes_at_depth_three(self):
+        # seeded samples of the depth-3 nodes that take the joint path,
+        # repeated arguments included, on ALG_CK and random algebras
+        rng = random.Random(6)
+        targets = [NdMatrix(ALG_CK, frozenset({"u"}))] + [
+            NdMatrix(_random_algebra(rng), frozenset({"a"}))
+            for _ in range(8)]
+        sampled = 0
+        for target in targets:
+            scan = _full_scan(target, 3)
+            first = len(enumerate_unary_formulas(target.algebra.signature, 2))
+            depth3 = [i for i in range(first, len(scan.nodes))
+                      if _takes_relation(scan, i)]
+            rng.shuffle(depth3)
+            _assert_sample_matches_oracle(scan, depth3[:40])
+            sampled += len(depth3[:40])
+        assert sampled > 200
+        assert scan.expansions
+
+
+class TestLazyPool:
+    def test_mci_b_report_stops_early(self, b5):
+        reports = []
+        for depth in (3, 4):
+            scan = _SeparatorScan(b5, depth)
+            values = b5.algebra.values
+            entries = [_separator_search(scan, x, y)
+                       for i, x in enumerate(values) for y in values[i + 1:]]
+            assert all(entries) and len(scan.nodes) < 200
+            reports.append(expressiveness_report(b5, depth))
+        assert reports[0].entries == reports[1].entries
+        assert reports[1].sufficiently_expressive
+
+    def test_pool_grows_to_the_end_in_order(self, m5):
+        scan = _SeparatorScan(m5, 2)
+        sizes = [len(scan.nodes)]
+        while scan.grow():
+            sizes.append(len(scan.nodes))
+        assert sizes[0] == 0 and sizes[-1] == 121
+        assert [scan.formula(i) for i in range(121)] == \
+            enumerate_unary_formulas(m5.algebra.signature, 2)
+        assert not scan.grow() and len(scan.vector) == 121
 
 
 # ---------------------------------------------------------------------------
