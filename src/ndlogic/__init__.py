@@ -30,21 +30,22 @@ from .logics import (HmciFamily, MciArtifacts, MkMatrix, SuiteItem,
                      mk_boolean_collapse, mk_matrix,
                      two_valued_positive_matrix, verify_paper_suite)
 from .semantics import (BMatrix, BStatement, ExpressivenessReport,
-                        NdAlgebra, NdMatrix, PairSeparation, Statement1D,
-                        Valuation, Verdict, aspect_entails, b_entails,
-                        b_product, check_strong_hom, check_total,
+                        FormulaLimit, NdAlgebra, NdMatrix, PairSeparation,
+                        Statement1D, Valuation, Verdict, aspect_entails,
+                        b_entails, b_product, check_strong_hom, check_total,
                         coherent_valuations, entails_1d, expressiveness_report,
                         induced_multifunction, separator_for_pair,
                         strong_hom_report, validate_rule)
 
 __all__ = [
     "App", "BMatrix", "BStatement", "CalculiError", "Calculus",
-    "ExpressivenessReport", "Formula", "HmciFamily", "Label", "LanguageError",
-    "LimitExceeded", "LogicsError", "MciArtifacts", "MkMatrix", "NdAlgebra",
-    "NdMatrix", "NdlogicError", "Node", "NonTotalAlgebraError",
-    "PairSeparation", "ParseError", "Proved", "RuleInstance", "RuleSchema",
-    "Saturated", "SemanticsError", "SerializeError", "Signature",
-    "Statement1D", "SuiteItem", "SuiteReport", "Valuation", "Var", "Verdict",
+    "ExpressivenessReport", "Formula", "FormulaLimit", "HmciFamily", "Label",
+    "LanguageError", "LimitExceeded", "LogicsError", "MciArtifacts",
+    "MkMatrix", "NdAlgebra", "NdMatrix", "NdlogicError", "Node",
+    "NonTotalAlgebraError", "PairSeparation", "ParseError", "Proved",
+    "RuleInstance", "RuleSchema", "Saturated", "SemanticsError",
+    "SerializeError", "Signature", "Statement1D", "SuiteItem", "SuiteReport",
+    "Valuation", "Var", "Verdict",
     "applicable_instances", "aspect_entails", "b_entails", "b_product",
     "check_derivation", "check_proof", "check_strong_hom", "check_total",
     "coherent_valuations", "compose", "cpl_pos", "depth",

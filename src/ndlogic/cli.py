@@ -296,11 +296,14 @@ def product(left, right, output):
               help="Matrix: builtin:NAME, file path, @file, or inline JSON.")
 @click.option("--depth", type=int, default=3, show_default=True,
               help="Maximum separator formula depth.")
+@click.option("--max-formulas", type=int, default=10 ** 6, show_default=True,
+              help="Stop before a depth that takes the formula pool past "
+                   "this size.")
 @_guarded
-def separators(matrix_spec, depth):
+def separators(matrix_spec, depth, max_formulas):
     """Search for unary separators for every pair of values."""
     m = _load_matrix(matrix_spec)
-    report = expressiveness_report(m, depth)
+    report = expressiveness_report(m, depth, max_formulas)
     for line in report.lines():
         click.echo(line)
     sys.exit(0 if report.sufficiently_expressive else 1)

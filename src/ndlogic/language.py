@@ -402,31 +402,37 @@ def gen_subformulas(theta: Iterable[Formula],
     return frozenset(out)
 
 
-def _unary_nodes(sig: Signature, max_depth: int,
-                 ) -> Iterator[tuple[str | None, tuple[int, ...]]]:
-    """The pool of enumerate_unary_formulas as nodes ``(conn, arg ids)``,
-    generated in pool order; an id is a pool position, ``(None, ())`` is
-    ``p``, and ids grow with depth, so arguments reach depth d - 1 iff
-    their largest id does."""
+def _pool_levels(sig: Signature, max_depth: int,
+                 ) -> Iterator[tuple[int, int, list[tuple[str | None, int]],
+                                     int]]:
+    """The pool of enumerate_unary_formulas level by level, as
+    ``(first, below, conns, size)`` for each depth d from 0 to max_depth.
+    An id is a pool position; ids grow with depth, so the ids below
+    ``below`` are the formulas of depth < d and those from ``first`` on
+    have depth d - 1.  Level d holds, for each connective ``(name,
+    arity)`` of ``conns`` in turn, one node per argument tuple of
+    ``_arg_tuples``: ``size`` nodes in all, known before any is made.
+    Level 0 is ``p`` alone, as the connective None; then connectives come
+    by name, constants only at depth 1."""
     if max_depth < 0:
         raise LanguageError("max_depth must be >= 0")
-    yield None, ()
-    names = sorted(sig.connectives)
-    first, count = 0, 1  # first id of depth d - 1, ids so far
+    yield 0, 0, [(None, 0)], 1
+    arity = sig.connectives
+    first, below = 0, 1
     for d in range(1, max_depth + 1):
-        below = count
-        for name in names:
-            k = sig.connectives[name]
-            if k == 0:
-                if d == 1:
-                    count += 1
-                    yield name, ()
-                continue
-            for ids in product(range(below), repeat=k):
-                if max(ids) >= first:
-                    count += 1
-                    yield name, ids
-        first = below
+        conns = [(name, arity[name]) for name in sorted(arity)
+                 if arity[name] or d == 1]
+        size = sum(below ** k - first ** k if k else 1 for _, k in conns)
+        yield first, below, conns, size
+        first, below = below, below + size
+
+
+def _arg_tuples(k: int, first: int, below: int) -> Iterator[tuple[int, ...]]:
+    """The argument id tuples of arity k at the level whose arguments are
+    the ids below ``below``, at least one of them from ``first`` on, in
+    enumeration order; a constant's is ``()``."""
+    return (ids for ids in product(range(below), repeat=k)
+            if not ids or max(ids) >= first)
 
 
 def enumerate_unary_formulas(sig: Signature, max_depth: int) -> list[Formula]:
@@ -434,7 +440,9 @@ def enumerate_unary_formulas(sig: Signature, max_depth: int) -> list[Formula]:
     duplicate-free, depth-major, then lexicographic by connective name,
     then by argument tuple in enumeration order."""
     pool: list[Formula] = []
-    for conn, ids in _unary_nodes(sig, max_depth):
-        pool.append(P if conn is None else
-                    App(conn, tuple(pool[i] for i in ids)))
+    for first, below, conns, _ in _pool_levels(sig, max_depth):
+        for name, k in conns:
+            pool += (P if name is None else
+                     App(name, tuple(pool[i] for i in ids))
+                     for ids in _arg_tuples(k, first, below))
     return pool

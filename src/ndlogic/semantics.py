@@ -17,12 +17,12 @@ NonTotalAlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import combinations, count, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonTotalAlgebraError, SemanticsError
-from .language import (P, App, Formula, Signature, Var, _unary_nodes,
-                       subformula_sequence, variables)
+from .language import (P, App, Formula, Signature, Var, _arg_tuples,
+                       _pool_levels, subformula_sequence, variables)
 
 # ---------------------------------------------------------------------------
 # algebras and matrices
@@ -414,27 +414,54 @@ def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # separators and expressiveness
 
+@dataclass(frozen=True)
+class FormulaLimit:
+    """The separator scan stopped because the next depth would take the
+    pool past ``max_formulas`` formulas; every formula up to ``depth`` was
+    searched."""
+
+    depth: int
+    max_formulas: int
+
+
 class _SeparatorScan:
     """Separator search over one target matrix up to one depth.
 
-    The unary pool is read from ``_unary_nodes``, as nodes ``(conn, arg
-    ids)``, in chunks that double in length, so a search that stops early
-    builds only the front of the pool.  Each node gets one value vector:
-    its induced value set at every value of p, as bit masks.  Vectors are
-    interned; ``vector[i]`` is node i's index into ``vectors``.
+    The unary pool is built level by level, in the order of
+    ``_pool_levels``, and only as deep as some pair's search needs.  For
+    the mci signature the pool has 1, 6, 121, 44,166 and about 5.85e9
+    formulas up to depths 0 to 4; a level that would take it past
+    ``max_formulas`` is not built, and the scan records a FormulaLimit
+    instead.
 
-    A node whose arguments share no compound that can take several values
-    reads its vector from a memo keyed by its connective and its
-    arguments' vector indices.  Every other node reads its sets off the
-    joint relation of its distinct arguments, a bit mask over row codes
-    (a row of values, as digits in base |values|, the first column
-    lowest).  Relations are expanded and read through one memo keyed by
-    the relations themselves, so nodes of the same shape share the
-    work."""
+    Each formula gets one value vector: its induced value set at every
+    value of p, as bit masks.  Vectors are interned in the order of their
+    first formula in the pool, and ``firsts[v]`` is vector v's first
+    formula as a node ``(conn, arg ids)``, so the first separating formula
+    is the first formula of the first separating vector.
 
-    def __init__(self, target: Matrix, max_depth: int):
+    A level's argument tuples are walked once per arity, and each maps to
+    an interned argument relation: the value rows its arguments take
+    together at each value of p.  If the arguments share no compound that
+    can take several values (each node keeps the set of its compound
+    subformulas that can), they take their values independently and the
+    relation is the product of their vectors, named by the vector ids.
+    Otherwise it is the joint relation of the distinct arguments, a bit
+    mask over row codes (a row of values, as digits in base |values|, the
+    first column lowest), with the column of each argument position.
+    Every connective of that arity reads its vector from one memo keyed by
+    the connective and the relation.
+
+    A level is kept as nodes when the next level fits the budget, because
+    they are that level's arguments.  The last level to be built keeps
+    only the first node of each new vector."""
+
+    def __init__(self, target: Matrix, max_depth: int,
+                 max_formulas: int = 10 ** 6):
         self.alg = alg = target.algebra
         _require_total(alg)
+        if max_formulas < 1:
+            raise SemanticsError("max_formulas must be >= 1")
         dist = [("designated", target.designated)]
         if isinstance(target, BMatrix):
             dist.append(("antidesignated", target.antidesignated))
@@ -443,87 +470,116 @@ class _SeparatorScan:
         self.cells = {c: {args: sum(1 << v for v in out)
                           for args, out in cells.items()}
                       for c, cells in alg._tables.items()}
-        self.pool = _unary_nodes(alg.signature, max_depth)
+        self.max_formulas = max_formulas
+        self.levels = _pool_levels(alg.signature, max_depth)
+        self.next = next(self.levels)  # the level grow() builds
+        self.depth = -1  # the deepest level built
+        self.size = 0  # formulas up to that level
+        self.limit: FormulaLimit | None = None
         self.nodes: list[tuple[str | None, tuple[int, ...]]] = []
-        self.vector: list[int] = []
+        self.vector: list[int] = []  # per node
+        self.multi: list[frozenset[int]] = []  # per node, see above
         self.vectors: list[tuple[int, ...]] = []
         self.vector_ids: dict[tuple[int, ...], int] = {}
-        self.multi: list[bool] = []  # per vector: some set has two values
-        self.by_args: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.firsts: list[tuple[str | None, tuple[int, ...]]] = []
+        self.relations: list[tuple] = []
+        self.relation_ids: dict[tuple, int] = {}
+        self.by_relation: dict[tuple[str | None, int], int] = {}
         self.images: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.closures: dict[int, frozenset[int]] = {0: frozenset()}
         self.joints: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.expansions: dict[tuple, int] = {}
 
     def grow(self) -> bool:
-        """Add the next chunk of the pool, as long as the pool so far, and
-        the vectors of its nodes; False once the pool is complete."""
-        start = len(self.nodes)
-        self.nodes += islice(self.pool, max(start, 32))
-        for conn, ids in self.nodes[start:]:
-            self.vector.append(self._vector(conn, ids))
-        return len(self.nodes) > start
+        """Build the next level of the pool; False once the pool is
+        complete or the budget stops it."""
+        if self.next is None:
+            return False
+        first, below, conns, size = self.next
+        if self.size + size > self.max_formulas:
+            self.limit = FormulaLimit(self.depth, self.max_formulas)
+            return False
+        self.depth += 1
+        self.size += size
+        self.next = next(self.levels, None)
+        keep = self.next is not None and \
+            self.size + self.next[3] <= self.max_formulas
+        walks: dict[int, dict | list] = {}  # per arity
+        for k in {k for _, k in conns}:
+            tuples = _arg_tuples(k, first, below)
+            if keep:
+                walks[k] = [(ids, self._relation(ids)) for ids in tuples]
+            else:  # each relation's first tuple
+                seen = walks[k] = {}
+                for ids in tuples:
+                    seen.setdefault(self._relation(ids), ids)
+        for conn, k in conns:
+            if not keep:
+                for rel, ids in walks[k].items():
+                    self._vector(conn, rel, ids)
+                continue
+            for ids, rel in walks[k]:
+                vec = self._vector(conn, rel, ids)
+                own = {len(self.nodes)} \
+                    if any(m & (m - 1) for m in self.vectors[vec]) else ()
+                self.nodes.append((conn, ids))
+                self.vector.append(vec)
+                self.multi.append(
+                    frozenset(own).union(*(self.multi[a] for a in ids)))
+        return True
 
-    def _vector(self, conn: str | None, ids: tuple[int, ...]) -> int:
-        values = range(len(self.alg.values))
-        if conn is None:
-            return self._intern(tuple(1 << x for x in values))
-        if len(ids) > 1 and self._shares_multi(ids):
+    def _relation(self, ids: tuple[int, ...]) -> int:
+        """The id of the argument relation of the nodes ``ids``."""
+        multi = self.multi
+        if len(ids) == 2:
+            shared = not multi[ids[0]].isdisjoint(multi[ids[1]])
+        else:
+            shared = any(not multi[a].isdisjoint(multi[b])
+                         for a, b in combinations(ids, 2))
+        if shared:
             below = tuple(sorted(set(ids)))
-            at = tuple(map(below.index, ids))
-            return self._intern(tuple(
-                self.expand(rel, len(below), (), at, conn)
-                for rel in self.joint(below)))
-        key = (conn, tuple(self.vector[a] for a in ids))
-        got = self.by_args.get(key)
+            key = (self.joint(below), tuple(map(below.index, ids)))
+        else:
+            key = (None, tuple(map(self.vector.__getitem__, ids)))
+        got = self.relation_ids.get(key)
         if got is None:
-            args = [self.vectors[v] for v in key[1]]
-            got = self.by_args[key] = self._intern(tuple(
-                self.image(conn, tuple(vec[x] for vec in args))
-                for x in values))
+            got = self.relation_ids[key] = len(self.relations)
+            self.relations.append(key)
         return got
 
-    def _intern(self, vec: tuple[int, ...]) -> int:
-        got = self.vector_ids.get(vec)
+    def _vector(self, conn: str | None, rel: int,
+                ids: tuple[int, ...]) -> int:
+        """The id of the vector of ``conn`` over relation ``rel``; a new
+        vector gets ``(conn, ids)`` as its first node."""
+        got = self.by_relation.get((conn, rel))
         if got is None:
-            got = self.vector_ids[vec] = len(self.vectors)
-            self.vectors.append(vec)
-            self.multi.append(any(m & (m - 1) for m in vec))
+            joint, cols = self.relations[rel]
+            values = range(len(self.alg.values))
+            if conn is None:
+                vec = tuple(1 << x for x in values)
+            elif joint is None:
+                args = [self.vectors[v] for v in cols]
+                vec = tuple(self.image(conn, tuple(a[x] for a in args))
+                            for x in values)
+            else:
+                vec = tuple(self.expand(r, max(cols) + 1, (), cols, conn)
+                            for r in joint)
+            got = self.vector_ids.get(vec)
+            if got is None:
+                got = self.vector_ids[vec] = len(self.vectors)
+                self.vectors.append(vec)
+                self.firsts.append((conn, ids))
+            self.by_relation[conn, rel] = got
         return got
 
-    def _shares_multi(self, ids: tuple[int, ...]) -> bool:
-        """Whether two of the arguments ``ids`` share a compound that can
-        take several values at some value of p."""
-        seen: set[int] = set()
-        for a in ids:
-            below = self.closure(a)
-            if any(self.multi[self.vector[c]] for c in seen & below):
-                return True
-            seen |= below
-        return False
+    def vector_of(self, conn: str | None, ids: tuple[int, ...]) -> int:
+        """The vector id of the formula ``conn(ids)`` of the pool built so
+        far, read through its argument relation."""
+        return self._vector(conn, self._relation(ids), ids)
 
-    def formula(self, i: int) -> Formula:
-        conn, ids = self.nodes[i]
+    def formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
+        conn, ids = node
         return P if conn is None else \
-            App(conn, tuple(self.formula(a) for a in ids))
-
-    def closure(self, i: int) -> frozenset[int]:
-        """Ids of the compound subformulas of node i."""
-        got = self.closures.get(i)
-        if got is None:
-            got = self.closures[i] = frozenset({i}).union(
-                *(self.closure(a) for a in self.nodes[i][1]))
-        return got
-
-    def induced(self, i: int, x: int) -> int:
-        """The values node i can take when p is x.  If no compound that
-        two of its arguments share can take several values, the arguments
-        take their values independently: coherent valuations that agree on
-        the shared part combine, so the set is the image of the product of
-        the arguments' sets.  Otherwise it is the union of the cells of the
-        node's connective over the joint relation of its distinct
-        arguments."""
-        return self.vectors[self.vector[i]][x]
+            App(conn, tuple(self.formula(self.nodes[a]) for a in ids))
 
     def image(self, conn: str, masks: tuple[int, ...]) -> int:
         """Union of the cells of ``conn`` over the product of ``masks``."""
@@ -593,9 +649,9 @@ class _SeparatorScan:
         return got
 
     def separates(self, vec: int, x: int, y: int):
-        """None, or (set-name, value-landing-inside) when the nodes with
-        vector ``vec`` put x and y on opposite sides of that distinguished
-        set."""
+        """None, or (set-name, value-landing-inside) when the formulas
+        with vector ``vec`` put x and y on opposite sides of that
+        distinguished set."""
         sx, sy = self.vectors[vec][x], self.vectors[vec][y]
         for name, d in self.dist:
             if not sx & ~d and not sy & d:
@@ -605,16 +661,36 @@ class _SeparatorScan:
         return None
 
 
-def separator_for_pair(target: Matrix, x: str, y: str,
-                       max_depth: int) -> Formula | None:
+@dataclass(frozen=True)
+class PairSeparation:
+    """One unordered value pair's separation result; ``into`` is the value
+    whose induced set lies inside the named distinguished set.  An open
+    pair carries a FormulaLimit if the budget, not the depth bound, ended
+    its search."""
+
+    x: str
+    y: str
+    separator: Formula | None
+    via: str | None = None
+    into: str | None = None
+    limit: FormulaLimit | None = None
+
+
+def separator_for_pair(target: Matrix, x: str, y: str, max_depth: int,
+                       max_formulas: int = 10 ** 6,
+                       ) -> Formula | FormulaLimit | None:
     """First unary formula (in enumeration order) whose induced value sets
     at ``x`` and ``y`` fall on opposite sides of a distinguished set; None
-    if no formula up to ``max_depth`` does."""
-    found = _separator_search(_SeparatorScan(target, max_depth), x, y)
-    return found[0] if found else None
+    if no formula up to ``max_depth`` does, and a FormulaLimit if the
+    pool up to the depth that would be searched next has more than
+    ``max_formulas`` formulas."""
+    found = _separator_search(
+        _SeparatorScan(target, max_depth, max_formulas), x, y)
+    return found.limit or found.separator
 
 
-def _separator_search(scan: _SeparatorScan, x: str, y: str):
+def _separator_search(scan: _SeparatorScan, x: str,
+                      y: str) -> PairSeparation:
     if x == y:
         raise SemanticsError("separator search requires two distinct values")
     index = scan.alg._index
@@ -622,29 +698,14 @@ def _separator_search(scan: _SeparatorScan, x: str, y: str):
         if v not in index:
             raise SemanticsError(f"unknown value {v!r}")
     xi, yi = index[x], index[y]
-    hits: dict[int, tuple | None] = {}  # per vector
-    i = 0
-    while i < len(scan.nodes) or scan.grow():
-        vec = scan.vector[i]
-        if vec not in hits:
-            hits[vec] = scan.separates(vec, xi, yi)
-        hit = hits[vec]
+    for vec in count():
+        while vec == len(scan.vectors):
+            if not scan.grow():
+                return PairSeparation(x, y, None, limit=scan.limit)
+        hit = scan.separates(vec, xi, yi)
         if hit:
-            return scan.formula(i), hit[0], scan.alg.values[hit[1]]
-        i += 1
-    return None
-
-
-@dataclass(frozen=True)
-class PairSeparation:
-    """One unordered value pair's separation result; ``into`` is the value
-    whose induced set lies inside the named distinguished set."""
-
-    x: str
-    y: str
-    separator: Formula | None
-    via: str | None = None
-    into: str | None = None
+            return PairSeparation(x, y, scan.formula(scan.firsts[vec]),
+                                  hit[0], scan.alg.values[hit[1]])
 
 
 @dataclass(frozen=True)
@@ -657,34 +718,38 @@ class ExpressivenessReport:
     def lines(self) -> list[str]:
         out = [f"expressiveness report ({self.target_kind}, "
                f"depth <= {self.max_depth})"]
+        limit = None
         for e in self.entries:
-            if e.separator is None:
+            if e.limit:
+                limit = e.limit
+                out.append(f"  <{e.x},{e.y}>: open after depth "
+                           f"{limit.depth}, max_formulas "
+                           f"{limit.max_formulas} reached")
+            elif e.separator is None:
                 out.append(f"  <{e.x},{e.y}>: none up to depth {self.max_depth}")
             else:
                 out.append(f"  <{e.x},{e.y}>: {e.separator}"
                            f"  [{e.into} inside {e.via}]")
         verdict = "sufficiently expressive (up to bound)" if \
             self.sufficiently_expressive else "not separated within bound"
+        if limit:
+            verdict = f"max_formulas limit reached after depth {limit.depth}"
         out.append(f"  => {verdict}")
         return out
 
 
 def expressiveness_report(target: Matrix, max_depth: int,
+                          max_formulas: int = 10 ** 6,
                           ) -> ExpressivenessReport:
-    """Separator search over every unordered pair of distinct values."""
-    scan = _SeparatorScan(target, max_depth)
+    """Separator search over every unordered pair of distinct values,
+    within a pool of at most ``max_formulas`` formulas."""
+    scan = _SeparatorScan(target, max_depth, max_formulas)
     values = scan.alg.values
-    entries = []
-    for i, x in enumerate(values):
-        for y in values[i + 1:]:
-            found = _separator_search(scan, x, y)
-            if found:
-                entries.append(PairSeparation(x, y, *found))
-            else:
-                entries.append(PairSeparation(x, y, None))
+    entries = tuple(_separator_search(scan, x, y)
+                    for i, x in enumerate(values) for y in values[i + 1:])
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix",
-        max_depth, tuple(entries),
+        max_depth, entries,
         all(e.separator is not None for e in entries))
 
 

@@ -247,6 +247,28 @@ class TestProductAndSeparators:
         assert lines[0] == "expressiveness report (bmatrix, depth <= 4)"
         assert "  <I,T>: cons(p)  [T inside designated]" in lines
 
+    def test_separators_formula_limit(self, runner):
+        # mci5 at depth 4 would scan about 5.85e9 formulas
+        res = invoke(runner, "separators", "--matrix", "builtin:mci5",
+                     "--depth", "4")
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert "  <f,F>: open after depth 3, max_formulas 1000000 reached" \
+            in lines
+        assert "  <I,T>: cons(p)  [T inside designated]" in lines
+        assert lines[-1] == "  => max_formulas limit reached after depth 3"
+        res = invoke(runner, "separators", "--matrix", "builtin:mci5",
+                     "--depth", "3", "--max-formulas", "121")
+        assert res.exit_code == 1
+        assert "  <T,t>: open after depth 2, max_formulas 121 reached" in \
+            res.output.splitlines()
+
+    def test_separators_budget_must_be_positive(self, runner):
+        res = invoke(runner, "separators", "--matrix", "builtin:mci5",
+                     "--max-formulas", "0")
+        assert res.exit_code == 2
+        assert "max_formulas must be >= 1" in res.output
+
 
 class TestValidateCalculus:
 

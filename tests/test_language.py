@@ -14,6 +14,7 @@ from ndlogic import (App, LanguageError, ParseError, Signature, Var,
                      compose, depth, enumerate_unary_formulas, gen_subformulas,
                      parse_formula, size, subformula_sequence, subformulas,
                      substitute, theta_set, variables)
+from ndlogic.language import _pool_levels
 
 SIG = Signature(
     {"neg": 1, "cons": 1, "and": 2, "or": 2, "imp": 2},
@@ -290,6 +291,20 @@ class TestEnumerate:
     def test_duplicate_free(self):
         fs = enumerate_unary_formulas(SIG, 2)
         assert len(fs) == len(set(fs))
+
+    def test_level_sizes_are_known_up_front(self):
+        # a level's size comes from the sizes below it, so the depth-4
+        # pool of about 5.85e9 formulas is counted without being built
+        assert [size for *_, size in _pool_levels(SIG, 4)] == \
+            [1, 5, 115, 44045, 5851950835]
+        sig = Signature({"c": 0, "g": 1, "k": 2})
+        sizes = [size for *_, size in _pool_levels(sig, 3)]
+        assert sizes == [1, 3, 18, 486]
+        for depth in range(4):
+            assert len(enumerate_unary_formulas(sig, depth)) == \
+                sum(sizes[:depth + 1])
+        with pytest.raises(LanguageError):
+            enumerate_unary_formulas(sig, -1)
 
 
 # ---------------------------------------------------------------------------

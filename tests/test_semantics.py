@@ -3,16 +3,19 @@ enumeration order, first countermodels, products, aspects, strong
 homomorphisms, separator search and rule validation."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from conftest import D5, INTERP5, R5, SIG5, V5, make_alg5
+from test_separators_golden import matrices
 from ndlogic.calculi import RuleSchema
 from ndlogic.errors import NonTotalAlgebraError, SemanticsError
 from ndlogic.language import (Signature, Var, enumerate_unary_formulas,
-                              parse_formula, variables)
+                              parse_formula, subformulas, variables)
 from ndlogic.logics import example1, example2
-from ndlogic.semantics import (BMatrix, BStatement, NdAlgebra, NdMatrix,
+from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
+                               NdAlgebra, NdMatrix, PairSeparation,
                                Statement1D, aspect_entails, b_entails,
                                b_product, check_strong_hom, check_total,
                                coherent_valuations, entails_1d,
@@ -434,23 +437,34 @@ def _random_algebra(rng):
         "k": {(x, y): cell() for x in values for y in values}})
 
 
-def _takes_joint(scan, i):
-    """Whether node i has two or more distinct arguments that share a
-    compound with several possible values at some value of p."""
-    return len(set(scan.nodes[i][1])) > 1 and _takes_relation(scan, i)
+def _pool_nodes(target, max_depth):
+    """The pool of enumerate_unary_formulas, each formula as a node
+    ``(conn, arg ids)`` over the pool's positions, and those positions."""
+    pool = enumerate_unary_formulas(target.algebra.signature, max_depth)
+    index = {f: i for i, f in enumerate(pool)}
+    return pool, [(None, ()) if f == p else
+                  (f.conn, tuple(index[a] for a in f.args))
+                  for f in pool], index
 
 
-def _takes_relation(scan, i):
-    """Whether two argument positions of node i share a compound with
-    several possible values at some value of p: the nodes whose sets are
-    read off a joint relation."""
-    ids = scan.nodes[i][1]
+def _takes_joint(scan, index, f):
+    """Whether f has two or more distinct arguments that share a compound
+    with several possible values at some value of p."""
+    return len(set(f.args)) > 1 and _takes_relation(scan, index, f)
+
+
+def _takes_relation(scan, index, f):
+    """Whether two argument positions of f share a compound with several
+    possible values at some value of p: the formulas whose sets are read
+    off a joint relation.  The shared compounds lie below the last level,
+    so the scan keeps their nodes."""
     seen, shared = set(), set()
-    for a in ids:
-        shared |= seen & scan.closure(a)
-        seen |= scan.closure(a)
-    return any(scan.induced(a, x).bit_count() > 1
-               for a in shared for x in range(len(scan.alg.values)))
+    for a in f.args:
+        below = {g for g in subformulas(a) if not isinstance(g, Var)}
+        shared |= seen & below
+        seen |= below
+    return any(m.bit_count() > 1 for g in shared
+               for m in scan.vectors[scan.vector[index[g]]])
 
 
 def _full_scan(target, max_depth):
@@ -460,22 +474,31 @@ def _full_scan(target, max_depth):
     return scan
 
 
-def _assert_sample_matches_oracle(scan, sample):
+def _assert_sample_matches_oracle(scan, pool, nodes, sample):
+    """The nodes ``sample`` of the pool: each one's formula, and its vector
+    as the scan's relation path reads it, against induced_multifunction;
+    a node the scan keeps has that vector too."""
     alg = scan.alg
     for i in sample:
-        f = scan.formula(i)
+        f = pool[i]
+        assert scan.formula(nodes[i]) == f
+        vec = scan.vector_of(*nodes[i])
+        if i < len(scan.nodes):
+            assert scan.nodes[i] == nodes[i] and scan.vector[i] == vec
         for x, value in enumerate(alg.values):
             got = {v for j, v in enumerate(alg.values)
-                   if scan.induced(i, x) >> j & 1}
+                   if scan.vectors[vec][x] >> j & 1}
             inputs = [value] if variables(f) else []
             assert got == induced_multifunction(alg, f, inputs), (f, value)
 
 
 def _assert_scan_matches_oracle(target, max_depth):
     scan = _full_scan(target, max_depth)
-    pool = enumerate_unary_formulas(target.algebra.signature, max_depth)
-    assert [scan.formula(i) for i in range(len(scan.nodes))] == pool
-    _assert_sample_matches_oracle(scan, range(len(pool)))
+    pool, nodes, _ = _pool_nodes(target, max_depth)
+    kept = len(enumerate_unary_formulas(target.algebra.signature,
+                                        max_depth - 1)) if max_depth else 0
+    assert scan.nodes == nodes[:kept] and scan.size == len(pool)
+    _assert_sample_matches_oracle(scan, pool, nodes, range(len(pool)))
 
 
 class TestSeparatorScanOracle:
@@ -507,12 +530,14 @@ class TestSeparatorScanOracle:
         # on mci5, joints over two or more argument ids first occur at
         # depth 3: check a seeded sample of the nodes that take them
         scan = _full_scan(m5, 3)
+        pool, nodes, index = _pool_nodes(m5, 3)
         first = len(enumerate_unary_formulas(m5.algebra.signature, 2))
-        depth3 = list(range(first, len(scan.nodes)))
+        depth3 = list(range(first, len(pool)))
         random.Random(5).shuffle(depth3)
-        sample = [i for i in depth3 if _takes_joint(scan, i)][:500]
+        sample = list(islice(
+            (i for i in depth3 if _takes_joint(scan, index, pool[i])), 500))
         assert len(sample) == 500
-        _assert_sample_matches_oracle(scan, sample)
+        _assert_sample_matches_oracle(scan, pool, nodes, sample)
         assert scan.joints
 
     def test_relation_nodes_at_depth_three(self):
@@ -525,14 +550,57 @@ class TestSeparatorScanOracle:
         sampled = 0
         for target in targets:
             scan = _full_scan(target, 3)
+            pool, nodes, index = _pool_nodes(target, 3)
             first = len(enumerate_unary_formulas(target.algebra.signature, 2))
-            depth3 = [i for i in range(first, len(scan.nodes))
-                      if _takes_relation(scan, i)]
+            depth3 = [i for i in range(first, len(pool))
+                      if _takes_relation(scan, index, pool[i])]
             rng.shuffle(depth3)
-            _assert_sample_matches_oracle(scan, depth3[:40])
+            _assert_sample_matches_oracle(scan, pool, nodes, depth3[:40])
             sampled += len(depth3[:40])
         assert sampled > 200
         assert scan.expansions
+
+
+def _first_occurrences(target, max_depth):
+    """Brute force: each distinct vector of induced value sets over the
+    pool, in order of its first formula, with that formula."""
+    alg = target.algebra
+    firsts = {}
+    for f in enumerate_unary_formulas(alg.signature, max_depth):
+        vec = tuple(induced_multifunction(alg, f, [x] if variables(f) else [])
+                    for x in alg.values)
+        firsts.setdefault(vec, f)
+    return list(firsts.items())
+
+
+def _assert_first_occurrences(target, max_depth):
+    scan = _full_scan(target, max_depth)
+    values = scan.alg.values
+    got = [(tuple(frozenset(v for j, v in enumerate(values) if m >> j & 1)
+                  for m in vec), scan.formula(node))
+           for vec, node in zip(scan.vectors, scan.firsts)]
+    assert got == _first_occurrences(target, max_depth)
+
+
+class TestFirstOccurrence:
+    # a report prints the first formula of the first separating vector,
+    # so the order of the scan's vectors is what the golden reports pin
+    def test_builtin_matrices(self):
+        for name, target in matrices():
+            if not name.startswith("random:"):
+                for depth in (0, 1, 2):
+                    _assert_first_occurrences(target, depth)
+
+    def test_golden_random_matrices_at_depth_three(self):
+        for name, target in matrices():
+            if name.startswith("random:"):
+                _assert_first_occurrences(target, 3)
+
+    def test_random_algebras_at_depth_three(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            target = NdMatrix(_random_algebra(rng), frozenset({"a"}))
+            _assert_first_occurrences(target, 3)
 
 
 class TestLazyPool:
@@ -543,20 +611,71 @@ class TestLazyPool:
             values = b5.algebra.values
             entries = [_separator_search(scan, x, y)
                        for i, x in enumerate(values) for y in values[i + 1:]]
-            assert all(entries) and len(scan.nodes) < 200
+            assert all(e.separator for e in entries)
+            assert scan.depth == 1 and len(scan.nodes) == scan.size == 6
             reports.append(expressiveness_report(b5, depth))
         assert reports[0].entries == reports[1].entries
         assert reports[1].sufficiently_expressive
 
     def test_pool_grows_to_the_end_in_order(self, m5):
         scan = _SeparatorScan(m5, 2)
-        sizes = [len(scan.nodes)]
+        sizes = [scan.size]
         while scan.grow():
-            sizes.append(len(scan.nodes))
-        assert sizes[0] == 0 and sizes[-1] == 121
-        assert [scan.formula(i) for i in range(121)] == \
-            enumerate_unary_formulas(m5.algebra.signature, 2)
-        assert not scan.grow() and len(scan.vector) == 121
+            sizes.append(scan.size)
+        assert sizes == [0, 1, 6, 121] and scan.depth == 2
+        # the last level keeps no nodes, only each new vector's first
+        assert len(scan.nodes) == len(scan.vector) == 6
+        assert len(scan.firsts) == len(scan.vectors)
+        assert not scan.grow() and scan.limit is None
+
+
+class TestFormulaBudget:
+    def test_mci5_depth_four_stops_before_the_level(self, m5):
+        # mci5 never separates <f,F> and <T,t>, and depth 4 would take
+        # the pool from 44,166 to about 5.85e9 formulas
+        rep = expressiveness_report(m5, 4)
+        limit = FormulaLimit(3, 10 ** 6)
+        by_pair = {(e.x, e.y): e for e in rep.entries}
+        assert by_pair["f", "F"] == PairSeparation("f", "F", None,
+                                                   limit=limit)
+        assert by_pair["T", "t"].limit == limit
+        assert not rep.sufficiently_expressive
+        assert rep.lines()[-1] == \
+            "  => max_formulas limit reached after depth 3"
+        assert "  <f,F>: open after depth 3, max_formulas 1000000 reached" \
+            in rep.lines()
+        # the separated pairs are those of the depth-3 report
+        full = expressiveness_report(m5, 3)
+        assert [e for e in rep.entries if not e.limit] == \
+            [e for e in full.entries if e.separator]
+        assert separator_for_pair(m5, "f", "F", 4) == limit
+        assert separator_for_pair(m5, "f", "F", 3) is None
+        # depth 3 is the last level built, so its nodes are not kept
+        scan = _full_scan(m5, 4)
+        assert (scan.depth, scan.size, len(scan.nodes)) == (3, 44166, 121)
+        assert scan.limit == limit
+
+    def test_limit_is_checked_per_level(self, m5, b5):
+        # 44,166 formulas fit a budget of 44,166 and not one of 44,165
+        assert expressiveness_report(m5, 3, 44166) == \
+            expressiveness_report(m5, 3)
+        rep = expressiveness_report(m5, 3, 44165)
+        assert {e.limit for e in rep.entries if e.separator is None} == \
+            {FormulaLimit(2, 44165)}
+        scan = _full_scan(m5, 3)
+        assert scan.depth == 3 and scan.size == 44166
+        scan = _SeparatorScan(m5, 3, 44165)
+        while scan.grow():
+            pass
+        assert (scan.depth, scan.size, len(scan.nodes)) == (2, 121, 6)
+        assert scan.limit == FormulaLimit(2, 44165)
+        # mci-b separates every pair by depth 1, so six formulas do
+        assert expressiveness_report(b5, 4, 6).sufficiently_expressive
+        assert separator_for_pair(b5, "I", "T", 2, 1) == FormulaLimit(0, 1)
+
+    def test_budget_must_be_positive(self, m5):
+        with pytest.raises(SemanticsError):
+            expressiveness_report(m5, 1, 0)
 
 
 # ---------------------------------------------------------------------------
