@@ -22,27 +22,38 @@ instance left is a sound "not provable within the fence" witness.  For
 theta-analytic calculi that equals non-provability; in general it is only
 relative to the fence.
 
-The fence-bounded instances are found by one-way matching of each rule's
-schema formulas against the fence, in a plan stored with the rule, so no
-instance that leaves the fence is built.  This is complete because every
-schema variable occurs in some schema formula and every instantiated
-formula must lie in the fence.  Each instance is made of the fence
-formulas (whose hashes are cached) that its schema formulas matched.  The
-instances are ordered by fewest branches, then rule order, then the fence
-positions of the substitution's values: the order a product over the
-fence, tuple by tuple, would visit them in.
+The fence is numbered: its formulas ordered by size, then printed form,
+formula i standing for the bit ``1 << i``.  The fence-bounded instances
+are found by one-way matching of each rule's schema formulas against the
+fence, in a plan stored with the rule, so no instance that leaves the
+fence is built.  This is complete because every schema variable occurs in
+some schema formula and every instantiated formula must lie in the fence.
+A schema formula is matched once per fence however many rules share it;
+the images of a rule's other schema formulas are read by their argument
+paths in an earlier image, or by their variables' values.  Each instance
+is a row of fence positions: its substitution, and its four sets as masks
+packed into one int.  The instances are ordered by fewest branches, then
+rule order, then the fence positions of the substitution's values: the
+order a product over the fence, tuple by tuple, would visit them in.
+
+The search keeps each label as one mask, so applicability is a bitwise
+test against each row, and runs on an explicit stack; Labels and Nodes
+are built only for the tree it returns.  Rendering and checking walk
+trees on explicit stacks too, so no tree depth hits the recursion limit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from operator import indexOf
+from typing import Iterable, Iterator, Union
 
 from .errors import CalculiError
 from .language import (App, Formula, Substitution, Var, gen_subformulas,
-                       size, substitute, theta_set, variables)
-from .semantics import BStatement, Statement1D, _fset, _sorted
+                       size, subformula_sequence, substitute, theta_set,
+                       variables)
+from .semantics import BStatement, Statement1D, _fset
 
 
 @dataclass(frozen=True)
@@ -60,9 +71,16 @@ class RuleSchema:
     nacc: frozenset[Formula] = frozenset()
     rej: frozenset[Formula] = frozenset()
     nrej: frozenset[Formula] = frozenset()
-    # the match plan: (schema formula, variables it binds first), largest
-    # formula first, and the sorted schema variables
-    _steps: tuple[tuple[Formula, tuple[str, ...]], ...] = field(
+    # the match plan, one step per schema formula, largest first: (kind,
+    # schema formula, data, attitudes).  A "match" step binds fresh
+    # variables (data) by matching against the fence.  The image of a
+    # formula whose variables are bound is read: as the variable's value
+    # ("var", data the name), by the argument path ``(step, path)`` in an
+    # earlier image ("path"), or from the fence formulas the schema
+    # formula matches, by the values of its variables ("find", data the
+    # variables).  The attitudes are a 4-bit set in the order acc, rej,
+    # nacc, nrej.  ``_vars`` are the sorted schema variables.
+    _steps: tuple[tuple[str, Formula, object, int], ...] = field(
         init=False, compare=False, repr=False)
     _vars: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
@@ -78,9 +96,22 @@ class RuleSchema:
         steps, bound = [], {}
         for pat in sorted(self.acc | self.nacc | self.rej | self.nrej,
                           key=lambda f: (-size(f), str(f))):
-            fresh = tuple(v for v in variables(pat) if v not in bound)
+            names = variables(pat)
+            fresh = tuple(v for v in names if v not in bound)
             bound.update(dict.fromkeys(fresh))
-            steps.append((pat, fresh))
+            if fresh:
+                kind, data = "match", fresh
+            elif isinstance(pat, Var):
+                kind, data = "var", pat.name
+            else:
+                path = next(((j, path) for j, (_, done, _, _) in
+                             enumerate(steps) for path in
+                             _paths_to(pat, done)), None)
+                kind, data = ("find", names) if path is None else \
+                    ("path", path)
+            atts = sum(1 << a for a, fs in enumerate(
+                (self.acc, self.rej, self.nacc, self.nrej)) if pat in fs)
+            steps.append((kind, pat, data, atts))
         object.__setattr__(self, "_steps", tuple(steps))
         object.__setattr__(self, "_vars", tuple(sorted(bound)))
 
@@ -126,6 +157,10 @@ class Calculus:
     dimension: int
     rules: tuple[RuleSchema, ...]
     theta: frozenset[Formula] | None = None
+    # each rule's match plan with equal schema formulas made one object,
+    # so that a fence finds their matches once
+    _plans: tuple[tuple[tuple[str, Formula, object, int], ...], ...] = \
+        field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules = tuple(self.rules)
@@ -138,6 +173,10 @@ class Calculus:
                     f"calculus {self.name!r}: rule {r.name!r} has dimension "
                     f"{r.dimension}, calculus has {self.dimension}")
         object.__setattr__(self, "rules", rules)
+        same: dict[Formula, Formula] = {}
+        object.__setattr__(self, "_plans", tuple(
+            tuple((kind, same.setdefault(pat, pat), data, atts)
+                  for kind, pat, data, atts in r._steps) for r in rules))
         if self.theta is not None:
             object.__setattr__(self, "theta", theta_set(self.theta))
 
@@ -204,11 +243,16 @@ class Label:
         return other.acc <= self.acc and other.rej <= self.rej
 
     def render(self, dim: int = 2) -> str:
-        acc = ", ".join(str(f) for f in _sorted(self.acc))
-        if dim == 1:
-            return "{" + acc + "}"
-        rej = ", ".join(str(f) for f in _sorted(self.rej))
-        return "acc{" + acc + "} | rej{" + rej + "}"
+        return _Texts(dim).label(self)
+
+
+def _label(acc: frozenset[Formula], rej: frozenset[Formula]) -> Label:
+    """A Label of frozensets of known formulas, built without checking."""
+    label = object.__new__(Label)
+    fields = label.__dict__
+    fields["acc"] = acc
+    fields["rej"] = rej
+    return label
 
 
 @dataclass(frozen=True)
@@ -229,49 +273,95 @@ class Node:
         return self.label is STAR
 
 
-def _subst_str(subst) -> str:
-    return "{" + ", ".join(f"{v} := {f}" for v, f in subst) + "}"
+def _node(label, rule=None, subst=None, children=()) -> Node:
+    """A Node whose children are a tuple already, built without
+    ``__post_init__``."""
+    node = object.__new__(Node)
+    fields = node.__dict__
+    fields["label"] = label
+    fields["rule"] = rule
+    fields["subst"] = subst
+    fields["children"] = children
+    return node
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Texts:
+    """Printed forms memoized for one rendering: each formula, each label
+    side (a frozenset) and each substitution is printed once."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.formula = _Memo(str)
+        self.side = _Memo(lambda fs: ", ".join(
+            sorted(map(self.formula.__getitem__, fs))))
+        self.subst = _Memo(lambda subst: "{" + ", ".join(
+            f"{v} := {self.formula[f]}" for v, f in subst) + "}")
+
+    def label(self, label: Label) -> str:
+        if self.dim == 1:
+            return "{" + self.side[label.acc] + "}"
+        return ("acc{" + self.side[label.acc] + "} | rej{"
+                + self.side[label.rej] + "}")
 
 
 def render_tree_text(t: Node, dim: int = 2) -> str:
     """Deterministic indented rendering, one node per line."""
+    texts = _Texts(dim)
     out: list[str] = []
-
-    def go(n: Node, indent: int):
-        line = "  " * indent
-        line += "*" if n.is_star else n.label.render(dim)
-        if n.rule is not None:
-            line += f"  -- {n.rule} {_subst_str(n.subst or ())}"
-        out.append(line)
-        for ch in n.children:
-            go(ch, indent + 1)
-
-    go(t, 0)
+    stack = [(t, "")]
+    while stack:
+        n, indent = stack.pop()
+        if n.is_star:
+            out.append(indent + "*")
+        elif n.rule is None:
+            out.append(indent + texts.label(n.label))
+        else:
+            out.append(f"{indent}{texts.label(n.label)}  -- {n.rule} "
+                       f"{texts.subst[tuple(n.subst or ())]}")
+        if n.children:
+            indent += "  "
+            stack += [(ch, indent) for ch in reversed(n.children)]
     return "\n".join(out)
 
 
 def render_tree_dot(t: Node, dim: int = 2) -> str:
-    """The same tree as a DOT digraph; star leaves drawn as boxes."""
+    """The same tree as a DOT digraph; star leaves drawn as boxes.  Nodes
+    are numbered in preorder, and the edge to a child follows the child's
+    subtree."""
+    texts = _Texts(dim)
     lines = ["digraph proof {", '  node [fontname="monospace"];']
-    counter = [0]
-
-    def go(n: Node) -> str:
-        me = f"n{counter[0]}"
-        counter[0] += 1
+    counter = 0
+    # (node, start and end of the edge line to it, or None and ""), or
+    # (None, an edge line owed after the subtree just printed, "")
+    stack: list[tuple] = [(t, None, "")]
+    while stack:
+        n, edge, end = stack.pop()
+        if n is None:
+            lines.append(edge)
+            continue
+        me = f"n{counter}"
+        counter += 1
+        if edge is not None:
+            stack.append((None, edge + me + end, ""))
         if n.is_star:
             lines.append(f'  {me} [label="*", shape=box];')
         else:
-            text = n.label.render(dim).replace('"', '\\"')
+            text = texts.label(n.label).replace('"', '\\"')
             lines.append(f'  {me} [label="{text}"];')
-        for ch in n.children:
-            kid = go(ch)
-            edge = f"  {me} -> {kid}"
-            if n.rule is not None:
-                edge += f' [label="{n.rule}"]'
-            lines.append(edge + ";")
-        return me
-
-    go(t)
+        end = f' [label="{n.rule}"];' if n.rule is not None else ";"
+        stack += ((ch, f"  {me} -> ", end) for ch in reversed(n.children))
     lines.append("}")
     return "\n".join(lines)
 
@@ -279,108 +369,217 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 # ---------------------------------------------------------------------------
 # instance generation
 
-def _fence_order(fence: Iterable[Formula]) -> list[Formula]:
-    return sorted(fence, key=lambda f: (size(f), str(f)))
+def _paths_to(sub: Formula, f: Formula) -> Iterator[tuple[int, ...]]:
+    """The argument paths at which ``sub`` occurs in ``f``, leftmost
+    first."""
+    stack = [(f, ())]
+    while stack:
+        g, path = stack.pop()
+        if g == sub:
+            yield path
+        elif isinstance(g, App):
+            stack += ((a, path + (k,))
+                      for k, a in reversed(tuple(enumerate(g.args))))
 
 
-def _match(pattern: Formula, f: Formula, s: dict[str, Formula]) -> bool:
-    """One-way matching: extend ``s`` in place so that ``pattern`` under
-    ``s`` is ``f``; False (with ``s`` partly extended) when impossible."""
-    if isinstance(pattern, Var):
-        return s.setdefault(pattern.name, f) == f
-    return (isinstance(f, App) and f.conn == pattern.conn
-            and len(f.args) == len(pattern.args)
-            and all(_match(a, b, s) for a, b in zip(pattern.args, f.args)))
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _fence_matches(rule: RuleSchema, fence_list: list[Formula],
-                   by_head: dict[str, list[Formula]],
-                   position: dict[Formula, int]) -> list[tuple[dict, dict]]:
-    """Every substitution of fence formulas for the rule's variables under
-    which each schema formula lands in the fence, paired with the map from
-    schema formula to that fence formula (its image), in the order of the
-    fence positions of the values of ``schema_variables()``.
+class _Fence:
+    """A fence, ordered and numbered for matching.  The fence formulas
+    come by size, then printed form; a formula's index in ``formulas`` is
+    its fence position, and position i stands for the bit ``1 << i`` of a
+    mask.  Every other subformula of a fence formula gets an id from
+    ``len(formulas)`` on.  A formula is known by its id, its connective
+    and its arguments' ids (``conn`` is None for a variable), so matching
+    compares ints.  Each schema formula's matches are found once, however
+    many rules share it."""
 
-    Schema formulas are matched one way against the fence, largest first;
-    the image of a formula whose variables are already bound is looked up
-    instead.  Every variable occurs in some schema formula, so this finds
-    exactly the substitutions a product over the fence would keep.
+    def __init__(self, fence: Iterable[Formula]):
+        text = {f: str(f) for f in fence}
+        self.formulas = sorted(text, key=lambda f: (size(f), text[f]))
+        self.texts = list(map(text.__getitem__, self.formulas))
+        n = len(self.formulas)
+        ids = {f: i for i, f in enumerate(self.formulas)}
+        for g in subformula_sequence(self.formulas):
+            ids.setdefault(g, len(ids))
+        self.ids = ids
+        self.conn: list[str | None] = [None] * len(ids)
+        self.args: list[tuple[int, ...]] = [()] * len(ids)
+        self.by_head: dict[str, list[int]] = {}
+        for g, i in ids.items():
+            if isinstance(g, App):
+                self.conn[i] = g.conn
+                self.args[i] = tuple(map(ids.__getitem__, g.args))
+                if i < n:
+                    self.by_head.setdefault(g.conn, []).append(i)
+        # a plan step's attitude set -> its bits in an instance key, where
+        # attitude a takes the bits from a * n (see ``_instance_pool``)
+        self.spread = [0]
+        for a in range(4):
+            self.spread += [bits | 1 << a * n for bits in self.spread]
+        self._matches: dict[Formula, list[tuple[int, dict[str, int]]]] = {}
+        self._index: dict[Formula, dict[tuple[int, ...], int]] = {}
+
+    def mask(self, fs: Iterable[Formula]) -> int:
+        """The bits of the members of ``fs`` that lie in the fence."""
+        n = len(self.formulas)
+        out = 0
+        for f in fs:
+            at = self.ids.get(f, n)
+            if at < n:
+                out |= 1 << at
+        return out
+
+    def set_of(self, mask: int) -> frozenset[Formula]:
+        """The fence formulas at the bits of ``mask``."""
+        return frozenset(map(self.formulas.__getitem__, _bits(mask)))
+
+    def label_of(self, x: int) -> Label:
+        """The Label of a label mask: acc side in the low ``n`` bits, rej
+        side above them."""
+        n = len(self.formulas)
+        return _label(self.set_of(x & (1 << n) - 1), self.set_of(x >> n))
+
+    def by_text(self, mask: int) -> list[int]:
+        """The positions of the bits of ``mask``, ordered by the printed
+        forms of their formulas."""
+        return sorted(_bits(mask), key=self.texts.__getitem__)
+
+    def matches(self, pat: Formula) -> list[tuple[int, dict[str, int]]]:
+        """(position, variable -> position) for each fence formula that
+        ``pat`` matches with every variable bound inside the fence."""
+        found = self._matches.get(pat)
+        if found is not None:
+            return found
+        n = len(self.formulas)
+        if isinstance(pat, Var):
+            found = [(i, {pat.name: i}) for i in range(n)]
+        else:
+            found = []
+            conn, args = self.conn, self.args
+            for i in self.by_head.get(pat.conn, ()):
+                bind: dict[str, int] = {}
+                stack = [(pat, i)]
+                while stack:
+                    p, j = stack.pop()
+                    if isinstance(p, Var):
+                        if bind.setdefault(p.name, j) != j or j >= n:
+                            break
+                    elif conn[j] != p.conn or len(args[j]) != len(p.args):
+                        break
+                    else:
+                        stack += zip(p.args, args[j])
+                else:
+                    found.append((i, bind))
+        self._matches[pat] = found
+        return found
+
+    def find(self, pat: Formula, names: tuple[str, ...],
+             bind: dict[str, int]) -> int | None:
+        """The position of ``pat`` under ``bind``, whose variables
+        ``names`` are bound, or None when that formula is not in the
+        fence."""
+        index = self._index.get(pat)
+        if index is None:
+            index = self._index[pat] = {
+                tuple(map(binds.__getitem__, names)): i
+                for i, binds in self.matches(pat)}
+        return index.get(tuple(map(bind.__getitem__, names)))
+
+
+def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
+    """Every fence-bounded instance of every rule, as a row ``(branches,
+    rule index, substitution, key)``.  The substitution is the positions
+    of the values of ``schema_variables()``.  The key holds the four
+    instantiated sets as masks of fence positions: with ``n`` the fence
+    size, acc in bits 0 to n - 1, then rej, nacc and nrej n bits each, so
+    its low ``2n`` bits are the antecedent and the rest the succedent.
+    Rows are deduplicated and ordered by branch count (closing instances
+    have zero), then rule order, then substitution: the order in which
+    ``itertools.product`` over the fence would visit the values of
+    ``schema_variables()``, keeping the first of equal instances.
+    Computed once per fence and filtered per label.
+
+    Each rule's plan is followed from the fence formulas its schema
+    formulas match, largest first: formulas with fresh variables are
+    matched one way against the fence, the images of the others are read
+    (see ``RuleSchema``).  Every variable occurs in some schema formula,
+    so this finds exactly the substitutions a product over the fence
+    would keep.  A partial match is (rule index, next step, images so
+    far, bound variables, key bits so far).
     """
-    steps = rule._steps
-    found: list[tuple[dict, dict]] = []
-    s: dict[str, Formula] = {}
-    image: dict[Formula, Formula] = {}
-
-    def extend(i: int):
-        if i == len(steps):
-            found.append((dict(s), dict(image)))
-            return
-        pat, fresh = steps[i]
-        if not fresh:
-            at = position.get(s[pat.name] if isinstance(pat, Var)
-                              else substitute(pat, s))
-            if at is not None:
-                image[pat] = fence_list[at]
-                extend(i + 1)
-            return
-        candidates = (fence_list if isinstance(pat, Var)
-                      else by_head.get(pat.conn, ()))
-        # s is extended in place: unbinding the fresh variables undoes it
-        for g in candidates:
-            if _match(pat, g, s) and all(s[v] in position for v in fresh):
-                image[pat] = g
-                extend(i + 1)
-            for v in fresh:
-                s.pop(v, None)
-
-    extend(0)
-    schema_vars = rule._vars
-    found.sort(key=lambda m: [position[m[0][v]] for v in schema_vars])
-    return found
-
-
-def _instance_pool(c: Calculus,
-                   fence: Iterable[Formula]) -> list[RuleInstance]:
-    """Every fence-bounded instance of every rule, built from the fence
-    formulas its schema formulas matched (see ``_fence_matches``),
-    deduplicated, and ordered by branch count (closing instances have
-    zero), then rule order, then substitution order: the order in which
-    ``itertools.product`` over the fence (in ``_fence_order``) would visit
-    the values of ``schema_variables()``, keeping the first of equal
-    instances.  Computed once per fence and filtered per label."""
-    fence_list = list(dict.fromkeys(_fence_order(fence)))
-    position = {f: i for i, f in enumerate(fence_list)}
-    by_head: dict[str, list[Formula]] = {}
-    for g in fence_list:
-        if isinstance(g, App):
-            by_head.setdefault(g.conn, []).append(g)
-    out: list[tuple[int, int, RuleInstance]] = []
-    seen: set[tuple] = set()
-    for ri, rule in enumerate(c.rules):
-        for s, image in _fence_matches(rule, fence_list, by_head, position):
-            sets = tuple(frozenset(map(image.__getitem__, fs)) for fs in
-                         (rule.acc, rule.nacc, rule.rej, rule.nrej))
-            key = (ri, *sets)
-            if key in seen:
-                continue
-            seen.add(key)
-            inst = RuleInstance(rule.name, rule.dimension, *sets,
-                                tuple((v, s[v]) for v in rule._vars))
-            out.append((inst.branches, ri, inst))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [inst for _, _, inst in out]
+    n, args, spread = len(fence.formulas), fence.args, fence.spread
+    stack: list[tuple[int, int, tuple, dict, int]] = [
+        (ri, 0, (), {}, 0) for ri in range(len(c.rules))]
+    rows = []
+    while stack:
+        ri, i, image, bind, key = stack.pop()
+        steps = c._plans[ri]
+        while i < len(steps):
+            kind, pat, data, atts = steps[i]
+            if kind == "match":
+                i += 1
+                for at, binds in fence.matches(pat):
+                    if not bind:
+                        stack.append((ri, i, (at,), binds,
+                                      spread[atts] << at))
+                    elif all(bind.get(v, b) == b for v, b in binds.items()):
+                        stack.append((ri, i, image + (at,), {**bind, **binds},
+                                      key | spread[atts] << at))
+                break
+            if kind == "var":
+                at = bind[data]
+            elif kind == "path":
+                step, path = data
+                at = image[step]
+                for k in path:
+                    at = args[at][k]
+            else:
+                at = fence.find(pat, data, bind)
+            if at is None or at >= n:
+                break
+            image += (at,)
+            key |= spread[atts] << at
+            i += 1
+        else:
+            rows.append(((key >> 2 * n).bit_count(), ri,
+                         tuple(map(bind.__getitem__, c.rules[ri]._vars)),
+                         key))
+    rows.sort()
+    seen: set[tuple[int, int]] = set()
+    pool = []
+    for row in rows:
+        if (row[1], row[3]) not in seen:
+            seen.add((row[1], row[3]))
+            pool.append(row)
+    return pool
 
 
-def _applies(inst: RuleInstance, label: Label) -> bool:
-    """Antecedent contained in the label and progress guaranteed: no
-    succedent formula already present in its component (vacuous for
-    closing instances, which are always progress)."""
-    if not (inst.acc <= label.acc and inst.rej <= label.rej):
-        return False
-    if any(f in label.acc for f in inst.nacc) or \
-            any(f in label.rej for f in inst.nrej):
-        return False
-    return True
+def _blocked(x: int, twice: int) -> int:
+    """The key bits that keep an instance from applying at label mask
+    ``x`` (acc side in the low half of ``twice`` bits, rej side in the
+    high half): antecedent formulas missing from the label and succedent
+    formulas already in their component.  An instance applies when its
+    key has none of them."""
+    return x ^ (1 << twice) - 1 | x << twice
+
+
+def _row_instance(c: Calculus, fence: _Fence, row: tuple) -> RuleInstance:
+    """The RuleInstance a pool row stands for."""
+    _, ri, subst, key = row
+    rule = c.rules[ri]
+    n = len(fence.formulas)
+    acc, rej, nacc, nrej = (fence.set_of(key >> a * n & (1 << n) - 1)
+                            for a in range(4))
+    return RuleInstance(rule.name, rule.dimension, acc, nacc, rej, nrej,
+                        tuple(zip(rule._vars, map(fence.formulas.__getitem__,
+                                                  subst))))
 
 
 def applicable_instances(c: Calculus, label: Label,
@@ -388,8 +587,8 @@ def applicable_instances(c: Calculus, label: Label,
     """All fence-bounded instances applicable at ``label`` that make
     progress, deterministically ordered: fewest branches first (closing
     instances have zero), then rule order, then substitution order (the
-    fence positions of the values of ``schema_variables()``, in
-    ``_fence_order``).
+    fence positions of the values of ``schema_variables()``, the fence
+    ordered by size, then printed form).
 
     An instance is applicable when every instantiated formula lies in the
     fence and its antecedent pair is contained in the label; it makes
@@ -398,8 +597,12 @@ def applicable_instances(c: Calculus, label: Label,
     candidates are built from the fence formulas that one-way matching
     finds for the schema formulas (see ``_instance_pool``).
     """
-    return [inst for inst in _instance_pool(c, fence)
-            if _applies(inst, label)]
+    fence = _Fence(fence)
+    n = len(fence.formulas)
+    blocked = _blocked(fence.mask(label.acc) | fence.mask(label.rej) << n,
+                       2 * n)
+    return [_row_instance(c, fence, row) for row in _instance_pool(c, fence)
+            if not row[3] & blocked]
 
 
 # ---------------------------------------------------------------------------
@@ -409,38 +612,42 @@ def check_derivation(c: Calculus, t: Node) -> bool:
     """True iff every expanded node follows from its recorded rule and
     substitution: antecedent contained in the label, one child per
     succedent formula with exactly that formula added to its component,
-    and a single star child for empty succedents."""
-
-    def go(n: Node) -> bool:
-        if n.is_star:
-            return not n.children
-        if not n.children:
-            return n.rule is None
-        if n.rule is None:
+    and a single star child for empty succedents.  Nodes are checked in
+    preorder."""
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if not _derives(c, n):
             return False
-        rule = c.rule_named(n.rule)
-        inst = instantiate_rule(rule, dict(n.subst or ()))
-        if not (inst.acc <= n.label.acc and inst.rej <= n.label.rej):
-            return False
-        if inst.closing:
-            if len(n.children) != 1 or not n.children[0].is_star:
-                return False
-        else:
-            expected = Counter()
-            for f in inst.nacc:
-                expected[Label(n.label.acc | {f}, n.label.rej)] += 1
-            for f in inst.nrej:
-                expected[Label(n.label.acc, n.label.rej | {f})] += 1
-            got = Counter()
-            for ch in n.children:
-                if ch.is_star:
-                    return False
-                got[ch.label] += 1
-            if expected != got:
-                return False
-        return all(go(ch) for ch in n.children)
+        stack += reversed(n.children)
+    return True
 
-    return go(t)
+
+def _derives(c: Calculus, n: Node) -> bool:
+    """check_derivation at one node, leaving its children's own steps."""
+    if n.is_star:
+        return not n.children
+    if not n.children:
+        return n.rule is None
+    if n.rule is None:
+        return False
+    rule = c.rule_named(n.rule)
+    inst = instantiate_rule(rule, dict(n.subst or ()))
+    if not (inst.acc <= n.label.acc and inst.rej <= n.label.rej):
+        return False
+    if inst.closing:
+        return len(n.children) == 1 and n.children[0].is_star
+    expected = Counter()
+    for f in inst.nacc:
+        expected[Label(n.label.acc | {f}, n.label.rej)] += 1
+    for f in inst.nrej:
+        expected[Label(n.label.acc, n.label.rej | {f})] += 1
+    got = Counter()
+    for ch in n.children:
+        if ch.is_star:
+            return False
+        got[ch.label] += 1
+    return expected == got
 
 
 def _statement_pairs(c: Calculus, s) -> tuple[Label, Label]:
@@ -472,13 +679,13 @@ def check_proof(c: Calculus, s, t: Node) -> bool:
         return False
     if not ant.contains(t.label):
         return False
-
-    def leaves_ok(n: Node) -> bool:
-        if not n.children:
-            return n.is_star or _meets(n.label, suc)
-        return all(leaves_ok(ch) for ch in n.children)
-
-    return leaves_ok(t)
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if not (n.children or n.is_star or _meets(n.label, suc)):
+            return False
+        stack += n.children
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +720,6 @@ class LimitExceeded:
 ProofOutcome = Union[Proved, Saturated, LimitExceeded]
 
 
-class _Saturation(Exception):
-    def __init__(self, label):
-        self.label = label
-
-
-class _Limit(Exception):
-    def __init__(self, which):
-        self.which = which
-
-
 def prove(c: Calculus, s, theta: Iterable[Formula],
           max_nodes: int = 10 ** 6,
           max_depth: int | None = None) -> ProofOutcome:
@@ -535,47 +732,106 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     proofs), so the first saturated label ends the search.  A label with
     no applicable instance saturates even at the depth limit, so the empty
     statement (empty fence, depth limit 0) gives ``Saturated(Label())``.
+
+    The search runs depth first on an explicit stack.  A label is one
+    mask of fence positions, its acc side in the low ``n`` bits and its
+    rej side in the next ``n``, and the first applicable instance is the
+    first pool row whose key has no bit of ``_blocked`` (see
+    ``_instance_pool``).  Labels and Nodes are built only for the outcome
+    returned.
     """
     ant, suc = _statement_pairs(c, s)
     theta = theta_set(theta)
-    fence = _fence_order(gen_subformulas(theta, s.formulas()))
+    fence = _Fence(gen_subformulas(theta, s.formulas()))
     pool = _instance_pool(c, fence)
+    n = len(fence.formulas)
+    twice = 2 * n
     if max_depth is None:
-        max_depth = 4 * len(fence)
+        max_depth = 4 * n
+    keys = [row[3] for row in pool]
+    # per row, once it is used: the bits its children add, last child first
+    grown: list[list[int] | None] = [None] * len(pool)
+    # every statement formula lies in the fence, since theta holds p
+    goal = fence.mask(suc.acc) | fence.mask(suc.rej) << n
     nodes = 0
     deepest = 0
-
-    def expand(label: Label, depth: int) -> Node:
-        nonlocal nodes, deepest
+    # the expanded tree in preorder: (label, index of the pool row that
+    # expands it or None, parent's index), and None for a star
+    visited: list[tuple | None] = []
+    stack = [(fence.mask(ant.acc) | fence.mask(ant.rej) << n, 0, -1)]
+    while stack:
+        x, depth, parent = stack.pop()
         nodes += 1
-        deepest = max(deepest, depth)
+        if depth > deepest:
+            deepest = depth
         if nodes > max_nodes:
-            raise _Limit("max_nodes")
-        if _meets(label, suc):
-            return Node(label)
-        inst = next((i for i in pool if _applies(i, label)), None)
-        if inst is None:
-            raise _Saturation(label)
+            return LimitExceeded("max_nodes", nodes, deepest, max_nodes,
+                                 max_depth)
+        if x & goal:
+            visited.append((x, None, parent))
+            continue
+        try:
+            i = indexOf(map(_blocked(x, twice).__and__, keys), 0)
+        except ValueError:
+            return Saturated(fence.label_of(x))
         if depth >= max_depth:
-            raise _Limit("max_depth")
-        if inst.closing:
+            return LimitExceeded("max_depth", nodes, deepest, max_nodes,
+                                 max_depth)
+        me = len(visited)
+        visited.append((x, i, parent))
+        if not keys[i] >> twice:
             nodes += 1
-            children = (Node(STAR),)
-        else:
-            kids = []
-            for f in _sorted(inst.nacc):
-                kids.append(expand(Label(label.acc | {f}, label.rej),
-                                   depth + 1))
-            for f in _sorted(inst.nrej):
-                kids.append(expand(Label(label.acc, label.rej | {f}),
-                                   depth + 1))
-            children = tuple(kids)
-        return Node(label, inst.rule, inst.subst, children)
+            visited.append(None)
+            continue
+        adds = grown[i]
+        if adds is None:
+            adds = grown[i] = [1 << f for f in fence.by_text(
+                keys[i] >> twice & (1 << n) - 1)]
+            adds += [1 << n + f for f in fence.by_text(keys[i] >> 3 * n)]
+            adds.reverse()
+        depth += 1
+        stack += [(x | bit, depth, me) for bit in adds]
+    return Proved(_tree(c, fence, pool, visited))
 
-    try:
-        tree = expand(ant, 0)
-    except _Saturation as e:
-        return Saturated(e.label)
-    except _Limit as e:
-        return LimitExceeded(e.which, nodes, deepest, max_nodes, max_depth)
-    return Proved(tree)
+
+def _tree(c: Calculus, fence: _Fence, pool: list[tuple],
+          visited: list) -> Node:
+    """The Node tree of a search's preorder ``visited`` list.  Labels are
+    made parent first, a child's from its parent's by the one formula it
+    adds, so a side a child leaves alone is the parent's frozenset.  Then,
+    walked backwards, every node comes after its children, which are on
+    top of ``built`` in order."""
+    n = len(fence.formulas)
+    formulas = fence.formulas
+    labels: list[Label | None] = []
+    for entry in visited:
+        if entry is None:
+            labels.append(None)
+            continue
+        x, _, parent = entry
+        if parent < 0:
+            labels.append(fence.label_of(x))
+            continue
+        up = labels[parent]
+        f = (x ^ visited[parent][0]).bit_length() - 1
+        labels.append(_label(up.acc | {formulas[f]}, up.rej) if f < n else
+                      _label(up.acc, up.rej | {formulas[f - n]}))
+    substs: dict[int, tuple] = {}
+    built: list[Node] = []
+    for entry, label in zip(reversed(visited), reversed(labels)):
+        if entry is None:
+            built.append(_node(STAR))
+            continue
+        i = entry[1]
+        if i is None:
+            built.append(_node(label))
+            continue
+        branches, ri, subst, _ = pool[i]
+        rule = c.rules[ri]
+        pairs = substs.get(i)
+        if pairs is None:
+            pairs = substs[i] = tuple(zip(
+                rule._vars, map(formulas.__getitem__, subst)))
+        kids = tuple([built.pop() for _ in range(branches or 1)])
+        built.append(_node(label, rule.name, pairs, kids))
+    return built[0]

@@ -29,7 +29,21 @@ class Formula:
 
 @dataclass(frozen=True, slots=True)
 class Var(Formula):
+    """A propositional variable.  Its hash, ``hash((name,))``, is computed
+    once."""
+
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: str hashes differ per process
+        return Var, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -80,9 +94,25 @@ class App(Formula):
         return App, (self.conn, self.args)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.conn
-        return f"{self.conn}({','.join(str(a) for a in self.args)})"
+        # iterative, so that deep formulas print without recursion: the
+        # stack holds formulas still to print and punctuation
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if g.__class__ is str:
+                out.append(g)
+            elif isinstance(g, Var):
+                out.append(g.name)
+            elif not g.args:
+                out.append(g.conn)
+            else:
+                parts = [")"]
+                for a in reversed(g.args):
+                    parts += (a, ",")
+                parts[-1] = g.conn + "("
+                stack += parts
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"App({self.conn!r}, {self.args!r})"

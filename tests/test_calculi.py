@@ -8,14 +8,16 @@ from itertools import product
 import pytest
 
 from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
-                             Proved, RuleSchema, Saturated, _fence_order,
-                             _instance_pool, applicable_instances,
+                             Proved, RuleSchema, Saturated, _Fence,
+                             _instance_pool, _row_instance,
+                             applicable_instances,
                              check_derivation, check_proof, instantiate_rule,
                              lift_calculus, prove, render_tree_dot,
                              render_tree_text)
 from ndlogic.errors import CalculiError, LanguageError
 from ndlogic.language import (App, Signature, Var, gen_subformulas,
-                              parse_formula, subformulas, substitute)
+                              parse_formula, size, subformulas, substitute,
+                              theta_set)
 from ndlogic.logics import (_hmci2d_rules, cpl_pos, example1_rules, example2,
                             hmci_axioms, mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
@@ -109,7 +111,8 @@ class TestSchemas:
         for r, lifted in zip(HILBERT.rules, lift_calculus(HILBERT).rules):
             assert lifted is not r and lifted._steps == r._steps
             assert lifted.schema_variables() == r.schema_variables()
-        assert MP._steps == ((fi("(p -> q)"), ("p", "q")), (p, ()), (q, ()))
+        assert MP._steps == (("match", fi("(p -> q)"), ("p", "q"), 0b1),
+                             ("var", p, "p", 0b1), ("var", q, "q", 0b100))
 
     def test_match_plan_leaves_equality_alone(self):
         pairs = list(zip(_hmci2d_rules(), _hmci2d_rules()))
@@ -150,11 +153,22 @@ class TestApplicableInstances:
         assert insts == []
 
 
+def fence_order(fence):
+    """The fence without repeats, by size and then printed form."""
+    return sorted(dict.fromkeys(fence), key=lambda f: (size(f), str(f)))
+
+
+def instance_pool(c, fence):
+    """The pool's rows as RuleInstances."""
+    fence = _Fence(fence)
+    return [_row_instance(c, fence, row) for row in _instance_pool(c, fence)]
+
+
 def reference_pool(c, fence):
     """The brute-force pool: every rule at every tuple of fence formulas,
     filtered to the fence, first of equal instances kept, stably sorted by
     (branches, rule index)."""
-    fence_list = _fence_order(fence)
+    fence_list = fence_order(fence)
     fence_set = frozenset(fence_list)
     out = []
     seen = set()
@@ -176,14 +190,16 @@ def reference_pool(c, fence):
 
 BOT, TOP = App("bot"), App("top")
 # a zero-variable rule, a rule with no formulas at all, two-variable rules
-# whose variables sit in different schema formulas, and a symmetric rule
-# whose swapped substitutions give one instance
+# whose variables sit in different schema formulas, a symmetric rule
+# whose swapped substitutions give one instance, and a rule whose second
+# matched formula shares a variable with the first
 MIXED = Calculus("mixed", 2, (
     RuleSchema("const", 2, acc={BOT}, nrej={TOP}),
     RuleSchema("none", 2),
     RuleSchema("sym", 2, acc={p, q}),
     RuleSchema("split", 2, acc={fgh("g(p)")}, nrej={fgh("h(q)")}),
     RuleSchema("bare", 2, rej={p}, nacc={q, fgh("g(q)")}),
+    RuleSchema("shared", 2, acc={fgh("g(g(p))")}, nrej={App("k", (p, q))}),
     R1, R2, R3))
 
 POOL_CALCULI = {
@@ -219,7 +235,7 @@ def random_fence(c, rng, cap):
         if schema:
             f = rng.choice(schema)
             seeds.append(substitute(f, {v: formula(1) for v in "pqr"}))
-    fence = _fence_order(gen_subformulas(c.theta or {p}, seeds))
+    fence = fence_order(gen_subformulas(c.theta or {p}, seeds))
     if len(fence) > cap or rng.random() < 0.3:
         fence = rng.sample(fence, min(cap, rng.randint(0, len(fence))))
     if fence and rng.random() < 0.2:
@@ -237,7 +253,7 @@ class TestInstancePool:
         kept = 0
         for _ in range(25):
             fence = random_fence(c, rng, cap)
-            got = _instance_pool(c, fence)
+            got = instance_pool(c, fence)
             assert got == reference_pool(c, fence), [str(f) for f in fence]
             for inst in got:
                 rule = c.rule_named(inst.rule)
@@ -249,9 +265,9 @@ class TestInstancePool:
         c = mci_artifacts().hmci2d
         neg3 = c.rule_named("neg3")
         assert p in neg3.acc and neg3.nrej == {p}
-        fence = _fence_order(gen_subformulas(c.theta, [
+        fence = fence_order(gen_subformulas(c.theta, [
             parse_formula("neg(and(p,neg(q)))"), parse_formula("neg(q)")]))
-        insts = [i for i in _instance_pool(c, fence) if i.rule == "neg3"]
+        insts = [i for i in instance_pool(c, fence) if i.rule == "neg3"]
         assert len(insts) == 2
         for inst in insts:
             image = dict(inst.subst)["p"]
@@ -260,7 +276,7 @@ class TestInstancePool:
 
     def test_mixed_rules_instantiate(self):
         fence = [p, q, BOT, TOP, fgh("g(p)"), fgh("h(q)"), fgh("g(q)")]
-        pool = _instance_pool(MIXED, fence)
+        pool = instance_pool(MIXED, fence)
         assert pool == reference_pool(MIXED, fence)
         substs = [(inst.rule, dict(inst.subst)) for inst in pool]
         assert ("const", {}) in substs and ("none", {}) in substs
@@ -270,6 +286,128 @@ class TestInstancePool:
         assert (frozenset({p, q}), {"p": p, "q": q}) in sym
         assert [s for rule, s in substs if rule == "split"] == \
             [{"p": p, "q": q}, {"p": q, "q": q}]
+
+
+    def test_second_match_agrees_with_the_first(self):
+        # "shared" matches g(g(p)) first, then k(p, q) with p bound
+        def k(a, b):
+            return App("k", (a, b))
+
+        def gg(a):
+            return App("g", (App("g", (a,)),))
+
+        fence = [p, q, gg(p), gg(q), k(p, q), k(q, p), k(q, q)]
+        pool = instance_pool(MIXED, fence)
+        assert pool == reference_pool(MIXED, fence)
+        shared = [(inst.acc, inst.nrej) for inst in pool
+                  if inst.rule == "shared"]
+        assert len(shared) == 3 and set(shared) == {
+            (frozenset({gg(p)}), frozenset({k(p, q)})),
+            (frozenset({gg(q)}), frozenset({k(q, p)})),
+            (frozenset({gg(q)}), frozenset({k(q, q)}))}
+
+
+def reference_prove(c, s, theta, max_nodes=10 ** 6, max_depth=None):
+    """Greedy saturation written out directly: the brute-force pool,
+    frozenset applicability and recursion over the tree."""
+    if isinstance(s, Statement1D):
+        ant, suc = Label(s.antecedent), Label(s.succedent)
+    else:
+        ant, suc = Label(s.acc, s.rej), Label(s.nacc, s.nrej)
+    fence = gen_subformulas(theta_set(theta), s.formulas())
+    pool = reference_pool(c, fence)
+    if max_depth is None:
+        max_depth = 4 * len(fence)
+    count = {"nodes": 0, "deepest": 0}
+
+    class Stop(Exception):
+        pass
+
+    def applies(inst, label):
+        return (inst.acc <= label.acc and inst.rej <= label.rej
+                and not inst.nacc & label.acc and not inst.nrej & label.rej)
+
+    def expand(label, depth):
+        count["nodes"] += 1
+        count["deepest"] = max(count["deepest"], depth)
+        if count["nodes"] > max_nodes:
+            raise Stop("max_nodes")
+        if label.acc & suc.acc or label.rej & suc.rej:
+            return Node(label)
+        inst = next((i for i in pool if applies(i, label)), None)
+        if inst is None:
+            raise Stop(Saturated(label))
+        if depth >= max_depth:
+            raise Stop("max_depth")
+        if inst.closing:
+            count["nodes"] += 1
+            return Node(label, inst.rule, inst.subst, (Node(STAR),))
+        kids = [expand(Label(label.acc | {f}, label.rej), depth + 1)
+                for f in sorted(inst.nacc, key=str)]
+        kids += [expand(Label(label.acc, label.rej | {f}), depth + 1)
+                 for f in sorted(inst.nrej, key=str)]
+        return Node(label, inst.rule, inst.subst, kids)
+
+    try:
+        return Proved(expand(ant, 0))
+    except Stop as stop:
+        what = stop.args[0]
+        if isinstance(what, Saturated):
+            return what
+        return LimitExceeded(what, count["nodes"], count["deepest"],
+                             max_nodes, max_depth)
+
+
+def random_statement(c, rng, depth):
+    """A statement of the calculus's dimension with 0-2 random formulas,
+    over p and q and the rules' connectives, in each component."""
+    schema = [f for r in c.rules for f in r.acc | r.nacc | r.rej | r.nrej]
+    conns = sorted({(g.conn, len(g.args)) for f in schema
+                    for g in subformulas(f) if isinstance(g, App)})
+
+    def formula(d):
+        if not conns or d == 0 or rng.random() < 0.3:
+            return Var(rng.choice("pq"))
+        name, k = rng.choice(conns)
+        return App(name, tuple(formula(d - 1) for _ in range(k)))
+
+    def some():
+        return {formula(depth) for _ in range(rng.randint(0, 2))}
+
+    if c.dimension == 1:
+        return Statement1D(some(), some())
+    return BStatement(acc=some(), nacc=some(), rej=some(), nrej=some())
+
+
+class TestProveDifferential:
+    CALCULI = {
+        "hmci2d": (mci_artifacts().hmci2d, 1, 30),
+        "ex2-calc": (example2()[1], 3, 60),
+        "lifted-cplpos": (lift_calculus(cpl_pos()), 2, 30),
+        "ex1-rules:3": (example1_rules(3), 4, 60),
+        "mixed": (MIXED, 2, 30),
+        "mixed-open": (Calculus("mixed-open", 2, tuple(
+            r for r in MIXED.rules if r.name != "none")), 2, 60),
+    }
+    LIMITS = ({}, {"max_nodes": 4}, {"max_depth": 1},
+              {"max_nodes": 12, "max_depth": 3})
+
+    @pytest.mark.parametrize("name", sorted(CALCULI))
+    def test_equals_reference(self, name):
+        c, depth, count = self.CALCULI[name]
+        theta = c.theta or {p}
+        rng = random.Random(f"prove-{name}")
+        kinds = set()
+        for k in range(count):
+            s = random_statement(c, rng, depth)
+            limits = self.LIMITS[k % len(self.LIMITS)]
+            got = prove(c, s, theta, **limits)
+            assert got == reference_prove(c, s, theta, **limits), s
+            kinds.add(getattr(got, "limit", type(got).__name__))
+        if name != "mixed":
+            assert {"Proved", "Saturated"} <= kinds, kinds
+        if name in ("hmci2d", "ex2-calc"):
+            assert {"max_nodes", "max_depth"} <= kinds, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +551,15 @@ class TestProve:
         assert isinstance(out, LimitExceeded)
         assert out.limit == "max_nodes" and out.nodes == 2
 
+    def test_star_counts_toward_the_node_limit(self):
+        # the star under r1 is the third of five nodes in preorder
+        s = BStatement(nacc={fgh("h(p)"), q}, rej={fgh("g(q)")}, nrej={q})
+        out = prove(GH_CALC, s, {p}, max_nodes=5)
+        assert isinstance(out, Proved)
+        assert render_tree_text(out.tree).splitlines()[2] == "    *"
+        assert prove(GH_CALC, s, {p}, max_nodes=4) == \
+            LimitExceeded("max_nodes", 5, 1, 4, 16)
+
     def test_depth_limit(self):
         out = prove(GH_CALC, TestCheckProof.S_R2, {p}, max_depth=0)
         assert isinstance(out, LimitExceeded)
@@ -474,6 +621,34 @@ class TestProve:
         kids = out.tree.children
         assert [k.label for k in kids] == \
             [Label({fgh("g(p)")}), Label({p}), Label(rej={p})]
+
+    def test_deep_statement_gets_a_verdict(self):
+        # the search does not recurse once per tree level
+        c = mci_artifacts().hmci2d
+        f = p
+        for _ in range(200):
+            f = App("neg", (f,))
+        out = prove(c, BStatement(acc={f}, nrej={q}), c.theta)
+        assert isinstance(out, (Proved, Saturated))
+
+    def test_deep_proof_renders_and_checks(self):
+        # modus ponens along a chain of 400 implications: a 401-node path
+        c = mci_artifacts().hmci2d
+        xs = [Var(f"x{i}") for i in range(401)]
+        s = BStatement(acc={xs[0]} | {App("imp", (a, b))
+                                      for a, b in zip(xs, xs[1:])},
+                       nacc={xs[-1]})
+        out = prove(c, s, c.theta)
+        assert isinstance(out, Proved)
+        assert check_proof(c, s, out.tree)
+        lines = render_tree_text(out.tree).splitlines()
+        assert len(lines) == 401
+        assert lines[-1].startswith(" " * 800 + "acc{imp(x0,x1)")
+        assert "x400" in lines[-1] and "-- imp3 {p := x399, q := x400}" \
+            in lines[-2]
+        dot = render_tree_dot(out.tree).splitlines()
+        assert dot[-2] == '  n0 -> n1 [label="imp3"];'
+        assert len(dot) == 3 + 401 + 400
 
 
 # ---------------------------------------------------------------------------

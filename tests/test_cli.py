@@ -84,13 +84,23 @@ class TestCheck:
         assert "cannot read matrix" in res.output
 
     def test_deep_formula_is_an_error_not_a_verdict(self, runner):
-        deep = "neg(" * 300 + "p" + ")" * 300
+        # the valuation search still recurses once per closure position
+        deep = "neg(" * 1500 + "p" + ")" * 1500
         res = invoke(runner, "check", "--matrix", "builtin:mci5",
                      "--statement",
                      json.dumps({"antecedent": [deep], "succedent": ["q"]}))
         assert res.exit_code == 2
         assert res.output.startswith("error: RecursionError")
         assert res.output.count("\n") == 1
+
+    def test_deep_formula_gets_its_verdict(self, runner):
+        deep = "neg(" * 300 + "p" + ")" * 300
+        res = invoke(runner, "check", "--matrix", "builtin:mci5",
+                     "--statement",
+                     json.dumps({"antecedent": [deep], "succedent": ["q"]}))
+        assert res.exit_code == 1
+        assert res.output.startswith("invalid; countermodel:\n")
+        assert "  v(" + deep + ") = " in res.output
 
     def test_bad_json(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci5",

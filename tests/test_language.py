@@ -180,13 +180,21 @@ class TestStructure:
             == (3, 4)
 
     def test_deep_formula_without_recursion(self):
-        # built in a loop: printing still recurses per level
         f = p
         for i in range(5_000):
             f = conj(neg(f), Var(f"x{i % 3}"))
         assert depth(f) == 10_000
         assert size(f) == 15_001
         assert variables(f) == ("p", "x0", "x1", "x2")
+        assert parse_formula(str(f), SIG) == f
+
+    def test_deep_formula_prints_without_recursion(self):
+        f = p
+        for _ in range(10_000):
+            f = neg(f)
+        assert str(f) == "neg(" * 10_000 + "p" + ")" * 10_000
+        assert str(conj(f, App("bot", ()))).endswith("p" + ")" * 10_000
+                                                      + ",bot)")
 
     def test_deep_chain_hash_substitute_subformulas(self):
         f = p
@@ -215,6 +223,9 @@ class TestStructure:
             assert hash(f) == hash((f.conn, f.args))
         assert hash(neg(p)) == hash(neg(Var("p")))
         assert repr(neg(p)) == "App('neg', (Var('p'),))"
+        for v in (p, Var("x_1")):
+            assert hash(v) == hash((v.name,)) and v == Var(v.name)
+        assert repr(p) == "Var('p')" and p != Var("q")
 
     def test_unpickled_formula_hashes_in_this_process(self):
         # str hashes differ between processes, so a pickle must not carry
@@ -229,6 +240,18 @@ class TestStructure:
                                           check=True, timeout=60).stdout)
         assert got == imp(neg(p), q) and hash(got) == hash(imp(neg(p), q))
         assert got in {imp(neg(p), q)}
+
+    def test_unpickled_variable_hashes_in_this_process(self):
+        code = ("import pickle, sys; from ndlogic import Var; "
+                "sys.stdout.buffer.write(pickle.dumps("
+                "(Var('q'), {Var('p'): 1})))")
+        env = dict(os.environ, PYTHONHASHSEED="1",
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        got, table = pickle.loads(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            check=True, timeout=60).stdout)
+        assert got == q and hash(got) == hash(q) and got in {q}
+        assert table[p] == 1 and hash(next(iter(table))) == hash(p)
 
 
 class TestThetaSet:
