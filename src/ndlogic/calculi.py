@@ -29,12 +29,12 @@ fence, in a plan stored with the rule, so no instance that leaves the
 fence is built.  This is complete because every schema variable occurs in
 some schema formula and every instantiated formula must lie in the fence.
 A schema formula is matched once per fence however many rules share it;
-the images of a rule's other schema formulas are read by their argument
-paths in an earlier image, or by their variables' values.  Each instance
-is a row of fence positions: its substitution, and its four sets as masks
-packed into one int.  The instances are ordered by fewest branches, then
-rule order, then the fence positions of the substitution's values: the
-order a product over the fence, tuple by tuple, would visit them in.
+the image of one whose variables are already bound is looked up by their
+values among its matches.  Each instance is a row of fence positions: its
+substitution, and its four sets as masks packed into one int.  The
+instances are ordered by fewest branches, then rule order, then the fence
+positions of the substitution's values: the order a product over the
+fence, tuple by tuple, would visit them in.
 
 The search keeps each label as one mask, so applicability is a bitwise
 test against each row, and runs on an explicit stack; Labels and Nodes
@@ -75,8 +75,7 @@ class RuleSchema:
     # schema formula, data, attitudes).  A "match" step binds fresh
     # variables (data) by matching against the fence.  The image of a
     # formula whose variables are bound is read: as the variable's value
-    # ("var", data the name), by the argument path ``(step, path)`` in an
-    # earlier image ("path"), or from the fence formulas the schema
+    # ("var", data the name), or from the fence formulas the schema
     # formula matches, by the values of its variables ("find", data the
     # variables).  The attitudes are a 4-bit set in the order acc, rej,
     # nacc, nrej.  ``_vars`` are the sorted schema variables.
@@ -104,11 +103,7 @@ class RuleSchema:
             elif isinstance(pat, Var):
                 kind, data = "var", pat.name
             else:
-                path = next(((j, path) for j, (_, done, _, _) in
-                             enumerate(steps) for path in
-                             _paths_to(pat, done)), None)
-                kind, data = ("find", names) if path is None else \
-                    ("path", path)
+                kind, data = "find", names
             atts = sum(1 << a for a, fs in enumerate(
                 (self.acc, self.rej, self.nacc, self.nrej)) if pat in fs)
             steps.append((kind, pat, data, atts))
@@ -157,8 +152,9 @@ class Calculus:
     dimension: int
     rules: tuple[RuleSchema, ...]
     theta: frozenset[Formula] | None = None
-    # each rule's match plan with equal schema formulas made one object,
-    # so that a fence finds their matches once
+    # each rule's match plan with equal schema formulas made one object:
+    # a fence looks up its matches by schema formula, and a lookup that
+    # hits on identity skips comparing equal formulas node by node
     _plans: tuple[tuple[tuple[str, Formula, object, int], ...], ...] = \
         field(init=False, compare=False, repr=False)
 
@@ -369,19 +365,6 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 # ---------------------------------------------------------------------------
 # instance generation
 
-def _paths_to(sub: Formula, f: Formula) -> Iterator[tuple[int, ...]]:
-    """The argument paths at which ``sub`` occurs in ``f``, leftmost
-    first."""
-    stack = [(f, ())]
-    while stack:
-        g, path = stack.pop()
-        if g == sub:
-            yield path
-        elif isinstance(g, App):
-            stack += ((a, path + (k,))
-                      for k, a in reversed(tuple(enumerate(g.args))))
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     while mask:
@@ -511,42 +494,31 @@ def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
     matched one way against the fence, the images of the others are read
     (see ``RuleSchema``).  Every variable occurs in some schema formula,
     so this finds exactly the substitutions a product over the fence
-    would keep.  A partial match is (rule index, next step, images so
-    far, bound variables, key bits so far).
+    would keep.  A partial match is (rule index, next step, bound
+    variables, key bits so far).
     """
-    n, args, spread = len(fence.formulas), fence.args, fence.spread
-    stack: list[tuple[int, int, tuple, dict, int]] = [
-        (ri, 0, (), {}, 0) for ri in range(len(c.rules))]
+    n, spread = len(fence.formulas), fence.spread
+    stack: list[tuple[int, int, dict, int]] = [
+        (ri, 0, {}, 0) for ri in range(len(c.rules))]
     rows = []
     while stack:
-        ri, i, image, bind, key = stack.pop()
+        ri, i, bind, key = stack.pop()
         steps = c._plans[ri]
         while i < len(steps):
             kind, pat, data, atts = steps[i]
+            i += 1
             if kind == "match":
-                i += 1
                 for at, binds in fence.matches(pat):
-                    if not bind:
-                        stack.append((ri, i, (at,), binds,
-                                      spread[atts] << at))
+                    if i == 1:  # nothing bound yet: no check, no copy
+                        stack.append((ri, 1, binds, spread[atts] << at))
                     elif all(bind.get(v, b) == b for v, b in binds.items()):
-                        stack.append((ri, i, image + (at,), {**bind, **binds},
+                        stack.append((ri, i, {**bind, **binds},
                                       key | spread[atts] << at))
                 break
-            if kind == "var":
-                at = bind[data]
-            elif kind == "path":
-                step, path = data
-                at = image[step]
-                for k in path:
-                    at = args[at][k]
-            else:
-                at = fence.find(pat, data, bind)
-            if at is None or at >= n:
+            at = bind[data] if kind == "var" else fence.find(pat, data, bind)
+            if at is None:
                 break
-            image += (at,)
             key |= spread[atts] << at
-            i += 1
         else:
             rows.append(((key >> 2 * n).bit_count(), ri,
                          tuple(map(bind.__getitem__, c.rules[ri]._vars)),

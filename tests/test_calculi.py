@@ -195,6 +195,8 @@ BOT, TOP = App("bot"), App("top")
 # matched formula shares a variable with the first
 MIXED = Calculus("mixed", 2, (
     RuleSchema("const", 2, acc={BOT}, nrej={TOP}),
+    # its closed formula is planned before the open one
+    RuleSchema("efq", 2, acc={BOT}, nacc={p}),
     RuleSchema("none", 2),
     RuleSchema("sym", 2, acc={p, q}),
     RuleSchema("split", 2, acc={fgh("g(p)")}, nrej={fgh("h(q)")}),
@@ -287,6 +289,18 @@ class TestInstancePool:
         assert [s for rule, s in substs if rule == "split"] == \
             [{"p": p, "q": q}, {"p": q, "q": q}]
 
+
+    def test_closed_formula_planned_first_keeps_its_image(self):
+        efq = MIXED.rule_named("efq")
+        assert [step[0] for step in efq._steps] == ["find", "match"]
+        c = Calculus("efq", 2, (efq,))
+        nbot = App("neg", (BOT,))
+        insts = applicable_instances(c, Label({BOT}), [p, q, BOT, nbot])
+        assert [(inst.acc, inst.nacc) for inst in insts] == [
+            (frozenset({BOT}), frozenset({f})) for f in (p, q, nbot)]
+        assert applicable_instances(c, Label({nbot}), [p, q, BOT, nbot]) == []
+        s = BStatement(acc={nbot}, nacc={q})
+        assert isinstance(prove(c, s, {p}), Saturated)
 
     def test_second_match_agrees_with_the_first(self):
         # "shared" matches g(g(p)) first, then k(p, q) with p bound
