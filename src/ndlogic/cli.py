@@ -35,10 +35,6 @@ class CliInputError(Exception):
     """Bad command input; reported as a one-line diagnostic, exit 2."""
 
 
-def _fail(message: str) -> "CliInputError":
-    return CliInputError(message)
-
-
 # ---------------------------------------------------------------------------
 # input resolution
 
@@ -53,7 +49,8 @@ def _read_source(spec: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise _fail(f"cannot read {what} from {path!r}: {e.strerror}")
+        raise CliInputError(
+            f"cannot read {what} from {path!r}: {e.strerror}")
 
 
 _MATRIX_BUILTINS = {
@@ -82,7 +79,8 @@ def _builtin(name: str):
         try:
             idx = int(arg)
         except ValueError:
-            raise _fail(f"builtin {name!r}: index {arg!r} is not an integer")
+            raise CliInputError(
+                f"builtin {name!r}: index {arg!r} is not an integer")
         if head == "mk":
             return mk_matrix(idx).matrix
         if head == "hmci":
@@ -91,14 +89,15 @@ def _builtin(name: str):
             return example1_rules(idx)
     known = sorted(_MATRIX_BUILTINS) + sorted(_CALCULUS_BUILTINS) + \
         ["mk:<k>", "hmci:<k>", "ex1-rules:<i>"]
-    raise _fail(f"unknown builtin {name!r}; known: {', '.join(known)}")
+    raise CliInputError(
+        f"unknown builtin {name!r}; known: {', '.join(known)}")
 
 
 def _load_matrix(spec: str) -> NdMatrix | BMatrix:
     if spec.startswith("builtin:"):
         got = _builtin(spec[len("builtin:"):])
         if not isinstance(got, (NdMatrix, BMatrix)):
-            raise _fail(f"{spec!r} names a calculus, not a matrix")
+            raise CliInputError(f"{spec!r} names a calculus, not a matrix")
         return got
     return serialize.matrix_from_data(
         serialize.loads(_read_source(spec, "matrix")))
@@ -108,7 +107,7 @@ def _load_calculus(spec: str) -> Calculus:
     if spec.startswith("builtin:"):
         got = _builtin(spec[len("builtin:"):])
         if not isinstance(got, Calculus):
-            raise _fail(f"{spec!r} names a matrix, not a calculus")
+            raise CliInputError(f"{spec!r} names a matrix, not a calculus")
         return got
     return serialize.calculus_from_data(
         serialize.loads(_read_source(spec, "calculus")))
@@ -123,29 +122,31 @@ def _load_theta(spec: str, sig=None) -> frozenset:
     data = serialize.loads(_read_source(spec, "theta"))
     if not isinstance(data, list) or \
             not all(isinstance(x, str) for x in data):
-        raise _fail("theta must be a JSON list of formula strings")
+        raise CliInputError("theta must be a JSON list of formula strings")
     return frozenset(parse_formula(t, sig) for t in data)
 
 
 def _statement_option(statement, bstatement, sig=None):
     """Resolve the mutually exclusive --statement/--bstatement pair."""
     if (statement is None) == (bstatement is None):
-        raise _fail("exactly one of --statement/--bstatement is required")
+        raise CliInputError(
+            "exactly one of --statement/--bstatement is required")
     if statement is not None:
         s = _load_statement(statement, sig)
         if not isinstance(s, Statement1D):
-            raise _fail("--statement requires antecedent/succedent keys")
+            raise CliInputError(
+                "--statement requires antecedent/succedent keys")
         return s
     s = _load_statement(bstatement, sig)
     if not isinstance(s, BStatement):
-        raise _fail("--bstatement requires acc/nacc/rej/nrej keys")
+        raise CliInputError("--bstatement requires acc/nacc/rej/nrej keys")
     return s
 
 
 def _guarded(fn):
     """Report domain and input errors as one-line diagnostics, exit 2.
 
-    Any other exception (say, a RecursionError on a formula nested too
+    Any other exception (say, a RecursionError on a JSON tree nested too
     deep) is reported the same way, naming its type: a crash is never a
     verdict, so it must not exit 1."""
 
@@ -195,13 +196,13 @@ def check(matrix_spec, statement, bstatement):
     s = _statement_option(statement, bstatement, m.algebra.signature)
     if isinstance(s, Statement1D):
         if not isinstance(m, NdMatrix):
-            raise _fail("a one-dimensional statement needs a plain matrix "
-                        "(no antidesignated set)")
+            raise CliInputError("a one-dimensional statement needs a plain "
+                                "matrix (no antidesignated set)")
         verdict = entails_1d(m, s)
     else:
         if not isinstance(m, BMatrix):
-            raise _fail("a two-dimensional statement needs a B-matrix "
-                        "(matrix with an antidesignated set)")
+            raise CliInputError("a two-dimensional statement needs a B-matrix "
+                                "(matrix with an antidesignated set)")
         verdict = b_entails(m, s)
     if verdict.valid:
         click.echo("valid")
@@ -234,7 +235,8 @@ def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,
     s = _statement_option(statement, bstatement)
     theta_set = _load_theta(theta) if theta is not None else c.theta
     if theta_set is None:
-        raise _fail("no theta: pass --theta or use a calculus that has one")
+        raise CliInputError(
+            "no theta: pass --theta or use a calculus that has one")
     kwargs = {"max_nodes": max_nodes}
     if max_depth is not None:
         kwargs["max_depth"] = max_depth
@@ -285,7 +287,7 @@ def product(left, right, output):
     """Combine two matrices over one algebra into a B-matrix."""
     m1, m2 = _load_matrix(left), _load_matrix(right)
     if not isinstance(m1, NdMatrix) or not isinstance(m2, NdMatrix):
-        raise _fail("product needs two plain matrices")
+        raise CliInputError("product needs two plain matrices")
     b = b_product(m1, m2)
     _emit(serialize.dumps(serialize.matrix_to_data(b)), output)
     sys.exit(0)

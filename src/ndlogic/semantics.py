@@ -217,18 +217,15 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # valuation enumeration
 
-# plan entry: (None, var_name) for a variable, (conn, arg_positions) otherwise
-_Plan = list[tuple]
-
-
 def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
     """Order the subformula closure (variables first, then compounds
-    bottom-up) and compile per-position evaluation instructions."""
+    bottom-up) and compile one plan entry per position: (None, var_name)
+    for a variable, (conn, arg_positions) otherwise."""
     seq = subformula_sequence(fs)
     doms = [f for f in seq if isinstance(f, Var)] + \
            [f for f in seq if not isinstance(f, Var)]
     pos = {f: i for i, f in enumerate(doms)}
-    plan: _Plan = []
+    plan: list[tuple] = []
     conns = alg.signature.connectives
     for f in doms:
         if isinstance(f, Var):
@@ -242,39 +239,42 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
     return tuple(doms), plan
 
 
-def _iter_raw(alg: NdAlgebra, plan: _Plan,
-              fixed: Mapping[str, int] | None = None) -> Iterator[list[int]]:
-    """Yield every coherent assignment as a reused list of value indices.
-    Depth-first, candidate values in declared order, earlier positions
-    varying slowest."""
-    n = len(plan)
-    vals = [0] * n
+def _valuations(alg: NdAlgebra, plan: list[tuple],
+                pins: Mapping[str, int] | None = None) -> Iterator[list[int]]:
+    """Yield every coherent assignment as a reused list of value indices:
+    candidate values in declared order, earlier positions varying slowest,
+    ``pins`` fixing named variables.  Each open position's candidates wait
+    on an explicit stack, so closures of any depth need no recursion."""
+    vals = [0] * len(plan)
     tables = alg._tables
-    all_values = tuple(range(len(alg.values)))
+    every = range(len(alg.values))
 
-    def rec(i: int) -> Iterator[list[int]]:
-        if i == n:
+    def candidates(i: int) -> Sequence[int]:
+        conn, info = plan[i]
+        if conn is None:
+            return (pins[info],) if pins and info in pins else every
+        return tables[conn][tuple(map(vals.__getitem__, info))]
+
+    last = len(plan) - 1
+    if last < 0:
+        yield vals
+        return
+    stack = [iter(candidates(0))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            vals[i] = v
+            if i < last:
+                stack.append(iter(candidates(i + 1)))
+                break
             yield vals
-            return
-        kind, info = plan[i]
-        if kind is None:
-            if fixed is not None and info in fixed:
-                candidates: Sequence[int] = (fixed[info],)
-            else:
-                candidates = all_values
         else:
-            candidates = tables[kind][tuple(vals[j] for j in info)]
-        for c in candidates:
-            vals[i] = c
-            yield from rec(i + 1)
-
-    return rec(0)
+            stack.pop()
 
 
 def _to_valuation(alg: NdAlgebra, doms: tuple[Formula, ...],
                   vals: Sequence[int]) -> Valuation:
-    names = alg.values
-    return Valuation(doms, {f: names[v] for f, v in zip(doms, vals)})
+    return Valuation(doms, {f: alg.values[v] for f, v in zip(doms, vals)})
 
 
 def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
@@ -284,7 +284,7 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
     _require_total(alg)
     doms, plan = _compile(alg, _sorted(fs))
     return [_to_valuation(alg, doms, vals)
-            for vals in _iter_raw(alg, plan)]
+            for vals in _valuations(alg, plan)]
 
 
 def induced_multifunction(alg: NdAlgebra, f: Formula,
@@ -303,60 +303,61 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
     fixed = {v: index[x] for v, x in zip(vs, inputs)}
     doms, plan = _compile(alg, [f])
     root = len(doms) - 1
-    out = {vals[root] for vals in _iter_raw(alg, plan, fixed)}
+    out = {vals[root] for vals in _valuations(alg, plan, fixed)}
     return frozenset(alg.values[i] for i in out)
 
 
 # ---------------------------------------------------------------------------
 # entailment
 
+def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
+             *sides: Iterable[Formula]) -> Verdict:
+    """The one entailment loop over the ``sides`` acc, nacc, rej and nrej
+    (trailing ones optional): valid iff no coherent valuation puts acc
+    inside ``des``, nacc outside it, rej inside ``anti`` and nrej outside
+    it.  The closure is built from each side sorted, in turn."""
+    _require_total(alg)
+    d, a = (frozenset(map(alg._index.__getitem__, x)) for x in (des, anti))
+    every = frozenset(range(len(alg.values)))
+    sides = [(_sorted(fs), ok)
+             for fs, ok in zip(sides, (d, every - d, a, every - a))]
+    doms, plan = _compile(alg, [f for fs, _ in sides for f in fs])
+    pos = {f: i for i, f in enumerate(doms)}
+    checks = [(pos[f], ok) for fs, ok in sides for f in fs]
+    for vals in _valuations(alg, plan):
+        for i, ok in checks:
+            if vals[i] not in ok:
+                break
+        else:
+            return Verdict(False, _to_valuation(alg, doms, vals))
+    return Verdict(True)
+
+
 def entails_1d(m: NdMatrix, s: Statement1D) -> Verdict:
     """SET-SET entailment: valid iff every coherent valuation that
-    designates the whole antecedent designates some succedent formula."""
-    _require_total(m.algebra)
-    doms, plan = _compile(m.algebra, s.formulas())
-    pos = {f: i for i, f in enumerate(doms)}
-    des = frozenset(m.algebra._index[v] for v in m.designated)
-    ant = [pos[f] for f in s.antecedent]
-    suc = [pos[f] for f in s.succedent]
-    for vals in _iter_raw(m.algebra, plan):
-        if all(vals[i] in des for i in ant) and \
-                not any(vals[i] in des for i in suc):
-            return Verdict(False, _to_valuation(m.algebra, doms, vals))
-    return Verdict(True)
+    designates the whole antecedent designates some succedent formula;
+    the t-aspect of B-entailment."""
+    return _entails(m.algebra, m.designated, (), s.antecedent, s.succedent)
 
 
 def b_entails(b: BMatrix, s: BStatement) -> Verdict:
     """B-entailment: valid iff no coherent valuation places acc inside the
     designated set, nacc outside it, rej inside the antidesignated set and
     nrej outside it, all at once."""
-    _require_total(b.algebra)
-    alg = b.algebra
-    doms, plan = _compile(alg, s.formulas())
-    pos = {f: i for i, f in enumerate(doms)}
-    des = frozenset(alg._index[v] for v in b.designated)
-    anti = frozenset(alg._index[v] for v in b.antidesignated)
-    acc = [pos[f] for f in s.acc]
-    nacc = [pos[f] for f in s.nacc]
-    rej = [pos[f] for f in s.rej]
-    nrej = [pos[f] for f in s.nrej]
-    for vals in _iter_raw(alg, plan):
-        if (all(vals[i] in des for i in acc)
-                and not any(vals[i] in des for i in nacc)
-                and all(vals[i] in anti for i in rej)
-                and not any(vals[i] in anti for i in nrej)):
-            return Verdict(False, _to_valuation(alg, doms, vals))
-    return Verdict(True)
+    return _entails(b.algebra, b.designated, b.antidesignated,
+                    s.acc, s.nacc, s.rej, s.nrej)
 
 
 def aspect_entails(b: BMatrix, aspect: str, s: Statement1D) -> Verdict:
     """One-dimensional consequence recovered from a B-matrix: the t-aspect
     reads the statement through acc/nacc, the f-aspect through rej/nrej."""
     if aspect in ("t", "t-aspect"):
-        return b_entails(b, BStatement(acc=s.antecedent, nacc=s.succedent))
-    if aspect in ("f", "f-aspect"):
-        return b_entails(b, BStatement(rej=s.antecedent, nrej=s.succedent))
-    raise SemanticsError(f"unknown aspect {aspect!r}; use 't' or 'f'")
+        dist = b.designated
+    elif aspect in ("f", "f-aspect"):
+        dist = b.antidesignated
+    else:
+        raise SemanticsError(f"unknown aspect {aspect!r}; use 't' or 'f'")
+    return _entails(b.algebra, dist, (), s.antecedent, s.succedent)
 
 
 def b_product(m1: NdMatrix, m2: NdMatrix) -> BMatrix:
@@ -760,18 +761,15 @@ def validate_rule(target: Matrix, rule) -> Verdict:
     """Check a rule schema semantically: its variables are read as atoms
     and the schema statement is run through the matching entailment (valid
     schemas stay valid under all substitutions)."""
-    if rule.dimension == 1:
-        if not isinstance(target, NdMatrix):
-            raise SemanticsError(
-                f"rule {rule.name!r} is one-dimensional; target is not an "
-                f"ordinary matrix")
-        return entails_1d(target,
-                          Statement1D(rule.antecedent, rule.succedent))
-    if rule.dimension == 2:
-        if not isinstance(target, BMatrix):
-            raise SemanticsError(
-                f"rule {rule.name!r} is two-dimensional; target is not a "
-                f"B-matrix")
-        return b_entails(target, BStatement(acc=rule.acc, nacc=rule.nacc,
-                                            rej=rule.rej, nrej=rule.nrej))
-    raise SemanticsError(f"bad rule dimension {rule.dimension!r}")
+    if rule.dimension not in (1, 2):
+        raise SemanticsError(f"bad rule dimension {rule.dimension!r}")
+    if rule.dimension == 1 and not isinstance(target, NdMatrix):
+        raise SemanticsError(
+            f"rule {rule.name!r} is one-dimensional; target is not an "
+            f"ordinary matrix")
+    if rule.dimension == 2 and not isinstance(target, BMatrix):
+        raise SemanticsError(
+            f"rule {rule.name!r} is two-dimensional; target is not a B-matrix")
+    return _entails(target.algebra, target.designated,
+                    getattr(target, "antidesignated", ()),
+                    rule.acc, rule.nacc, rule.rej, rule.nrej)

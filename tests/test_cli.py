@@ -83,15 +83,16 @@ class TestCheck:
         assert res.exit_code == 2
         assert "cannot read matrix" in res.output
 
-    def test_deep_formula_is_an_error_not_a_verdict(self, runner):
-        # the valuation search still recurses once per closure position
+    def test_very_deep_formula_gets_its_verdict(self, runner):
+        # deeper than the interpreter's recursion limit: the valuation
+        # search walks the closure on an explicit stack
         deep = "neg(" * 1500 + "p" + ")" * 1500
         res = invoke(runner, "check", "--matrix", "builtin:mci5",
                      "--statement",
                      json.dumps({"antecedent": [deep], "succedent": ["q"]}))
-        assert res.exit_code == 2
-        assert res.output.startswith("error: RecursionError")
-        assert res.output.count("\n") == 1
+        assert res.exit_code == 1
+        assert res.output.startswith("invalid; countermodel:\n")
+        assert "  v(" + deep + ") = I\n" in res.output
 
     def test_deep_formula_gets_its_verdict(self, runner):
         deep = "neg(" * 300 + "p" + ")" * 300

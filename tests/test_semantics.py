@@ -3,7 +3,7 @@ enumeration order, first countermodels, products, aspects, strong
 homomorphisms, separator search and rule validation."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -11,8 +11,9 @@ from conftest import D5, INTERP5, R5, SIG5, V5, make_alg5
 from test_separators_golden import matrices
 from ndlogic.calculi import RuleSchema
 from ndlogic.errors import NonTotalAlgebraError, SemanticsError
-from ndlogic.language import (Signature, Var, enumerate_unary_formulas,
-                              parse_formula, subformulas, variables)
+from ndlogic.language import (App, Signature, Var, enumerate_unary_formulas,
+                              parse_formula, subformula_sequence, subformulas,
+                              variables)
 from ndlogic.logics import example1, example2
 from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                NdAlgebra, NdMatrix, PairSeparation,
@@ -245,14 +246,26 @@ class TestBEntails:
 # aspects and products
 
 
+def _aspect_samples():
+    """Hand-picked statements, then seeded random ones over p and q."""
+    yield from [Statement1D({p, f5("neg(p)")}, {q}),
+                Statement1D({f5("cons(p)"), p, f5("neg(p)")}, set()),
+                Statement1D({p}, {f5("or(p,q)")}),
+                Statement1D(set(), {p})]
+    rng = random.Random(10)
+    for _ in range(60):
+        yield _random_statement(rng, SIG5, 5)
+
+
 class TestAspectsAndProduct:
+    # each aspect is the one-dimensional consequence of its component, down
+    # to the first countermodel
     def test_t_aspect_matches_first_component(self, b5, m5):
-        samples = [Statement1D({p, f5("neg(p)")}, {q}),
-                   Statement1D({f5("cons(p)"), p, f5("neg(p)")}, set()),
-                   Statement1D({p}, {f5("or(p,q)")}),
-                   Statement1D(set(), {p})]
-        for s in samples:
-            assert aspect_entails(b5, "t", s).valid == entails_1d(m5, s).valid
+        verdicts = [(aspect_entails(b5, "t", s), entails_1d(m5, s))
+                    for s in _aspect_samples()]
+        for va, vm in verdicts:
+            assert va == vm
+        assert {va.valid for va, _ in verdicts} == {True, False}
 
     def test_f_aspect_matches_second_component(self, b5, m5_rej):
         s = Statement1D({p}, {f5("neg(p)")})
@@ -262,6 +275,11 @@ class TestAspectsAndProduct:
         for v in (va, vm):
             assert v.countermodel(p) == "f"
             assert v.countermodel(f5("neg(p)")) == "t"
+        verdicts = [(aspect_entails(b5, "f", s), entails_1d(m5_rej, s))
+                    for s in _aspect_samples()]
+        for va, vm in verdicts:
+            assert va == vm
+        assert {va.valid for va, _ in verdicts} == {True, False}
 
     def test_f_aspect_overlap(self, b5):
         assert aspect_entails(b5, "f-aspect", Statement1D({p}, {p})).valid
@@ -711,3 +729,177 @@ class TestValidateRule:
             validate_rule(b5, r1)
         with pytest.raises(SemanticsError):
             validate_rule(m5, r2)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: the enumeration against every row of values
+
+
+def _random_formula(rng, sig, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((p, q))
+    conn = rng.choice(sorted(sig.connectives))
+    return App(conn, tuple(_random_formula(rng, sig, depth - 1)
+                           for _ in range(sig.connectives[conn])))
+
+
+def _closure(fs):
+    """The subformulas of ``fs`` in the engine's position order: variables
+    first, then compounds, each in post order of first occurrence."""
+    seq = subformula_sequence(fs)
+    return [f for f in seq if isinstance(f, Var)] + \
+        [f for f in seq if not isinstance(f, Var)]
+
+
+def _random_sides(rng, sig, count, most, fewest=0):
+    """``count`` random sets of ``fewest`` to 3 formulas whose closure has
+    at most ``most`` formulas."""
+    while True:
+        sides = [frozenset(_random_formula(rng, sig, 2)
+                           for _ in range(rng.randint(fewest, 3)))
+                 for _ in range(count)]
+        if len(_closure([f for side in sides for f in side])) <= most:
+            return sides
+
+
+def _random_statement(rng, sig, most):
+    return Statement1D(*_random_sides(rng, sig, 2, most))
+
+
+def _rows(alg, closure, pins=()):
+    """Every row of ``itertools.product`` over the closure whose compounds
+    take a value of their cell and whose pinned variables take their
+    pin, in product order."""
+    pos = {f: i for i, f in enumerate(closure)}
+    cells = [(i, alg.interpretation[f.conn], [pos[a] for a in f.args])
+             for i, f in enumerate(closure) if not isinstance(f, Var)]
+    pinned = [(pos[v], x) for v, x in pins]
+    for row in product(alg.values, repeat=len(closure)):
+        if all(row[i] == x for i, x in pinned) and \
+                all(row[i] in cell[tuple(row[j] for j in args)]
+                    for i, cell, args in cells):
+            yield row
+
+
+def _first_row_inside(alg, closure, sides):
+    """The first coherent row putting every formula of each side inside
+    that side's value set, or None."""
+    pos = {f: i for i, f in enumerate(closure)}
+    return next((row for row in _rows(alg, closure)
+                 if all(row[pos[f]] in ok for fs, ok in sides for f in fs)),
+                None)
+
+
+def _as_row(verdict, closure):
+    return None if verdict.valid else \
+        tuple(verdict.countermodel(f) for f in closure)
+
+
+def _oracle_algebras(alg5, alg_gh):
+    """(algebra, largest closure) for mci5, the g/h algebra and seeded
+    random three-valued algebras."""
+    yield alg5, 5
+    yield alg_gh, 7
+    rng = random.Random(11)
+    for _ in range(6):
+        yield _random_algebra(rng), 6
+
+
+def _sorted_formulas(*sides):
+    return [f for side in sides for f in sorted(side, key=str)]
+
+
+class TestBruteForceOracle:
+    def test_coherent_valuations_are_the_coherent_rows(self, alg5, alg_gh):
+        rng = random.Random(12)
+        for alg, most in _oracle_algebras(alg5, alg_gh):
+            for _ in range(12):
+                (fs,) = _random_sides(rng, alg.signature, 1, most, 1)
+                closure = _closure(_sorted_formulas(fs))
+                got = coherent_valuations(alg, fs)
+                assert all(v.domain == tuple(closure) for v in got)
+                assert [tuple(v(f) for f in closure) for v in got] == \
+                    list(_rows(alg, closure))
+
+    def test_induced_multifunction_is_the_pinned_root_column(self, alg5,
+                                                              alg_gh):
+        rng = random.Random(13)
+        for alg, most in _oracle_algebras(alg5, alg_gh):
+            for _ in range(6):
+                (fs,) = _random_sides(rng, alg.signature, 1, most, 1)
+                for f in fs:
+                    closure = _closure([f])
+                    names = variables(f)
+                    for inputs in product(alg.values, repeat=len(names)):
+                        pins = [(Var(v), x) for v, x in zip(names, inputs)]
+                        column = {row[closure.index(f)]
+                                  for row in _rows(alg, closure, pins)}
+                        assert induced_multifunction(alg, f, inputs) == \
+                            column, (f, inputs)
+
+    def test_first_countermodel_is_the_first_row_inside_the_sides(
+            self, alg5, alg_gh):
+        rng = random.Random(14)
+        for alg, most in _oracle_algebras(alg5, alg_gh):
+            values = frozenset(alg.values)
+            for _ in range(12):
+                d = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                a = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                b = BMatrix(alg, d, a)
+                acc, nacc, rej, nrej = _random_sides(
+                    rng, alg.signature, 4, most)
+                closure = _closure(_sorted_formulas(acc, nacc, rej, nrej))
+                want = _first_row_inside(alg, closure, [
+                    (acc, d), (nacc, values - d),
+                    (rej, a), (nrej, values - a)])
+                got = b_entails(b, BStatement(acc, nacc, rej, nrej))
+                assert _as_row(got, closure) == want
+                closure = _closure(_sorted_formulas(acc, nacc))
+                want = _first_row_inside(
+                    alg, closure, [(acc, d), (nacc, values - d)])
+                s = Statement1D(acc, nacc)
+                for got in (entails_1d(NdMatrix(alg, d), s),
+                            aspect_entails(b, "t", s),
+                            aspect_entails(BMatrix(alg, a, d), "f", s)):
+                    assert _as_row(got, closure) == want
+
+
+# ---------------------------------------------------------------------------
+# formulas nested deeper than the interpreter's recursion limit
+
+
+def _chain(conn, depth):
+    f = p
+    for _ in range(depth):
+        f = App(conn, (f,))
+    return f
+
+
+class TestDeepFormulas:
+    DEPTH = 10_000
+
+    def test_neg_chain_through_every_entailment(self, m5, m5_rej, b5):
+        # the first valuation takes I at every negation, which lies in both
+        # distinguished sets
+        deep = _chain("neg", self.DEPTH)
+        s = Statement1D({deep}, set())
+        for v in (entails_1d(m5, s), entails_1d(m5_rej, s),
+                  b_entails(b5, BStatement(acc={deep}, rej={deep})),
+                  aspect_entails(b5, "t", s), aspect_entails(b5, "f", s)):
+            assert not v.valid
+            assert len(v.countermodel.domain) == self.DEPTH + 1
+            assert v.countermodel(p) == "f" and v.countermodel(deep) == "I"
+
+    def test_valid_statement_over_a_cons_chain(self, m5):
+        deep = _chain("cons", self.DEPTH)
+        assert entails_1d(m5, Statement1D({deep}, {deep})).valid
+
+    def test_cons_chain_valuations(self, alg5):
+        # cons is single-valued, and two applications reach its fixed point T
+        deep = _chain("cons", self.DEPTH)
+        for x in V5:
+            assert induced_multifunction(alg5, deep, [x]) == {"T"}
+        vs = coherent_valuations(alg5, [deep])
+        assert [v(p) for v in vs] == list(V5)
+        assert all(v(deep) == "T" and len(v.domain) == self.DEPTH + 1
+                   for v in vs)
