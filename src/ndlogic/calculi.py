@@ -28,7 +28,9 @@ are found by one-way matching of each rule's schema formulas against the
 fence, in a plan stored with the rule, so no instance that leaves the
 fence is built.  This is complete because every schema variable occurs in
 some schema formula and every instantiated formula must lie in the fence.
-A schema formula is matched once per fence however many rules share it;
+Matching walks the fence formulas themselves: formulas are interned, so
+a variable's binding is the fence position of its image, and a schema
+formula that several rules share is one object, matched once per fence;
 the image of one whose variables are already bound is looked up by their
 values among its matches.  Each instance is a row of fence positions: its
 substitution, and its four sets as masks packed into one int.  The
@@ -51,8 +53,7 @@ from typing import Iterable, Iterator, Union
 
 from .errors import CalculiError
 from .language import (App, Formula, Substitution, Var, gen_subformulas,
-                       size, subformula_sequence, substitute, theta_set,
-                       variables)
+                       size, substitute, theta_set, variables)
 from .semantics import BStatement, Statement1D, _fset
 
 
@@ -152,11 +153,6 @@ class Calculus:
     dimension: int
     rules: tuple[RuleSchema, ...]
     theta: frozenset[Formula] | None = None
-    # each rule's match plan with equal schema formulas made one object:
-    # a fence looks up its matches by schema formula, and a lookup that
-    # hits on identity skips comparing equal formulas node by node
-    _plans: tuple[tuple[tuple[str, Formula, object, int], ...], ...] = \
-        field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rules = tuple(self.rules)
@@ -169,10 +165,6 @@ class Calculus:
                     f"calculus {self.name!r}: rule {r.name!r} has dimension "
                     f"{r.dimension}, calculus has {self.dimension}")
         object.__setattr__(self, "rules", rules)
-        same: dict[Formula, Formula] = {}
-        object.__setattr__(self, "_plans", tuple(
-            tuple((kind, same.setdefault(pat, pat), data, atts)
-                  for kind, pat, data, atts in r._steps) for r in rules))
         if self.theta is not None:
             object.__setattr__(self, "theta", theta_set(self.theta))
 
@@ -376,31 +368,21 @@ def _bits(mask: int) -> Iterator[int]:
 class _Fence:
     """A fence, ordered and numbered for matching.  The fence formulas
     come by size, then printed form; a formula's index in ``formulas`` is
-    its fence position, and position i stands for the bit ``1 << i`` of a
-    mask.  Every other subformula of a fence formula gets an id from
-    ``len(formulas)`` on.  A formula is known by its id, its connective
-    and its arguments' ids (``conn`` is None for a variable), so matching
-    compares ints.  Each schema formula's matches are found once, however
-    many rules share it."""
+    its fence position, ``pos`` maps it back, and position i stands for
+    the bit ``1 << i`` of a mask.  ``by_head`` lists the positions of the
+    applications of each connective.  Each schema formula's matches are
+    found once, however many rules share it."""
 
     def __init__(self, fence: Iterable[Formula]):
         text = {f: str(f) for f in fence}
         self.formulas = sorted(text, key=lambda f: (size(f), text[f]))
         self.texts = list(map(text.__getitem__, self.formulas))
         n = len(self.formulas)
-        ids = {f: i for i, f in enumerate(self.formulas)}
-        for g in subformula_sequence(self.formulas):
-            ids.setdefault(g, len(ids))
-        self.ids = ids
-        self.conn: list[str | None] = [None] * len(ids)
-        self.args: list[tuple[int, ...]] = [()] * len(ids)
+        self.pos = {f: i for i, f in enumerate(self.formulas)}
         self.by_head: dict[str, list[int]] = {}
-        for g, i in ids.items():
+        for i, g in enumerate(self.formulas):
             if isinstance(g, App):
-                self.conn[i] = g.conn
-                self.args[i] = tuple(map(ids.__getitem__, g.args))
-                if i < n:
-                    self.by_head.setdefault(g.conn, []).append(i)
+                self.by_head.setdefault(g.conn, []).append(i)
         # a plan step's attitude set -> its bits in an instance key, where
         # attitude a takes the bits from a * n (see ``_instance_pool``)
         self.spread = [0]
@@ -411,12 +393,10 @@ class _Fence:
 
     def mask(self, fs: Iterable[Formula]) -> int:
         """The bits of the members of ``fs`` that lie in the fence."""
-        n = len(self.formulas)
         out = 0
         for f in fs:
-            at = self.ids.get(f, n)
-            if at < n:
-                out |= 1 << at
+            if f in self.pos:
+                out |= 1 << self.pos[f]
         return out
 
     def set_of(self, mask: int) -> frozenset[Formula]:
@@ -440,24 +420,25 @@ class _Fence:
         found = self._matches.get(pat)
         if found is not None:
             return found
-        n = len(self.formulas)
         if isinstance(pat, Var):
-            found = [(i, {pat.name: i}) for i in range(n)]
+            found = [(i, {pat.name: i}) for i in range(len(self.formulas))]
         else:
             found = []
-            conn, args = self.conn, self.args
+            pos = self.pos
             for i in self.by_head.get(pat.conn, ()):
                 bind: dict[str, int] = {}
-                stack = [(pat, i)]
+                stack = [(pat, self.formulas[i])]
                 while stack:
-                    p, j = stack.pop()
+                    p, g = stack.pop()
                     if isinstance(p, Var):
-                        if bind.setdefault(p.name, j) != j or j >= n:
+                        j = pos.get(g)
+                        if j is None or bind.setdefault(p.name, j) != j:
                             break
-                    elif conn[j] != p.conn or len(args[j]) != len(p.args):
+                    elif (g.__class__ is not App or g.conn != p.conn
+                          or len(g.args) != len(p.args)):
                         break
                     else:
-                        stack += zip(p.args, args[j])
+                        stack += zip(p.args, g.args)
                 else:
                     found.append((i, bind))
         self._matches[pat] = found
@@ -503,7 +484,7 @@ def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
     rows = []
     while stack:
         ri, i, bind, key = stack.pop()
-        steps = c._plans[ri]
+        steps = c.rules[ri]._steps
         while i < len(steps):
             kind, pat, data, atts = steps[i]
             i += 1

@@ -5,7 +5,9 @@ Formulas are a free term algebra: a formula is a variable or a connective
 applied to the declared number of arguments.  Any identifier not declared in
 the signature at hand is a variable.  The canonical concrete syntax is prefix
 application ``name(arg, ...)``; infix sugar exists only for connectives given
-a notation alias, and always with mandatory parentheses.
+a notation alias, and always with mandatory parentheses.  Formulas are
+interned (hash-consed): one live object per structure, so equal formulas
+are the same object and compare by identity.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping
+from weakref import WeakValueDictionary
 
 from .errors import LanguageError, ParseError
 
@@ -22,27 +25,48 @@ _INFIX_TOKEN_RE = re.compile(r"[^\w\s(),]+\Z")
 
 
 class Formula:
-    """Base class; concrete formulas are Var or App. Equality is syntactic."""
+    """Base class; concrete formulas are Var or App.  Formulas are
+    hash-consed: the constructors return the one live object for their
+    structure, so syntactic equality is identity.  The table holding
+    them is weak, so a formula nothing else refers to goes away.  Each
+    formula computes its hash once; a copy of a formula is itself."""
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Var(Formula):
-    """A propositional variable.  Its hash, ``hash((name,))``, is computed
-    once."""
-
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    __slots__ = ("__weakref__",)
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+# the live formulas: a variable under its name, an application under
+# ``(conn, *map(id, args))``.  The arguments are interned already, and a
+# live entry keeps them alive, so their ids identify them.
+_interned: WeakValueDictionary = WeakValueDictionary()
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class Var(Formula):
+    """A propositional variable, hashed as ``hash((name,))``."""
+
+    name: str
+    _hash: int = field(init=False, repr=False)
+
+    def __new__(cls, name: str):
+        self = _interned.get(name)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "name", name)
+            object.__setattr__(self, "_hash", hash((name,)))
+            _interned[name] = self
+        return self
+
     def __reduce__(self):
-        # rebuild through the constructor: str hashes differ per process
+        # rebuild via the constructor: intern, and rehash in this process
         return Var, (self.name,)
 
     def __str__(self) -> str:
@@ -52,70 +76,64 @@ class Var(Formula):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Formula):
-    """A connective applied to arguments.  Its hash, ``hash((conn, args))``,
-    is computed once, from the arguments' cached hashes; equality is
-    syntactic and compares hashes first."""
+    """A connective applied to arguments, hashed as ``hash((conn,
+    args))``."""
 
     conn: str
-    args: tuple[Formula, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    args: tuple[Formula, ...]
+    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.conn, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other):
-        # iterative, so that deep formulas compare without recursion
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            f, g = stack.pop()
-            if f._hash != g._hash or f.conn != g.conn or \
-                    len(f.args) != len(g.args):
-                return False
-            for a, b in zip(f.args, g.args):
-                if a is b:
-                    continue
-                if a.__class__ is App and b.__class__ is App:
-                    stack.append((a, b))
-                elif a != b:
-                    return False
-        return True
+    def __new__(cls, conn: str, args: tuple[Formula, ...] = ()):
+        key = (conn, *map(id, args))
+        self = _interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "conn", conn)
+            object.__setattr__(self, "args", args)
+            object.__setattr__(self, "_hash", hash((conn, args)))
+            _interned[key] = self
+        return self
 
     def __reduce__(self):
-        # rebuild through the constructor: str hashes differ per process
+        # rebuild via the constructor: intern, and rehash in this process
         return App, (self.conn, self.args)
 
     def __str__(self) -> str:
-        # iterative, so that deep formulas print without recursion: the
-        # stack holds formulas still to print and punctuation
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            g = stack.pop()
-            if g.__class__ is str:
-                out.append(g)
-            elif isinstance(g, Var):
-                out.append(g.name)
-            elif not g.args:
-                out.append(g.conn)
-            else:
-                parts = [")"]
-                for a in reversed(g.args):
-                    parts += (a, ",")
-                parts[-1] = g.conn + "("
-                stack += parts
-        return "".join(out)
+        return _print(self, False)
 
     def __repr__(self) -> str:
-        return f"App({self.conn!r}, {self.args!r})"
+        return _print(self, True)
+
+
+def _print(f: Formula, as_repr: bool) -> str:
+    """The printed form of ``f``, or its repr, built on an explicit stack
+    so that deep formulas print without recursion: the stack holds
+    formulas still to print and punctuation."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if g.__class__ is str:
+            out.append(g)
+        elif g.__class__ is Var:
+            out.append(repr(g) if as_repr else g.name)
+        elif not (g.args or as_repr):
+            out.append(g.conn)
+        else:
+            if as_repr:
+                head, sep = f"App({g.conn!r}, (", ", "
+                stack.append(",))" if len(g.args) == 1 else "))")
+            else:
+                head, sep = g.conn + "(", ","
+                stack.append(")")
+            for a in reversed(g.args):
+                stack += (a, sep)
+            if g.args:
+                stack.pop()
+            stack.append(head)
+    return "".join(out)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Golden transcripts and exit-code contracts for the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ndlogic
 from ndlogic.cli import main
 from ndlogic.logics import mci_artifacts, mci_worked_derivations
 from ndlogic.serialize import (dumps, loads, matrix_from_data,
@@ -391,3 +396,28 @@ class TestUsage:
         res = invoke(runner, "check", "--matrix", "builtin:mci5",
                      "--statement", PARACONSISTENCY, "--bogus")
         assert res.exit_code == 2
+
+
+class TestDeterminism:
+    """stdout is a function of the input alone: the same bytes under
+    every string-hash seed."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["check", "--matrix", "builtin:mci-b", "--bstatement",
+          '{"acc":["imp(p,q)","neg(q)"],"nacc":["neg(p)"]}'], 1),
+        (["prove", "--calculus", "builtin:hmci2d", "--bstatement",
+          '{"acc":["neg(p)","imp(p,q)"],'
+          '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
+        (["separators", "--matrix", "builtin:mci5", "--depth", "2"], 1),
+    ])
+    def test_same_output_under_every_hash_seed(self, args, code):
+        outs = []
+        for seed in ("0", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+            res = subprocess.run(
+                [sys.executable, "-m", "ndlogic.cli", *args], env=env,
+                capture_output=True, timeout=120)
+            assert res.returncode == code, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1] and outs[0]

@@ -1,5 +1,8 @@
 """Language layer: parsing, printing, substitution, subformulas, enumeration."""
 
+import copy
+import dataclasses
+import gc
 import os
 import pickle
 import subprocess
@@ -14,6 +17,7 @@ from ndlogic import (App, LanguageError, ParseError, Signature, Var,
                      compose, depth, enumerate_unary_formulas, gen_subformulas,
                      parse_formula, size, subformula_sequence, subformulas,
                      substitute, theta_set, variables)
+from ndlogic import language
 from ndlogic.language import _pool_levels
 
 SIG = Signature(
@@ -213,7 +217,7 @@ class TestStructure:
         f, g, h = p, p, q
         for _ in range(10_000):
             f, g, h = neg(f), neg(g), neg(h)
-        assert f is not g and f == g and not f != g
+        assert f is g and f == g and not f != g
         assert g in {f} and {f: 1}[g] == 1
         assert f != h and h not in {f}
         assert f != neg(g) and f.args[0] == g.args[0]
@@ -239,7 +243,7 @@ class TestStructure:
                                           env=env, capture_output=True,
                                           check=True, timeout=60).stdout)
         assert got == imp(neg(p), q) and hash(got) == hash(imp(neg(p), q))
-        assert got in {imp(neg(p), q)}
+        assert got in {imp(neg(p), q)} and got is imp(neg(p), q)
 
     def test_unpickled_variable_hashes_in_this_process(self):
         code = ("import pickle, sys; from ndlogic import Var; "
@@ -252,6 +256,48 @@ class TestStructure:
             check=True, timeout=60).stdout)
         assert got == q and hash(got) == hash(q) and got in {q}
         assert table[p] == 1 and hash(next(iter(table))) == hash(p)
+        assert got is q and next(iter(table)) is p
+
+
+class TestInterning:
+    def test_one_object_per_formula(self):
+        f = imp(neg(p), conj(q, App("bot", ())))
+        assert parse_formula("neg(p)") is App("neg", (Var("p"),))
+        assert parse_formula("(neg(p) -> (q & r))", SIG) is \
+            imp(neg(p), conj(q, r))
+        assert substitute(imp(neg(r), q), {"r": p}) is imp(neg(p), q)
+        assert copy.deepcopy(f) is f and copy.copy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy({f: [p]})[f][0] is p
+
+    def test_constant_and_variable_stay_distinct(self):
+        assert App("bot", ()) is not Var("bot")
+        assert App("bot", ()) != Var("bot")
+        assert App("bot", ()) is App("bot") and Var("bot") is Var("bot")
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.name = "q"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            neg(p).args = ()
+        assert p.name == "p" and neg(p).args == (p,)
+
+    def test_table_is_weak(self):
+        gc.collect()
+        before = len(language._interned)
+        held = [neg(Var(f"_weak{i}")) for i in range(100_000)]
+        assert len(language._interned) == before + 200_000
+        del held
+        gc.collect()
+        assert len(language._interned) == before
+
+    def test_deep_formula_repr_and_deepcopy_without_recursion(self):
+        f = p
+        for _ in range(10_000):
+            f = neg(f)
+        assert repr(f) == ("App('neg', (" * 10_000 + "Var('p')"
+                           + ",))" * 10_000)
+        assert copy.deepcopy(f) is f and copy.deepcopy([f])[0] is f
 
 
 class TestThetaSet:

@@ -2,6 +2,7 @@
 enumeration order, first countermodels, products, aspects, strong
 homomorphisms, separator search and rule validation."""
 
+import copy
 import random
 from itertools import islice, product
 
@@ -889,6 +890,22 @@ class TestDeepFormulas:
             assert not v.valid
             assert len(v.countermodel.domain) == self.DEPTH + 1
             assert v.countermodel(p) == "f" and v.countermodel(deep) == "I"
+
+    def test_reprs_and_deepcopies(self, m5):
+        deep = _chain("neg", self.DEPTH)
+        s = Statement1D({deep}, set())
+        assert repr(s) == (f"Statement1D(antecedent=frozenset({{{deep!r}}}), "
+                           f"succedent=frozenset())")
+        assert copy.deepcopy(s) == s
+        # a countermodel prints every formula of its domain, so its repr
+        # grows with the square of the depth: 600 levels already recursed
+        # too deep when formulas printed their reprs recursively
+        v = entails_1d(m5, Statement1D({_chain("neg", 600)}, set()))
+        assert repr(v).startswith(
+            "Verdict(valid=False, countermodel=Valuation(domain=(Var('p'), "
+            "App('neg', (Var('p'),)), ")
+        got = copy.deepcopy(v)
+        assert got == v and got.countermodel.domain == v.countermodel.domain
 
     def test_valid_statement_over_a_cons_chain(self, m5):
         deep = _chain("cons", self.DEPTH)
