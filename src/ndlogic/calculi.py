@@ -234,15 +234,6 @@ class Label:
         return _Texts(dim).label(self)
 
 
-def _label(acc: frozenset[Formula], rej: frozenset[Formula]) -> Label:
-    """A Label of frozensets of known formulas, built without checking."""
-    label = object.__new__(Label)
-    fields = label.__dict__
-    fields["acc"] = acc
-    fields["rej"] = rej
-    return label
-
-
 @dataclass(frozen=True)
 class Node:
     """A derivation-tree node.  Expanded nodes record the rule name and the
@@ -259,18 +250,6 @@ class Node:
     @property
     def is_star(self) -> bool:
         return self.label is STAR
-
-
-def _node(label, rule=None, subst=None, children=()) -> Node:
-    """A Node whose children are a tuple already, built without
-    ``__post_init__``."""
-    node = object.__new__(Node)
-    fields = node.__dict__
-    fields["label"] = label
-    fields["rule"] = rule
-    fields["subst"] = subst
-    fields["children"] = children
-    return node
 
 
 class _Memo(dict):
@@ -407,7 +386,7 @@ class _Fence:
         """The Label of a label mask: acc side in the low ``n`` bits, rej
         side above them."""
         n = len(self.formulas)
-        return _label(self.set_of(x & (1 << n) - 1), self.set_of(x >> n))
+        return Label(self.set_of(x & (1 << n) - 1), self.set_of(x >> n))
 
     def by_text(self, mask: int) -> list[int]:
         """The positions of the bits of ``mask``, ordered by the printed
@@ -693,6 +672,10 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     ``_instance_pool``).  Labels and Nodes are built only for the outcome
     returned.
     """
+    if max_nodes < 1:
+        raise CalculiError("max_nodes must be >= 1")
+    if max_depth is not None and max_depth < 0:
+        raise CalculiError("max_depth must be >= 0")
     ant, suc = _statement_pairs(c, s)
     theta = theta_set(theta)
     fence = _Fence(gen_subformulas(theta, s.formulas()))
@@ -767,17 +750,17 @@ def _tree(c: Calculus, fence: _Fence, pool: list[tuple],
             continue
         up = labels[parent]
         f = (x ^ visited[parent][0]).bit_length() - 1
-        labels.append(_label(up.acc | {formulas[f]}, up.rej) if f < n else
-                      _label(up.acc, up.rej | {formulas[f - n]}))
+        labels.append(Label(up.acc | {formulas[f]}, up.rej) if f < n else
+                      Label(up.acc, up.rej | {formulas[f - n]}))
     substs: dict[int, tuple] = {}
     built: list[Node] = []
     for entry, label in zip(reversed(visited), reversed(labels)):
         if entry is None:
-            built.append(_node(STAR))
+            built.append(Node(STAR))
             continue
         i = entry[1]
         if i is None:
-            built.append(_node(label))
+            built.append(Node(label))
             continue
         branches, ri, subst, _ = pool[i]
         rule = c.rules[ri]
@@ -786,5 +769,5 @@ def _tree(c: Calculus, fence: _Fence, pool: list[tuple],
             pairs = substs[i] = tuple(zip(
                 rule._vars, map(formulas.__getitem__, subst)))
         kids = tuple([built.pop() for _ in range(branches or 1)])
-        built.append(_node(label, rule.name, pairs, kids))
+        built.append(Node(label, rule.name, pairs, kids))
     return built[0]

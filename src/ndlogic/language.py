@@ -27,14 +27,11 @@ _INFIX_TOKEN_RE = re.compile(r"[^\w\s(),]+\Z")
 class Formula:
     """Base class; concrete formulas are Var or App.  Formulas are
     hash-consed: the constructors return the one live object for their
-    structure, so syntactic equality is identity.  The table holding
-    them is weak, so a formula nothing else refers to goes away.  Each
-    formula computes its hash once; a copy of a formula is itself."""
+    structure, so syntactic equality is identity, and a formula hashes by
+    identity too.  The table holding them is weak, so a formula nothing
+    else refers to goes away.  A copy of a formula is itself."""
 
     __slots__ = ("__weakref__",)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __copy__(self):
         return self
@@ -44,29 +41,26 @@ class Formula:
 
 
 # the live formulas: a variable under its name, an application under
-# ``(conn, *map(id, args))``.  The arguments are interned already, and a
-# live entry keeps them alive, so their ids identify them.
+# ``(conn, args)``
 _interned: WeakValueDictionary = WeakValueDictionary()
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Var(Formula):
-    """A propositional variable, hashed as ``hash((name,))``."""
+    """A propositional variable."""
 
     name: str
-    _hash: int = field(init=False, repr=False)
 
     def __new__(cls, name: str):
         self = _interned.get(name)
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
-            object.__setattr__(self, "_hash", hash((name,)))
             _interned[name] = self
         return self
 
     def __reduce__(self):
-        # rebuild via the constructor: intern, and rehash in this process
+        # rebuild via the constructor, so that unpickling re-interns
         return Var, (self.name,)
 
     def __str__(self) -> str:
@@ -78,26 +72,23 @@ class Var(Formula):
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class App(Formula):
-    """A connective applied to arguments, hashed as ``hash((conn,
-    args))``."""
+    """A connective applied to arguments."""
 
     conn: str
     args: tuple[Formula, ...]
-    _hash: int = field(init=False, repr=False)
 
     def __new__(cls, conn: str, args: tuple[Formula, ...] = ()):
-        key = (conn, *map(id, args))
+        key = (conn, args)
         self = _interned.get(key)
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "conn", conn)
             object.__setattr__(self, "args", args)
-            object.__setattr__(self, "_hash", hash((conn, args)))
             _interned[key] = self
         return self
 
     def __reduce__(self):
-        # rebuild via the constructor: intern, and rehash in this process
+        # rebuild via the constructor, so that unpickling re-interns
         return App, (self.conn, self.args)
 
     def __str__(self) -> str:

@@ -42,9 +42,9 @@ class NdAlgebra:
     values: tuple[str, ...]
     interpretation: Interpretation
     # derived lookup tables, not part of the algebra's identity
-    _index: Mapping[str, int] = field(compare=False, repr=False, default=None)
+    _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
     _tables: Mapping[str, Mapping[tuple[int, ...], tuple[int, ...]]] = \
-        field(compare=False, repr=False, default=None)
+        field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = tuple(self.values)

@@ -15,7 +15,8 @@ from typing import Any, Mapping
 
 from .calculi import STAR, Calculus, Label, Node, RuleSchema
 from .errors import SerializeError
-from .language import Formula, Signature, parse_formula
+from .language import (App, Formula, Signature, parse_formula,
+                       subformula_sequence)
 from .semantics import BMatrix, BStatement, NdAlgebra, NdMatrix, Statement1D
 
 Data = Any
@@ -62,6 +63,17 @@ def _formulas(data, what: str, sig: Signature | None) -> frozenset[Formula]:
 
 def _formula_strs(fs) -> list[str]:
     return sorted(str(f) for f in fs)
+
+
+def _schema_strs(fs) -> list[str]:
+    """``_formula_strs`` for calculi and trees, which are read back without
+    a signature: a constant would come back as a variable, so it is
+    refused."""
+    for g in subformula_sequence(fs):
+        if isinstance(g, App) and not g.args:
+            raise SerializeError(f"constant {g.conn!r} cannot be written: "
+                                 "read without a signature, it is a variable")
+    return _formula_strs(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +186,11 @@ def statement_from_data(data: Data, sig: Signature | None = None,
 def rule_to_data(r: RuleSchema) -> Data:
     if r.dimension == 1:
         return {"name": r.name,
-                "antecedent": _formula_strs(r.antecedent),
-                "succedent": _formula_strs(r.succedent)}
+                "antecedent": _schema_strs(r.antecedent),
+                "succedent": _schema_strs(r.succedent)}
     return {"name": r.name,
-            "acc": _formula_strs(r.acc), "nacc": _formula_strs(r.nacc),
-            "rej": _formula_strs(r.rej), "nrej": _formula_strs(r.nrej)}
+            "acc": _schema_strs(r.acc), "nacc": _schema_strs(r.nacc),
+            "rej": _schema_strs(r.rej), "nrej": _schema_strs(r.nrej)}
 
 
 def rule_from_data(data: Data, dimension: int,
@@ -204,7 +216,7 @@ def calculus_to_data(c: Calculus) -> Data:
     data: Data = {"name": c.name, "dimension": c.dimension,
                   "rules": [rule_to_data(r) for r in c.rules]}
     if c.theta is not None:
-        data["theta"] = _formula_strs(c.theta)
+        data["theta"] = _schema_strs(c.theta)
     return data
 
 
@@ -234,11 +246,11 @@ def calculus_from_data(data: Data, sig: Signature | None = None) -> Calculus:
 def tree_to_data(t: Node) -> Data:
     if t.is_star:
         return {"label": "star"}
-    data: Data = {"label": {"acc": _formula_strs(t.label.acc),
-                            "rej": _formula_strs(t.label.rej)}}
+    data: Data = {"label": {"acc": _schema_strs(t.label.acc),
+                            "rej": _schema_strs(t.label.rej)}}
     if t.rule is not None:
         data["rule"] = t.rule
-        data["subst"] = {v: str(f) for v, f in (t.subst or ())}
+        data["subst"] = {v: _schema_strs([f])[0] for v, f in (t.subst or ())}
         data["children"] = [tree_to_data(ch) for ch in t.children]
     return data
 

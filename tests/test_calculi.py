@@ -579,6 +579,13 @@ class TestProve:
         assert isinstance(out, LimitExceeded)
         assert out.limit == "max_depth"
 
+    @pytest.mark.parametrize("limits", [
+        {"max_nodes": 0}, {"max_nodes": -1}, {"max_depth": -1},
+        {"max_depth": -3}])
+    def test_empty_budget_is_an_error(self, limits):
+        with pytest.raises(CalculiError, match="must be >="):
+            prove(GH_CALC, TestCheckProof.S_R2, {p}, **limits)
+
     def test_empty_statement_saturates(self):
         # the fence is empty, so the depth limit is 0; the root label has
         # no applicable instance, which is a verdict, not a limit

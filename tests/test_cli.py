@@ -161,6 +161,16 @@ class TestProve:
         assert res.exit_code == 1
         assert res.output.startswith("not proved: max_nodes limit reached")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-nodes", "-1"), ("--max-nodes", "0"), ("--max-depth", "-3")])
+    def test_empty_budget_is_bad_input(self, runner, flag, value):
+        res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
+                     "--bstatement", '{"acc":["p"],"nacc":["q"]}',
+                     flag, value)
+        assert res.exit_code == 2
+        assert "not proved" not in res.output
+        assert f"{flag[2:].replace('-', '_')} must be >=" in res.output
+
     def test_dim1_with_theta_override(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:cplpos",
                      "--statement", '{"antecedent":["p"],"succedent":["p"]}',
@@ -409,6 +419,12 @@ class TestDeterminism:
           '{"acc":["neg(p)","imp(p,q)"],'
           '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
         (["separators", "--matrix", "builtin:mci5", "--depth", "2"], 1),
+        (["prove", "--calculus", "builtin:hmci2d", "--dot", "--bstatement",
+          '{"acc":["neg(p)","imp(p,q)"],'
+          '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
+        (["check", "--matrix", "builtin:mci5", "--statement",
+          '{"antecedent":["neg(p)","neg(q)","cons(r)","cons(s)"],'
+          '"succedent":["neg(r)","cons(p)","neg(s)","cons(q)"]}'], 1),
     ])
     def test_same_output_under_every_hash_seed(self, args, code):
         outs = []

@@ -87,6 +87,13 @@ class TestAlgebra:
         with pytest.raises(SemanticsError):
             NdAlgebra(SIG5, ("f", "F", "I", "T", "f"), INTERP5)
 
+    def test_derived_tables_are_not_parameters(self, alg5):
+        assert alg5._index["f"] == 0 and alg5._tables["neg"][(0,)] == (2, 4)
+        with pytest.raises(TypeError):
+            NdAlgebra(SIG5, V5, INTERP5, _index={})
+        with pytest.raises(TypeError):
+            NdAlgebra(SIG5, V5, INTERP5, None, None)
+
     def test_designated_subset_enforced(self, alg5):
         with pytest.raises(SemanticsError):
             NdMatrix(alg5, frozenset({"nope"}))

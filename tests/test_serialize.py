@@ -2,15 +2,16 @@
 
 import pytest
 
-from ndlogic.calculi import Node, STAR
+from ndlogic.calculi import STAR, Calculus, Label, Node, RuleSchema
 from ndlogic.errors import SerializeError
-from ndlogic.language import Var, parse_formula
+from ndlogic.language import App, Var, parse_formula
 from ndlogic.logics import (SIGMA_MCI, cpl_pos, example2, mci_artifacts,
                             mci_worked_derivations, mk_matrix)
 from ndlogic.semantics import BMatrix, BStatement, NdMatrix, Statement1D
 from ndlogic.serialize import (calculus_from_data, calculus_to_data, dumps,
                                loads, matrix_from_data, matrix_to_data,
-                               rule_from_data, signature_from_data,
+                               rule_from_data, rule_to_data,
+                               signature_from_data,
                                signature_to_data, statement_from_data,
                                statement_to_data, tree_from_data,
                                tree_to_data)
@@ -129,6 +130,15 @@ class TestCalculusRoundtrip:
         _, calc = example2()
         assert calculus_from_data(calculus_to_data(calc)) == calc
 
+    def test_constant_is_refused(self):
+        # read back without a signature, bot would be a variable and efq
+        # would derive p from any formula
+        efq = RuleSchema("efq", 2, acc={App("bot", ())}, nacc={Var("p")})
+        with pytest.raises(SerializeError, match="'bot'"):
+            rule_to_data(efq)
+        with pytest.raises(SerializeError, match="'bot'"):
+            calculus_to_data(Calculus("efq", 2, (efq,)))
+
     def test_dim_mismatch_keys_rejected(self):
         with pytest.raises(SerializeError):
             rule_from_data({"name": "r", "acc": ["p"]}, 1)
@@ -159,6 +169,15 @@ class TestTreeRoundtrip:
         from ndlogic.calculi import Label
         data = tree_to_data(Node(Label({Var("p")})))
         assert data == {"label": {"acc": ["p"], "rej": []}}
+
+    def test_constant_is_refused(self):
+        bot = App("bot", ())
+        nbot = App("neg", (bot,))
+        for tree in (Node(Label({bot})),
+                     Node(Label({Var("p")}), "efq", (("p", nbot),),
+                          (Node(Label({Var("p"), nbot})),))):
+            with pytest.raises(SerializeError, match="'bot'"):
+                tree_to_data(tree)
 
     def test_text_roundtrip(self):
         _, tree = mci_worked_derivations()[2]
