@@ -502,18 +502,6 @@ def _blocked(x: int, twice: int) -> int:
     return x ^ (1 << twice) - 1 | x << twice
 
 
-def _row_instance(c: Calculus, fence: _Fence, row: tuple) -> RuleInstance:
-    """The RuleInstance a pool row stands for."""
-    _, ri, subst, key = row
-    rule = c.rules[ri]
-    n = len(fence.formulas)
-    acc, rej, nacc, nrej = (fence.set_of(key >> a * n & (1 << n) - 1)
-                            for a in range(4))
-    return RuleInstance(rule.name, rule.dimension, acc, nacc, rej, nrej,
-                        tuple(zip(rule._vars, map(fence.formulas.__getitem__,
-                                                  subst))))
-
-
 def applicable_instances(c: Calculus, label: Label,
                          fence: Iterable[Formula]) -> list[RuleInstance]:
     """All fence-bounded instances applicable at ``label`` that make
@@ -533,8 +521,10 @@ def applicable_instances(c: Calculus, label: Label,
     n = len(fence.formulas)
     blocked = _blocked(fence.mask(label.acc) | fence.mask(label.rej) << n,
                        2 * n)
-    return [_row_instance(c, fence, row) for row in _instance_pool(c, fence)
-            if not row[3] & blocked]
+    return [instantiate_rule(c.rules[ri], dict(zip(
+                c.rules[ri]._vars, map(fence.formulas.__getitem__, subst))))
+            for _, ri, subst, key in _instance_pool(c, fence)
+            if not key & blocked]
 
 
 # ---------------------------------------------------------------------------

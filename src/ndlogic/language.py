@@ -5,9 +5,11 @@ Formulas are a free term algebra: a formula is a variable or a connective
 applied to the declared number of arguments.  Any identifier not declared in
 the signature at hand is a variable.  The canonical concrete syntax is prefix
 application ``name(arg, ...)``; infix sugar exists only for connectives given
-a notation alias, and always with mandatory parentheses.  Formulas are
-interned (hash-consed): one live object per structure, so equal formulas
-are the same object and compare by identity.
+a notation alias, and always with mandatory parentheses.  ``parse_formula``
+is the whole parser: one loop over the token list with an explicit stack of
+open applications and infix groups, so nesting depth is not limited by
+recursion.  Formulas are interned (hash-consed): one live object per
+structure, so equal formulas are the same object and compare by identity.
 """
 
 from __future__ import annotations
@@ -175,15 +177,10 @@ class Signature:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
-_TOK_IDENT = "ident"
-_TOK_LP = "("
-_TOK_RP = ")"
-_TOK_COMMA = ","
-_TOK_INFIX = "infix"
-_TOK_EOF = "eof"
-
-
 def _tokenize(text: str, infix_tokens: list[str]) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``(kind, text, position)``, ending with
+    ``("eof", "", len(text))``.  The kind is ``"ident"``, ``"infix"`` or
+    the punctuation character itself."""
     toks = []
     i, n = 0, len(text)
     # longest-match-first so "->" wins over a hypothetical "-"
@@ -199,103 +196,18 @@ def _tokenize(text: str, infix_tokens: list[str]) -> list[tuple[str, str, int]]:
             continue
         m = _IDENT_RE.match(text, i)
         if m:
-            toks.append((_TOK_IDENT, m.group(), i))
+            toks.append(("ident", m.group(), i))
             i = m.end()
             continue
         for tok in infix_tokens:
             if text.startswith(tok, i):
-                toks.append((_TOK_INFIX, tok, i))
+                toks.append(("infix", tok, i))
                 i += len(tok)
                 break
         else:
             raise ParseError(f"unknown token {text[i]!r}", i)
-    toks.append((_TOK_EOF, "", n))
+    toks.append(("eof", "", n))
     return toks
-
-
-class _Parser:
-    def __init__(self, toks, sig: Signature | None):
-        self.toks = toks
-        self.pos = 0
-        self.sig = sig
-        self.infix = sig.infix_aliases() if sig else {}
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind):
-        tok = self.toks[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Formula:
-        """Recursive descent run on an explicit stack, so that nesting
-        depth is not limited by recursion.  A frame is ``[name, at,
-        args]`` for an open application and ``[None, at, parts]`` for an
-        open infix group, whose parts become left operand, operator and
-        right operand."""
-        stack: list[list] = []
-        while True:
-            kind, text, at = self.peek()
-            if kind == _TOK_IDENT:
-                self.pos += 1
-                if self.peek()[0] != _TOK_LP:
-                    done = self._bare(text, at)
-                else:
-                    self.pos += 1
-                    stack.append([text, at, []])
-                    continue
-            elif kind == _TOK_LP:
-                self.pos += 1
-                stack.append([None, at, []])
-                continue
-            else:
-                raise ParseError(f"expected a formula, found {text!r}", at)
-            # hand the finished formula to the open frames
-            while stack:
-                name, at, args = stack[-1]
-                args.append(done)
-                if name is None and len(args) == 1:
-                    k2, alias, at2 = self.peek()
-                    if k2 != _TOK_INFIX:
-                        raise ParseError(
-                            f"expected an infix operator, found {alias!r}", at2)
-                    self.pos += 1
-                    args.append(alias)
-                    break
-                if name is not None and self.peek()[0] == _TOK_COMMA:
-                    self.pos += 1
-                    break
-                self.take(_TOK_RP)
-                stack.pop()
-                if name is None:
-                    left, alias, right = args
-                    done = App(self.infix[alias], (left, right))
-                else:
-                    done = self._application(name, at, args)
-            else:
-                return done
-
-    def _application(self, name: str, at: int, args: list) -> Formula:
-        if self.sig is not None:
-            if name not in self.sig.connectives:
-                raise ParseError(f"unknown connective {name!r}", at)
-            want = self.sig.connectives[name]
-            if want != len(args):
-                raise ParseError(
-                    f"connective {name!r} expects {want} arguments, got {len(args)}",
-                    at)
-        return App(name, tuple(args))
-
-    def _bare(self, name: str, at: int) -> Formula:
-        if self.sig is not None and name in self.sig.connectives:
-            if self.sig.connectives[name] == 0:
-                return App(name, ())
-            raise ParseError(
-                f"connective {name!r} used without arguments", at)
-        return Var(name)
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
@@ -306,14 +218,69 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     from the signature's notation is accepted.  Without one (permissive
     mode): every applied identifier is a connective, every bare identifier
     is a variable, and no infix sugar is available.
+
+    One loop over the token list does recursive descent on an explicit
+    stack, so that nesting depth is not limited by recursion.  A frame is
+    ``[name, at, args]`` for an open application of ``name`` at position
+    ``at``, and ``[None, at, parts]`` for an open infix group, whose parts
+    become left operand, operator and right operand.
     """
-    toks = _tokenize(text, list(sig.notation.values()) if sig else [])
-    p = _Parser(toks, sig)
-    f = p.formula()
-    kind, text2, at = p.peek()
-    if kind != _TOK_EOF:
-        raise ParseError(f"trailing input {text2!r}", at)
-    return f
+    arity = sig.connectives if sig is not None else {}
+    infix = sig.infix_aliases() if sig is not None else {}
+    toks = _tokenize(text, list(infix))
+    i = 0
+    stack: list[list] = []
+    while True:
+        kind, name, at = toks[i]
+        i += 1
+        if kind == "(":
+            stack.append([None, at, []])
+            continue
+        if kind != "ident":
+            raise ParseError(f"expected a formula, found {name!r}", at)
+        if toks[i][0] == "(":
+            i += 1
+            stack.append([name, at, []])
+            continue
+        if name not in arity:
+            done = Var(name)
+        elif arity[name]:
+            raise ParseError(f"connective {name!r} used without arguments", at)
+        else:
+            done = App(name, ())
+        # hand the finished formula to the open frames
+        while stack:
+            name, at, args = stack[-1]
+            args.append(done)
+            kind, tok, at2 = toks[i]
+            i += 1
+            if name is None and len(args) == 1:
+                if kind != "infix":
+                    raise ParseError(
+                        f"expected an infix operator, found {tok!r}", at2)
+                args.append(tok)
+                break
+            if name is not None and kind == ",":
+                break
+            if kind != ")":
+                raise ParseError(f"expected ')', found {tok!r}", at2)
+            stack.pop()
+            if name is None:
+                done = App(infix[args[1]], (args[0], args[2]))
+                continue
+            if sig is not None:
+                if name not in arity:
+                    raise ParseError(f"unknown connective {name!r}", at)
+                if arity[name] != len(args):
+                    raise ParseError(f"connective {name!r} expects "
+                                     f"{arity[name]} arguments, got {len(args)}",
+                                     at)
+            done = App(name, tuple(args))
+        else:
+            kind, tok, at = toks[i]
+            if kind != "eof":
+                raise ParseError(f"trailing input {tok!r}", at)
+            return done
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +309,8 @@ def compose(s2: Substitution, s1: Substitution) -> dict[str, Formula]:
 
 def variables(f: Formula) -> tuple[str, ...]:
     """Distinct variable names in first-occurrence (leftmost) order."""
-    seen: dict[str, None] = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Var):
-            seen[g.name] = None
-        else:
-            stack += g.args[::-1]
-    return tuple(seen)
+    return tuple(g.name for g in subformula_sequence((f,))
+                 if g.__class__ is Var)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

@@ -45,6 +45,7 @@ class NdAlgebra:
     _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
     _tables: Mapping[str, Mapping[tuple[int, ...], tuple[int, ...]]] = \
         field(init=False, compare=False, repr=False)
+    _total: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = tuple(self.values)
@@ -57,26 +58,25 @@ class NdAlgebra:
             cells = self.interpretation.get(conn)
             if cells is None:
                 raise SemanticsError(f"no interpretation for connective {conn!r}")
-            fixed: dict[tuple[str, ...], frozenset[str]] = {}
-            fixed_int: dict[tuple[int, ...], tuple[int, ...]] = {}
             want = len(values) ** arity
             if len(cells) != want:
                 raise SemanticsError(
                     f"interpretation of {conn!r} has {len(cells)} cells, "
                     f"expected {want}")
+            rows = {}  # the value indices of args -> (args, out)
             for args, out in cells.items():
                 args = tuple(args)
                 if len(args) != arity or any(a not in index for a in args):
                     raise SemanticsError(f"bad cell key {args!r} for {conn!r}")
                 out = frozenset(out)
-                if not out <= set(values):
+                if not out <= index.keys():
                     raise SemanticsError(f"cell {conn}{args} not within values")
-                fixed[args] = out
-                fixed_int[tuple(index[a] for a in args)] = \
-                    tuple(i for i, v in enumerate(values) if v in out)
-            interp[conn] = {tuple(values[i] for i in ik): fixed[
-                tuple(values[i] for i in ik)] for ik in sorted(fixed_int)}
-            tables[conn] = {ik: fixed_int[ik] for ik in sorted(fixed_int)}
+                rows[tuple(map(index.__getitem__, args))] = args, out
+            interp[conn], tables[conn] = {}, {}
+            for ik, (args, out) in sorted(rows.items()):
+                interp[conn][args] = out
+                tables[conn][ik] = tuple(i for i, v in enumerate(values)
+                                         if v in out)
         extra = set(self.interpretation) - set(self.signature.connectives)
         if extra:
             raise SemanticsError(f"interpretation for undeclared {sorted(extra)}")
@@ -84,12 +84,14 @@ class NdAlgebra:
         object.__setattr__(self, "interpretation", interp)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_total", all(
+            out for cells in interp.values() for out in cells.values()))
 
 
 def check_total(alg: NdAlgebra) -> bool:
-    """True iff no interpretation cell is empty."""
-    return all(out for cells in alg.interpretation.values()
-               for out in cells.values())
+    """True iff no interpretation cell is empty; reads a flag set when the
+    algebra is built."""
+    return alg._total
 
 
 def _require_total(alg: NdAlgebra):
@@ -571,11 +573,6 @@ class _SeparatorScan:
                 self.firsts.append((conn, ids))
             self.by_relation[conn, rel] = got
         return got
-
-    def vector_of(self, conn: str | None, ids: tuple[int, ...]) -> int:
-        """The vector id of the formula ``conn(ids)`` of the pool built so
-        far, read through its argument relation."""
-        return self._vector(conn, self._relation(ids), ids)
 
     def formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
         conn, ids = node

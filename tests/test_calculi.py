@@ -9,8 +9,7 @@ import pytest
 
 from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
                              Proved, RuleSchema, Saturated, _Fence,
-                             _instance_pool, _row_instance,
-                             applicable_instances,
+                             _instance_pool, applicable_instances,
                              check_derivation, check_proof, instantiate_rule,
                              lift_calculus, prove, render_tree_dot,
                              render_tree_text)
@@ -159,9 +158,20 @@ def fence_order(fence):
 
 
 def instance_pool(c, fence):
-    """The pool's rows as RuleInstances."""
+    """The pool's rows as RuleInstances; each row's key must hold the fence
+    masks of its instance's acc, rej, nacc and nrej, n bits each."""
     fence = _Fence(fence)
-    return [_row_instance(c, fence, row) for row in _instance_pool(c, fence)]
+    n = len(fence.formulas)
+    out = []
+    for _, ri, subst, key in _instance_pool(c, fence):
+        rule = c.rules[ri]
+        inst = instantiate_rule(rule, dict(zip(
+            rule._vars, map(fence.formulas.__getitem__, subst))))
+        sides = (inst.acc, inst.rej, inst.nacc, inst.nrej)
+        assert key == sum(fence.mask(fs) << a * n
+                          for a, fs in enumerate(sides)), inst
+        out.append(inst)
+    return out
 
 
 def reference_pool(c, fence):

@@ -123,6 +123,50 @@ class TestParse:
         assert e.value.position == len(text)
 
 
+# SIG plus a constant, so that a constant applied to arguments is covered
+SIG_BOT = Signature({**SIG.connectives, "bot": 0}, SIG.notation)
+
+
+@pytest.mark.parametrize("text, sig, message, position", [
+    ("neg(%)", SIG_BOT, "unknown token '%'", 4),
+    ("p $ q", None, "unknown token '$'", 2),
+    ("(p -> q)", None, "unknown token '-'", 3),
+    ("", SIG_BOT, "expected a formula, found ''", 0),
+    ("", None, "expected a formula, found ''", 0),
+    (")", None, "expected a formula, found ')'", 0),
+    ("neg(,)", SIG_BOT, "expected a formula, found ','", 4),
+    ("-> p", SIG_BOT, "expected a formula, found '->'", 0),
+    ("f()", None, "expected a formula, found ')'", 2),
+    ("f(p,)", None, "expected a formula, found ')'", 4),
+    ("and", SIG_BOT, "connective 'and' used without arguments", 0),
+    ("neg(and)", SIG_BOT, "connective 'and' used without arguments", 4),
+    ("(p q)", SIG_BOT, "expected an infix operator, found 'q'", 3),
+    ("(p)", SIG_BOT, "expected an infix operator, found ')'", 2),
+    ("(p, q)", None, "expected an infix operator, found ','", 2),
+    ("neg(p q)", SIG_BOT, "expected ')', found 'q'", 6),
+    ("neg(p -> q)", SIG_BOT, "expected ')', found '->'", 6),
+    ("(p -> q", SIG_BOT, "expected ')', found ''", 7),
+    ("(p -> q r)", SIG_BOT, "expected ')', found 'r'", 8),
+    ("f(p", None, "expected ')', found ''", 3),
+    ("box(p)", SIG_BOT, "unknown connective 'box'", 0),
+    ("neg(box(p))", SIG_BOT, "unknown connective 'box'", 4),
+    ("and(p)", SIG_BOT, "connective 'and' expects 2 arguments, got 1", 0),
+    ("neg(p, q)", SIG_BOT, "connective 'neg' expects 1 arguments, got 2", 0),
+    ("bot(p)", SIG_BOT, "connective 'bot' expects 0 arguments, got 1", 0),
+    ("p q", SIG_BOT, "trailing input 'q'", 2),
+    ("p -> q", SIG_BOT, "trailing input '->'", 2),
+    ("neg(p))", None, "trailing input ')'", 6),
+    ("p,", None, "trailing input ','", 1),
+])
+def test_parse_error_messages(text, sig, message, position):
+    """Every ParseError's exact text and position, with a signature and in
+    permissive mode."""
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, sig)
+    assert str(e.value) == f"{message} (at position {position})"
+    assert e.value.position == position
+
+
 class TestPrint:
     def test_prefix_canonical(self):
         assert str(imp(p, q)) == "imp(p,q)"

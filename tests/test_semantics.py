@@ -508,7 +508,8 @@ def _assert_sample_matches_oracle(scan, pool, nodes, sample):
     for i in sample:
         f = pool[i]
         assert scan.formula(nodes[i]) == f
-        vec = scan.vector_of(*nodes[i])
+        conn, ids = nodes[i]
+        vec = scan._vector(conn, scan._relation(ids), ids)
         if i < len(scan.nodes):
             assert scan.nodes[i] == nodes[i] and scan.vector[i] == vec
         for x, value in enumerate(alg.values):
