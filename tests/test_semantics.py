@@ -4,7 +4,7 @@ homomorphisms, separator search and rule validation."""
 
 import copy
 import random
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -871,6 +871,57 @@ class TestBruteForceOracle:
                             aspect_entails(b, "t", s),
                             aspect_entails(BMatrix(alg, a, d), "f", s)):
                     assert _as_row(got, closure) == want
+
+    def test_sides_holding_bare_variables(self, alg5, alg_gh):
+        # a variable is assigned before every compound, so a side that
+        # holds one constrains the slowest-varying positions; the aspects
+        # read acc/nacc through d and rej/nrej through a
+        rng = random.Random(15)
+        for alg, most in _oracle_algebras(alg5, alg_gh):
+            values = frozenset(alg.values)
+            for _ in range(12):
+                d = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                a = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                b = BMatrix(alg, d, a)
+                sides = [fs | frozenset(rng.sample((p, q), rng.randint(0, 2)))
+                         for fs in _random_sides(rng, alg.signature, 4,
+                                                 most - 2)]
+                acc, nacc, rej, nrej = sides
+                for got, fs, oks in (
+                        (b_entails(b, BStatement(*sides)), sides,
+                         (d, values - d, a, values - a)),
+                        (aspect_entails(b, "t", Statement1D(acc, nacc)),
+                         (acc, nacc), (d, values - d)),
+                        (aspect_entails(b, "f", Statement1D(rej, nrej)),
+                         (rej, nrej), (a, values - a))):
+                    closure = _closure(_sorted_formulas(*fs))
+                    want = _first_row_inside(alg, closure,
+                                             list(zip(fs, oks)))
+                    assert _as_row(got, closure) == want, fs
+
+    def test_one_formula_on_two_sides(self, alg5, alg_gh):
+        rng = random.Random(16)
+        for alg, most in _oracle_algebras(alg5, alg_gh):
+            values = frozenset(alg.values)
+            for _ in range(8):
+                d = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                a = frozenset(rng.sample(alg.values, rng.randint(0, 3)))
+                b = BMatrix(alg, d, a)
+                oks = (d, values - d, a, values - a)
+                rest = _random_sides(rng, alg.signature, 4, most)
+                f = rng.choice(_closure(_sorted_formulas(*rest)) or [p])
+                for i, j in combinations(range(4), 2):
+                    sides = [fs | {f} if k in (i, j) else fs
+                             for k, fs in enumerate(rest)]
+                    closure = _closure(_sorted_formulas(*sides))
+                    want = _first_row_inside(alg, closure,
+                                             list(zip(sides, oks)))
+                    got = b_entails(b, BStatement(*sides))
+                    assert _as_row(got, closure) == want, (sides, i, j)
+                    if (i, j) in ((0, 1), (2, 3)):
+                        assert got.valid
+                    elif not got.valid:
+                        assert got.countermodel(f) in oks[i] & oks[j]
 
 
 # ---------------------------------------------------------------------------
