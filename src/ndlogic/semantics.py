@@ -3,9 +3,9 @@
 An NdAlgebra interprets every connective as a set-valued table over a finite
 value set; an NdMatrix adds one distinguished (designated) set, a BMatrix
 adds two (designated and antidesignated).  Consequence is decided by
-enumerating coherent valuations over the subformula closure of a statement;
-the first assignment in the fixed enumeration order that witnesses failure
-is returned as the countermodel, so every verdict is reproducible.
+enumerating coherent valuations of a statement's subformula closure in one
+fixed order, checking each position's sides as it is assigned; cut branches
+hold no countermodel, so the first countermodel found is reproducible.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, count, product
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonTotalAlgebraError, SemanticsError
 from .language import (P, App, Formula, Signature, Var, _arg_tuples,
@@ -242,20 +242,20 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
 
 
 def _valuations(alg: NdAlgebra, plan: list[tuple],
-                pins: Mapping[str, int] | None = None) -> Iterator[list[int]]:
-    """Yield every coherent assignment as a reused list of value indices:
-    candidate values in declared order, earlier positions varying slowest,
-    ``pins`` fixing named variables.  Each open position's candidates wait
-    on an explicit stack, so closures of any depth need no recursion."""
+                allowed: Mapping[int, Container[int]]) -> Iterator[list[int]]:
+    """Yield, as a reused list of value indices, every coherent assignment
+    that keeps each position of ``allowed`` in its set, in declared value
+    order with earlier positions varying slowest.  Sets are checked as
+    positions are assigned; candidates wait on a stack, not in recursion."""
     vals = [0] * len(plan)
     tables = alg._tables
     every = range(len(alg.values))
 
-    def candidates(i: int) -> Sequence[int]:
+    def candidates(i: int) -> Iterable[int]:
         conn, info = plan[i]
-        if conn is None:
-            return (pins[info],) if pins and info in pins else every
-        return tables[conn][tuple(map(vals.__getitem__, info))]
+        out = every if conn is None else \
+            tables[conn][tuple(map(vals.__getitem__, info))]
+        return filter(allowed[i].__contains__, out) if i in allowed else out
 
     last = len(plan) - 1
     if last < 0:
@@ -286,7 +286,7 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
     _require_total(alg)
     doms, plan = _compile(alg, _sorted(fs))
     return [_to_valuation(alg, doms, vals)
-            for vals in _valuations(alg, plan)]
+            for vals in _valuations(alg, plan, {})]
 
 
 def induced_multifunction(alg: NdAlgebra, f: Formula,
@@ -302,10 +302,9 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
     for x in inputs:
         if x not in index:
             raise SemanticsError(f"unknown value {x!r}")
-    fixed = {v: index[x] for v, x in zip(vs, inputs)}
     doms, plan = _compile(alg, [f])
-    root = len(doms) - 1
-    out = {vals[root] for vals in _valuations(alg, plan, fixed)}
+    pins = {doms.index(Var(v)): (index[x],) for v, x in zip(vs, inputs)}
+    out = {vals[-1] for vals in _valuations(alg, plan, pins)}
     return frozenset(alg.values[i] for i in out)
 
 
@@ -314,25 +313,26 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
 
 def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
              *sides: Iterable[Formula]) -> Verdict:
-    """The one entailment loop over the ``sides`` acc, nacc, rej and nrej
-    (trailing ones optional): valid iff no coherent valuation puts acc
+    """The one entailment search over the ``sides`` acc, nacc, rej and
+    nrej (trailing ones optional): valid iff no coherent valuation puts acc
     inside ``des``, nacc outside it, rej inside ``anti`` and nrej outside
-    it.  The closure is built from each side sorted, in turn."""
+    it.  ``_valuations`` checks those sets, intersected for a formula on
+    several sides, as it assigns; a cut branch holds no countermodel, so the
+    first valuation it yields is the first countermodel in its order.  The
+    closure is built from each side sorted, in turn."""
     _require_total(alg)
     d, a = (frozenset(map(alg._index.__getitem__, x)) for x in (des, anti))
     every = frozenset(range(len(alg.values)))
-    sides = [(_sorted(fs), ok)
-             for fs, ok in zip(sides, (d, every - d, a, every - a))]
-    doms, plan = _compile(alg, [f for fs, _ in sides for f in fs])
+    oks = (d, every - d, a, every - a)
+    fs = [(f, ok) for side, ok in zip(sides, oks) for f in _sorted(side)]
+    doms, plan = _compile(alg, [f for f, _ in fs])
     pos = {f: i for i, f in enumerate(doms)}
-    checks = [(pos[f], ok) for fs, ok in sides for f in fs]
-    for vals in _valuations(alg, plan):
-        for i, ok in checks:
-            if vals[i] not in ok:
-                break
-        else:
-            return Verdict(False, _to_valuation(alg, doms, vals))
-    return Verdict(True)
+    allowed: dict[int, frozenset[int]] = {}
+    for f, ok in fs:
+        allowed[pos[f]] = allowed.get(pos[f], ok) & ok
+    vals = next(_valuations(alg, plan, allowed), None)
+    return Verdict(True) if vals is None else \
+        Verdict(False, _to_valuation(alg, doms, vals))
 
 
 def entails_1d(m: NdMatrix, s: Statement1D) -> Verdict:

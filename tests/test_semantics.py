@@ -3,11 +3,16 @@ enumeration order, first countermodels, products, aspects, strong
 homomorphisms, separator search and rule validation."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import pytest
 
+import ndlogic
 from conftest import D5, INTERP5, R5, SIG5, V5, make_alg5
 from test_separators_golden import matrices
 from ndlogic.calculi import RuleSchema
@@ -949,6 +954,32 @@ class TestDeepFormulas:
             assert not v.valid
             assert len(v.countermodel.domain) == self.DEPTH + 1
             assert v.countermodel(p) == "f" and v.countermodel(deep) == "I"
+
+    def test_side_failing_at_a_variable_is_cut_there(self):
+        # q = f lies inside the antidesignated set, so no branch below it
+        # holds a countermodel; the search must leave it without walking
+        # the branchings of the chain.  A child process turns a regression
+        # into a timeout instead of a hung suite.
+        code = ("from ndlogic import App, Var\n"
+                "from ndlogic.logics import mci_artifacts\n"
+                "from ndlogic.semantics import (BStatement, Statement1D,\n"
+                "                               aspect_entails, b_entails)\n"
+                "p, q = Var('p'), Var('q')\n"
+                "deep = p\n"
+                f"for _ in range({self.DEPTH}):\n"
+                "    deep = App('neg', (deep,))\n"
+                "b5 = mci_artifacts().b5\n"
+                "for v in (aspect_entails(b5, 'f',\n"
+                "                         Statement1D({deep}, {q})),\n"
+                "          b_entails(b5, BStatement(rej={deep}, nrej={q}))):\n"
+                "    m = v.countermodel\n"
+                "    print(v.valid, m(p), m(q), m(deep), len(m.domain))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True, text=True,
+                             timeout=60).stdout
+        assert out.splitlines() == [f"False f F I {self.DEPTH + 2}"] * 2
 
     def test_reprs_and_deepcopies(self, m5):
         deep = _chain("neg", self.DEPTH)
