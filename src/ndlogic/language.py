@@ -90,14 +90,30 @@ class App(Formula):
         return self
 
     def __reduce__(self):
-        # rebuild via the constructor, so that unpickling re-interns
-        return App, (self.conn, self.args)
+        # a flat node list, so that deep formulas pickle without recursion
+        seq = subformula_sequence([self])
+        at = {g: i for i, g in enumerate(seq)}
+        return _rebuild, (tuple(g.name if g.__class__ is Var else
+                                (g.conn, tuple(at[a] for a in g.args))
+                                for g in seq),)
 
     def __str__(self) -> str:
         return _print(self, False)
 
     def __repr__(self) -> str:
         return _print(self, True)
+
+
+def _rebuild(nodes: tuple) -> Formula:
+    """The formula of ``App.__reduce__``'s node list, in which a variable
+    is its name and an application is (conn, indices of its arguments in
+    the list), each after its arguments; built through the constructors,
+    so the result is the interned object."""
+    built: list[Formula] = []
+    for n in nodes:
+        built.append(Var(n) if n.__class__ is str else
+                     App(n[0], tuple(built[i] for i in n[1])))
+    return built[-1]
 
 
 def _print(f: Formula, as_repr: bool) -> str:

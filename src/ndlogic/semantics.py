@@ -17,12 +17,15 @@ NonTotalAlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, count, product
+from operator import or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
+from weakref import WeakMethod
 
 from .errors import NonTotalAlgebraError, SemanticsError
-from .language import (P, App, Formula, Signature, Var, _arg_tuples,
-                       _pool_levels, subformula_sequence, variables)
+from .language import (P, App, Formula, Signature, Var, _pool_levels,
+                       subformula_sequence, variables)
 
 # ---------------------------------------------------------------------------
 # algebras and matrices
@@ -420,44 +423,66 @@ def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
 @dataclass(frozen=True)
 class FormulaLimit:
     """The separator scan stopped because the next depth would take the
-    pool past ``max_formulas`` formulas; every formula up to ``depth`` was
-    searched."""
+    pool past ``max_formulas``; every formula up to ``depth`` was searched."""
 
     depth: int
     max_formulas: int
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _intern(items: list, ids: dict, item) -> int:
+    """The id of ``item`` in ``items``, appended if it is new."""
+    got = ids.setdefault(item, len(items))
+    if got == len(items):
+        items.append(item)
+    return got
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``; it holds the
+    method weakly, so its scan is freed without the cycle collector."""
+
+    def __init__(self, make):
+        self.make = WeakMethod(make)
+
+    def __missing__(self, key):
+        got = self[key] = self.make()(key)
+        return got
 
 
 class _SeparatorScan:
     """Separator search over one target matrix up to one depth.
 
     The unary pool is built level by level, in the order of
-    ``_pool_levels``, and only as deep as some pair's search needs.  For
-    the mci signature the pool has 1, 6, 121, 44,166 and about 5.85e9
-    formulas up to depths 0 to 4; a level that would take it past
-    ``max_formulas`` is not built, and the scan records a FormulaLimit
-    instead.
+    ``_pool_levels``, as deep as some pair's search needs; a level that
+    would take it past ``max_formulas`` formulas is not built, and the
+    scan records a FormulaLimit.  Each formula has a vector, its induced
+    value set at every value of p as bit masks.  Vectors are interned in
+    the order of their first formula, and ``firsts[v]`` is vector v's
+    first formula as a node ``(conn, arg ids)``.
 
-    Each formula gets one value vector: its induced value set at every
-    value of p, as bit masks.  Vectors are interned in the order of their
-    first formula in the pool, and ``firsts[v]`` is vector v's first
-    formula as a node ``(conn, arg ids)``, so the first separating formula
-    is the first formula of the first separating vector.
-
-    A level's argument tuples are walked once per arity, and each maps to
-    an interned argument relation: the value rows its arguments take
-    together at each value of p.  If the arguments share no compound that
-    can take several values (each node keeps the set of its compound
-    subformulas that can), they take their values independently and the
-    relation is the product of their vectors, named by the vector ids.
-    Otherwise it is the joint relation of the distinct arguments, a bit
-    mask over row codes (a row of values, as digits in base |values|, the
-    first column lowest), with the column of each argument position.
-    Every connective of that arity reads its vector from one memo keyed by
-    the connective and the relation.
-
-    A level is kept as nodes when the next level fits the budget, because
-    they are that level's arguments.  The last level to be built keeps
-    only the first node of each new vector."""
+    A node's vector is read off its argument relation: the rows of values
+    its arguments take together at each value of p, as masks of row codes
+    (digits in base |values|, the first column lowest).  Each node keeps
+    the mask of the compounds in its closure that can take several values
+    at some value of p; an argument tuple's shared set S is the union of
+    the pairwise intersections of those masks.  Closures are
+    subformula-closed and every other shared node has one value at each
+    value of p, so coherent valuations of the arguments' closures combine
+    iff they agree on S.  The relation is thus the join on S of the
+    arguments' profiles: the pairs (values of S as one code, value of the
+    argument), read off the joint relation of S and the argument, or the
+    vector if S is empty.  A level is kept as nodes when the next level
+    fits the budget, because they are its arguments; the last level built
+    keeps only the first node of each new vector."""
 
     def __init__(self, target: Matrix, max_depth: int,
                  max_formulas: int = 10 ** 6):
@@ -465,32 +490,30 @@ class _SeparatorScan:
         _require_total(alg)
         if max_formulas < 1:
             raise SemanticsError("max_formulas must be >= 1")
-        dist = [("designated", target.designated)]
-        if isinstance(target, BMatrix):
-            dist.append(("antidesignated", target.antidesignated))
-        self.dist = [(name, sum(1 << alg._index[v] for v in d))
-                     for name, d in dist]
-        self.cells = {c: {args: sum(1 << v for v in out)
-                          for args, out in cells.items()}
-                      for c, cells in alg._tables.items()}
+        self.dist = [(name, sum(1 << alg._index[v]
+                                for v in getattr(target, name)))
+                     for name in ("designated", "antidesignated")
+                     if hasattr(target, name)]
+        self.nv = nv = len(alg.values)
+        self.cells = {c: {sum(v * nv ** i for i, v in enumerate(args)):
+                          sum(1 << w for w in out) for args, out in t.items()}
+                      for c, t in alg._tables.items()}  # by row code
+        self.cells[None] = {v: 1 << v for v in range(nv)}  # copies a column
         self.max_formulas = max_formulas
         self.levels = _pool_levels(alg.signature, max_depth)
         self.next = next(self.levels)  # the level grow() builds
-        self.depth = -1  # the deepest level built
-        self.size = 0  # formulas up to that level
+        self.depth, self.size = -1, 0  # deepest level built, pool size
         self.limit: FormulaLimit | None = None
-        self.nodes: list[tuple[str | None, tuple[int, ...]]] = []
-        self.vector: list[int] = []  # per node
-        self.multi: list[frozenset[int]] = []  # per node, see above
-        self.vectors: list[tuple[int, ...]] = []
-        self.vector_ids: dict[tuple[int, ...], int] = {}
-        self.firsts: list[tuple[str | None, tuple[int, ...]]] = []
-        self.relations: list[tuple] = []
-        self.relation_ids: dict[tuple, int] = {}
-        self.by_relation: dict[tuple[str | None, int], int] = {}
-        self.images: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.joints: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.expansions: dict[tuple, int] = {}
+        self.nodes, self.firsts = [], []  # kept nodes, first node per vector
+        self.vector, self.multi = [], []  # per node: vector id, see above
+        self.vectors, self.vector_ids = [], {}
+        self.profiles, self.profile_ids = [], {}
+        self.relations, self.relation_ids = [], {}
+        self.profile_of = _Memo(self._profile)  # (node, S) -> profile
+        self.relation_of = _Memo(self._join)  # profiles -> relation
+        self.by_relation: dict[tuple[str | None, int], tuple] = {}
+        self.meets = _Memo(self._meet)  # profiles at one value of p -> rows
+        self.joints, self.expansions = _Memo(self._joint), _Memo(self._expand)
 
     def grow(self) -> bool:
         """Build the next level of the pool; False once the pool is
@@ -506,72 +529,93 @@ class _SeparatorScan:
         self.next = next(self.levels, None)
         keep = self.next is not None and \
             self.size + self.next[3] <= self.max_formulas
-        walks: dict[int, dict | list] = {}  # per arity
-        for k in {k for _, k in conns}:
-            tuples = _arg_tuples(k, first, below)
-            if keep:
-                walks[k] = [(ids, self._relation(ids)) for ids in tuples]
-            else:  # each relation's first tuple
-                seen = walks[k] = {}
-                for ids in tuples:
-                    seen.setdefault(self._relation(ids), ids)
+        walks = {k: self._walk(k, first, below, keep)
+                 for k in {k for _, k in conns}}
         for conn, k in conns:
-            if not keep:
-                for rel, ids in walks[k].items():
-                    self._vector(conn, rel, ids)
-                continue
             for ids, rel in walks[k]:
                 vec = self._vector(conn, rel, ids)
-                own = {len(self.nodes)} \
-                    if any(m & (m - 1) for m in self.vectors[vec]) else ()
-                self.nodes.append((conn, ids))
-                self.vector.append(vec)
-                self.multi.append(
-                    frozenset(own).union(*(self.multi[a] for a in ids)))
+                if keep:
+                    own = any(m & (m - 1) for m in self.vectors[vec])
+                    self.multi.append(reduce(or_, map(
+                        self.multi.__getitem__, ids), own << len(self.nodes)))
+                    self.nodes.append((conn, ids))
+                    self.vector.append(vec)
         return True
+
+    def _walk(self, k: int, first: int, below: int, keep: bool) -> list:
+        """(ids, relation id) of every argument tuple of arity k if
+        ``keep``, else of each relation's first, in ``_arg_tuples`` order;
+        the first k - 1 ids keep their profiles per shared set."""
+        if not k:
+            return [((), self._relation(()))]
+        multi, profile_of = self.multi, self.profile_of
+        walk, seen = [], set()
+        for pre in product(range(below), repeat=k - 1):
+            shared = reduce(or_, (multi[a] & multi[b]
+                                  for a, b in combinations(pre, 2)), 0)
+            union = reduce(or_, map(multi.__getitem__, pre), 0)
+            heads: dict[int, tuple[int, ...]] = {}
+            for b in range(0 if max(pre, default=-1) >= first else first,
+                           below):
+                s = shared | union & multi[b]
+                head = heads.get(s)
+                if head is None:
+                    head = heads[s] = tuple([profile_of[a, s] for a in pre])
+                rel = self.relation_of[head + (profile_of[b, s],)]
+                if keep or rel not in seen:
+                    seen.add(rel)
+                    walk.append((pre + (b,), rel))
+        return walk
 
     def _relation(self, ids: tuple[int, ...]) -> int:
         """The id of the argument relation of the nodes ``ids``."""
-        multi = self.multi
-        if len(ids) == 2:
-            shared = not multi[ids[0]].isdisjoint(multi[ids[1]])
-        else:
-            shared = any(not multi[a].isdisjoint(multi[b])
-                         for a, b in combinations(ids, 2))
-        if shared:
-            below = tuple(sorted(set(ids)))
-            key = (self.joint(below), tuple(map(below.index, ids)))
-        else:
-            key = (None, tuple(map(self.vector.__getitem__, ids)))
-        got = self.relation_ids.get(key)
-        if got is None:
-            got = self.relation_ids[key] = len(self.relations)
-            self.relations.append(key)
-        return got
+        shared = reduce(or_, (self.multi[a] & self.multi[b]
+                              for a, b in combinations(ids, 2)), 0)
+        return self.relation_of[tuple([self.profile_of[a, shared]
+                                       for a in ids])]
+
+    def _profile(self, key: tuple[int, int]) -> int:
+        """For ``key`` = (a, S), the profile id of node a on S: nv ** |S|,
+        then per value of p the codes s + v * nv ** |S| of S's s and a's v."""
+        a, shared = key
+        cols = tuple(_bits(shared | 1 << a))
+        keep = tuple(i for i, n in enumerate(cols) if shared >> n & 1)
+        return _intern(self.profiles, self.profile_ids, (
+            self.nv ** len(keep), *(
+                self.expansions[rel, len(cols), keep, (cols.index(a),), None]
+                for rel in self.joints[cols])))
+
+    def _join(self, key: tuple[int, ...]) -> int:
+        """The relation id of arguments with the profiles ``key``."""
+        top = self.profiles[key[0]][0] if key else 1
+        return _intern(self.relations, self.relation_ids, tuple(
+            self.meets[(top, *(self.profiles[p][x] for p in key))]
+            for x in range(1, self.nv + 1)))
+
+    def _meet(self, key: tuple[int, ...]) -> int:
+        """For ``key`` = (nv ** |S|, profile masks at one value of p), the
+        rows (v_i) such that some s has code s + v_i * nv ** |S| in mask i."""
+        top, *masks = key
+        fits = {0: (1 << top) - 1}  # row code -> the codes of S it fits
+        for i, m in enumerate(masks):
+            fits = {c + v * self.nv ** i: f for c, fit in fits.items()
+                    for v in range(self.nv) if (f := fit & m >> v * top)}
+        return sum(1 << c for c in fits)
 
     def _vector(self, conn: str | None, rel: int,
                 ids: tuple[int, ...]) -> int:
-        """The id of the vector of ``conn`` over relation ``rel``; a new
-        vector gets ``(conn, ids)`` as its first node."""
-        got = self.by_relation.get((conn, rel))
-        if got is None:
-            joint, cols = self.relations[rel]
-            values = range(len(self.alg.values))
-            if conn is None:
-                vec = tuple(1 << x for x in values)
-            elif joint is None:
-                args = [self.vectors[v] for v in cols]
-                vec = tuple(self.image(conn, tuple(a[x] for a in args))
-                            for x in values)
-            else:
-                vec = tuple(self.expand(r, max(cols) + 1, (), cols, conn)
-                            for r in joint)
-            got = self.vector_ids.get(vec)
-            if got is None:
-                got = self.vector_ids[vec] = len(self.vectors)
-                self.vectors.append(vec)
-                self.firsts.append((conn, ids))
-            self.by_relation[conn, rel] = got
+        """The id of the vector of ``conn`` over relation ``rel``, the union
+        of its cells at the rows; a new one's first node is (conn, ids)."""
+        vec = self.by_relation.get((conn, rel))
+        if vec is None:
+            at = tuple(range(len(ids)))
+            vec = self.by_relation[conn, rel] = tuple(
+                1 << x if conn is None
+                else self.expansions[rows, len(at), (), at, conn]
+                for x, rows in enumerate(self.relations[rel]))
+        got = _intern(self.vectors, self.vector_ids, vec)
+        if got == len(self.firsts):
+            self.firsts.append((conn, ids))
         return got
 
     def formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
@@ -579,77 +623,39 @@ class _SeparatorScan:
         return P if conn is None else \
             App(conn, tuple(self.formula(self.nodes[a]) for a in ids))
 
-    def image(self, conn: str, masks: tuple[int, ...]) -> int:
-        """Union of the cells of ``conn`` over the product of ``masks``."""
-        got = self.images.get((conn, masks))
-        if got is None:
-            values = range(len(self.alg.values))
-            got = 0
-            for args in product(*([v for v in values if m >> v & 1]
-                                  for m in masks)):
-                got |= self.cells[conn][args]
-            self.images[conn, masks] = got
-        return got
-
-    def joint(self, ids: tuple[int, ...]) -> tuple[int, ...]:
-        """The relation, at every value x of p, of the value rows that the
-        ascending, distinct ``ids`` take together over the coherent
-        valuations with p = x.  One id's relation is its vector.  Several
-        ids are reduced by expanding the largest, n, into its arguments:
+    def _joint(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The rows the ascending, distinct ``ids`` take together at each
+        value of p.  Several ids are reduced by expanding the largest, n:
         ids grow with depth, so n lies in no other closure, and the
-        valuations on the closure of ``ids`` are those on the closure of
-        the rest and n's arguments, each extended by one cell value for
-        n."""
+        valuations of the closure of ``ids`` are those of the rest and n's
+        arguments, each extended by a cell value for n."""
         if len(ids) == 1:
             return self.vectors[self.vector[ids[0]]]
-        got = self.joints.get(ids)
-        if got is None:
-            *rest, n = ids
-            conn, args = self.nodes[n]
-            below = tuple(sorted(set(rest).union(args)))
-            keep = tuple(map(below.index, rest))
-            at = tuple(map(below.index, args))
-            got = self.joints[ids] = tuple(
-                self.expand(rel, len(below), keep, at, conn)
-                for rel in self.joint(below))
-        return got
+        *rest, n = ids
+        conn, args = self.nodes[n]
+        below = tuple(sorted(set(rest).union(args)))
+        keep = tuple(map(below.index, rest))
+        at = tuple(map(below.index, args))
+        return tuple(self.expansions[rel, len(below), keep, at, conn]
+                     for rel in self.joints[below])
 
-    def _rows(self, rel: int, arity: int) -> Iterator[list[int]]:
-        """The rows of a relation over ``arity`` columns."""
-        nv = len(self.alg.values)
-        while rel:
-            low = rel & -rel
-            rel ^= low
-            code, row = low.bit_length() - 1, []
-            for _ in range(arity):
-                code, v = divmod(code, nv)
-                row.append(v)
-            yield row
-
-    def expand(self, rel: int, arity: int, keep: tuple[int, ...],
-               at: tuple[int, ...], conn: str) -> int:
-        """The relation whose rows are the ``keep`` columns of a row of
-        ``rel`` followed by each value of the cell of ``conn`` at that
-        row's ``at`` columns.  With no ``keep`` columns it is the union
-        of those cells, as a value mask."""
-        key = (rel, arity, keep, at, conn)
-        got = self.expansions.get(key)
-        if got is None:
-            nv = len(self.alg.values)
-            top = nv ** len(keep)
-            cells = self.alg._tables[conn]
-            got = 0
-            for row in self._rows(rel, arity):
-                code = sum(row[k] * nv ** j for j, k in enumerate(keep))
-                for w in cells[tuple(row[k] for k in at)]:
-                    got |= 1 << (code + w * top)
-            self.expansions[key] = got
+    def _expand(self, key: tuple) -> int:
+        """For ``key`` = (rel, arity, keep, at, conn), the ``keep`` columns
+        of each row of rel followed by each value of conn's cell at ``at``;
+        with no ``keep`` columns, the union of those cells as a value mask."""
+        rel, arity, keep, at, conn = key
+        nv, top, got = self.nv, self.nv ** len(keep), 0
+        for code in _bits(rel):
+            row = [code // nv ** j % nv for j in range(arity)]
+            code = sum(row[k] * nv ** j for j, k in enumerate(keep))
+            cell = sum(row[k] * nv ** j for j, k in enumerate(at))
+            for w in _bits(self.cells[conn][cell]):
+                got |= 1 << (code + w * top)
         return got
 
     def separates(self, vec: int, x: int, y: int):
-        """None, or (set-name, value-landing-inside) when the formulas
-        with vector ``vec`` put x and y on opposite sides of that
-        distinguished set."""
+        """None, or (set-name, value-landing-inside) when the formulas with
+        vector ``vec`` put x and y on opposite sides of that set."""
         sx, sy = self.vectors[vec][x], self.vectors[vec][y]
         for name, d in self.dist:
             if not sx & ~d and not sy & d:
@@ -662,9 +668,8 @@ class _SeparatorScan:
 @dataclass(frozen=True)
 class PairSeparation:
     """One unordered value pair's separation result; ``into`` is the value
-    whose induced set lies inside the named distinguished set.  An open
-    pair carries a FormulaLimit if the budget, not the depth bound, ended
-    its search."""
+    whose induced set lies inside the named distinguished set.  An open pair
+    carries a FormulaLimit if the budget, not the depth bound, ended it."""
 
     x: str
     y: str
@@ -679,9 +684,8 @@ def separator_for_pair(target: Matrix, x: str, y: str, max_depth: int,
                        ) -> Formula | FormulaLimit | None:
     """First unary formula (in enumeration order) whose induced value sets
     at ``x`` and ``y`` fall on opposite sides of a distinguished set; None
-    if no formula up to ``max_depth`` does, and a FormulaLimit if the
-    pool up to the depth that would be searched next has more than
-    ``max_formulas`` formulas."""
+    if no formula up to ``max_depth`` does, and a FormulaLimit if the pool
+    up to the depth searched next has more than ``max_formulas`` formulas."""
     found = _separator_search(
         _SeparatorScan(target, max_depth, max_formulas), x, y)
     return found.limit or found.separator
@@ -742,9 +746,8 @@ def expressiveness_report(target: Matrix, max_depth: int,
     """Separator search over every unordered pair of distinct values,
     within a pool of at most ``max_formulas`` formulas."""
     scan = _SeparatorScan(target, max_depth, max_formulas)
-    values = scan.alg.values
     entries = tuple(_separator_search(scan, x, y)
-                    for i, x in enumerate(values) for y in values[i + 1:])
+                    for x, y in combinations(scan.alg.values, 2))
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix",
         max_depth, entries,

@@ -419,6 +419,8 @@ class TestDeterminism:
           '{"acc":["neg(p)","imp(p,q)"],'
           '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
         (["separators", "--matrix", "builtin:mci5", "--depth", "2"], 1),
+        # depth 3 builds its last level without keeping the nodes
+        (["separators", "--matrix", "builtin:mci5", "--depth", "3"], 1),
         (["prove", "--calculus", "builtin:hmci2d", "--dot", "--bstatement",
           '{"acc":["neg(p)","imp(p,q)"],'
           '"nacc":["cons(neg(cons(p)))","q"]}'], 0),

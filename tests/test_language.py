@@ -342,6 +342,21 @@ class TestInterning:
                            + ",))" * 10_000)
         assert copy.deepcopy(f) is f and copy.deepcopy([f])[0] is f
 
+    def test_deep_formula_pickles_without_recursion(self):
+        f = p
+        for _ in range(10_000):
+            f = neg(f)
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert pickle.loads(pickle.dumps([f, neg(p)]))[1] is neg(p)
+
+    def test_shared_subformulas_pickle_once(self):
+        # and(x,x) nested 40 deep: 41 distinct subformulas, 2**40 leaves
+        f = q
+        for _ in range(40):
+            f = conj(f, f)
+        data = pickle.dumps(f)
+        assert len(data) < 1_000 and pickle.loads(data) is f
+
 
 class TestThetaSet:
     def test_requires_p(self):

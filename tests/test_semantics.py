@@ -453,10 +453,10 @@ ALG_CK = NdAlgebra(SIG_CK, V_CK, {
 })
 
 
-def _random_algebra(rng):
-    """Three values, a constant, a unary and a binary connective; every
-    cell a random non-empty set."""
-    sig = Signature({"c": 0, "g": 1, "k": 2})
+def _random_algebra(rng, arity=2):
+    """Three values, a constant, a unary and a connective k of ``arity``;
+    every cell a random non-empty set."""
+    sig = Signature({"c": 0, "g": 1, "k": arity})
     values = ("a", "b", "d")
 
     def cell():
@@ -465,7 +465,7 @@ def _random_algebra(rng):
     return NdAlgebra(sig, values, {
         "c": {(): cell()},
         "g": {(x,): cell() for x in values},
-        "k": {(x, y): cell() for x in values for y in values}})
+        "k": {args: cell() for args in product(values, repeat=arity)}})
 
 
 def _pool_nodes(target, max_depth):
@@ -557,6 +557,15 @@ class TestSeparatorScanOracle:
         for _ in range(20):
             alg = _random_algebra(rng)
             _assert_scan_matches_oracle(NdMatrix(alg, frozenset({"a"})), 2)
+
+    def test_ternary_connective(self):
+        # a ternary tuple's shared set joins three pairwise intersections,
+        # such as the non-deterministic c in k(c,g(c),p)
+        rng = random.Random(7)
+        for _ in range(3):
+            m = NdMatrix(_random_algebra(rng, 3), frozenset({"a"}))
+            _assert_scan_matches_oracle(m, 2)
+            _assert_first_occurrences(m, 2)
 
     def test_mci5_joint_relations(self, m5):
         # on mci5, joints over two or more argument ids first occur at
