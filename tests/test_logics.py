@@ -2,19 +2,21 @@
 derivations, the deterministic family, axiom systems, the didactic
 examples, and the verification battery including a corruption probe."""
 
+from dataclasses import replace
+
 import pytest
 
 from ndlogic.calculi import RuleSchema, check_proof, render_tree_text
 from ndlogic.errors import LogicsError
 from ndlogic.language import App, Var, parse_formula
-from ndlogic.logics import (MciArtifacts, SIGMA_MCI, cpl_pos, example1,
-                            example1_rules, example2, example2_repair,
-                            hmci_axioms, iterated_neg, mci_artifacts,
+from ndlogic.logics import (SIGMA_MCI, cpl_pos, example1, example1_rules,
+                            example2, example2_repair, hmci_axioms,
+                            iterated_neg, mci_artifacts,
                             mci_worked_derivations, mk_boolean_collapse,
                             mk_matrix, two_valued_positive_matrix,
                             verify_paper_suite)
-from ndlogic.semantics import (BMatrix, b_product, check_strong_hom,
-                               validate_rule)
+from ndlogic.semantics import (BMatrix, NdMatrix, b_product,
+                               check_strong_hom, validate_rule)
 
 P = Var("p")
 
@@ -267,6 +269,66 @@ class TestExamples:
         assert not validate_rule(b_gh, swapped).valid
 
 
+def _passes(*names):
+    return [f"PASS {n}" for n in names]
+
+
+# corruption -> (make the corrupted artifacts, items that must fail, the
+# report's lines without timings)
+_CORRUPTIONS = {
+    "b5-designated-IT": (
+        lambda a: replace(a, b5=BMatrix(a.b5.algebra, frozenset({"I", "T"}),
+                                        a.b5.antidesignated)),
+        {"rules-28-sound", "separator-table"},
+        ["FAIL construction-golden: artifacts differ from embedded golden "
+         "tables"]
+        + _passes("paraconsistency", "gentle-explosion", "hallmark-axioms",
+                  "disjunction-facts")
+        + ["FAIL rules-28-sound: 28 rules, invalid: ['imp1', 'imp2', "
+           "'imp3', 'imp4', 'and1', 'and2', 'and3', 'and4', 'or1', 'or2', "
+           "'or3', 'or4', 'neg6', 'neg7']"]
+        + _passes("ex2-rules-sound", "ex2-repair")
+        + ["FAIL product-identity: product disagrees with bundled "
+           "two-dimensional matrix",
+           "FAIL separator-table: diverging entries: "
+           "{('f', 't'): ('p', 'antidesignated', 'f'), "
+           "('F', 't'): ('neg(p)', 'designated', 'F'), "
+           "('I', 't'): ('p', 'designated', 'I'), "
+           "('T', 't'): ('p', 'designated', 'T')}"]
+        + _passes("inner-pairs-blind", "ex1-blind-spot",
+                  "worked-derivations-check", "worked-derivations-search",
+                  "dimensional-compression", "ex1-schemas-valid",
+                  "chain-soundness", "chain-strictness", "itneg-closed-form")
+        + ["FAIL recovery-random: 36 aspect mismatches",
+           "PASS relation-properties",
+           "FAIL gap-and-glut: atomic gap/glut statement unexpectedly valid",
+           "PASS compound-recovery",
+           "FAILED: 17/23 items passed"]),
+    "m5-designated-Tt": (
+        lambda a: replace(a, m5=NdMatrix(a.m5.algebra,
+                                         frozenset({"T", "t"}))),
+        {"paraconsistency", "hallmark-axioms", "disjunction-facts"},
+        ["FAIL construction-golden: artifacts differ from embedded golden "
+         "tables",
+         "FAIL paraconsistency: contradiction exploded",
+         "PASS gentle-explosion",
+         "FAIL hallmark-axioms: invalid: ['or(p,neg(p))', "
+         "'imp(cons(p),imp(p,imp(neg(p),q)))', "
+         "'imp(neg(cons(p)),and(p,neg(p)))']",
+         "FAIL disjunction-facts: facts [0, 1, 2] invalid"]
+        + _passes("rules-28-sound", "ex2-rules-sound", "ex2-repair")
+        + ["FAIL product-identity: product disagrees with bundled "
+           "two-dimensional matrix"]
+        + _passes("separator-table", "inner-pairs-blind", "ex1-blind-spot",
+                  "worked-derivations-check", "worked-derivations-search",
+                  "dimensional-compression", "ex1-schemas-valid",
+                  "chain-soundness", "chain-strictness", "itneg-closed-form")
+        + ["FAIL recovery-random: 40 aspect mismatches"]
+        + _passes("relation-properties", "gap-and-glut", "compound-recovery")
+        + ["FAILED: 17/23 items passed"]),
+}
+
+
 @pytest.fixture(scope="module")
 def report():
     return verify_paper_suite()
@@ -297,23 +359,21 @@ class TestSuite:
         assert lines[-1] == f"OK: {len(report.items)}/{len(report.items)} " \
                             f"items passed"
 
-    def test_corruption_is_detected(self, report):
-        arts = mci_artifacts()
-        bad_b5 = BMatrix(arts.b5.algebra, frozenset({"I", "T"}),
-                         arts.b5.antidesignated)
-        corrupted = MciArtifacts(arts.sigma_mci, arts.m5, arts.m5_rej,
-                                 bad_b5, arts.hmci2d)
-        bad_report = verify_paper_suite(corrupted, chain_k=1)
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_corruption_is_detected(self, report, corruption):
+        corrupt, must_fail, expected = _CORRUPTIONS[corruption]
+        bad_report = verify_paper_suite(corrupt(mci_artifacts()), chain_k=1)
         assert not bad_report.passed
         failing = {it.name for it in bad_report.items if not it.ok}
         assert "construction-golden" in failing
-        assert "rules-28-sound" in failing
+        assert must_fail <= failing
         assert "product-identity" in failing
-        assert "separator-table" in failing
         # the calculus itself is untouched, so proof checking still stands
         passing = {it.name for it in bad_report.items if it.ok}
         assert "worked-derivations-check" in passing
         assert "chain-soundness" in passing
+        # every item's line, failure details included, is pinned
+        assert bad_report.lines(timings=False) == expected
 
     @pytest.mark.parametrize("chain_k", [0, -1])
     def test_empty_chain_range_rejected(self, chain_k):
