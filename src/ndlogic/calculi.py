@@ -49,12 +49,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import indexOf
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import CalculiError
 from .language import (App, Formula, Substitution, Var, gen_subformulas,
                        size, substitute, theta_set, variables)
-from .semantics import BStatement, Statement1D, _fset
+from .semantics import BStatement, Statement1D, _bits, _fset, _Memo
 
 
 @dataclass(frozen=True)
@@ -252,29 +252,25 @@ class Node:
         return self.label is STAR
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key with ``make(key)``."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class _Texts:
     """Printed forms memoized for one rendering: each formula, each label
     side (a frozenset) and each substitution is printed once."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.formula = _Memo(str)
-        self.side = _Memo(lambda fs: ", ".join(
-            sorted(map(self.formula.__getitem__, fs))))
-        self.subst = _Memo(lambda subst: "{" + ", ".join(
-            f"{v} := {self.formula[f]}" for v, f in subst) + "}")
+        self.formula = _Memo(self._formula)
+        self.side = _Memo(self._side)
+        self.subst = _Memo(self._subst)
+
+    def _formula(self, f: Formula) -> str:
+        return str(f)
+
+    def _side(self, fs: frozenset[Formula]) -> str:
+        return ", ".join(sorted(map(self.formula.__getitem__, fs)))
+
+    def _subst(self, subst: tuple[tuple[str, Formula], ...]) -> str:
+        return "{" + ", ".join(
+            f"{v} := {self.formula[f]}" for v, f in subst) + "}"
 
     def label(self, label: Label) -> str:
         if self.dim == 1:
@@ -335,14 +331,6 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 
 # ---------------------------------------------------------------------------
 # instance generation
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 class _Fence:
     """A fence, ordered and numbered for matching.  The fence formulas

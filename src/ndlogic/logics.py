@@ -501,10 +501,6 @@ class SuiteReport:
         return out
 
 
-def _check(cond: bool, detail: str) -> tuple[bool, str]:
-    return (True, "") if cond else (False, detail)
-
-
 def _random_formula(rng: random.Random, depth: int) -> Formula:
     atoms = (Var("p"), Var("q"), Var("r"))
     if depth == 0 or rng.random() < 0.3:
@@ -521,110 +517,78 @@ def _random_fset(rng: random.Random, max_size: int,
                      for _ in range(rng.randint(0, max_size)))
 
 
-def _random_subst(rng: random.Random) -> dict[str, Formula]:
-    return {v: _random_formula(rng, 1) for v in ("p", "q", "r")}
-
-
-def _recovery_random(arts: MciArtifacts) -> tuple[bool, str]:
+def _recovery_random(arts: MciArtifacts) -> int:
+    """How many aspect verdicts of b5 on 200 random statements differ from
+    the matching one-dimensional matrix's."""
     rng = random.Random(73501)
-    mismatches = 0
-    for _ in range(200):
-        s = Statement1D(_random_fset(rng, 2), _random_fset(rng, 2))
-        if aspect_entails(arts.b5, "t", s).valid != \
-                entails_1d(arts.m5, s).valid:
-            mismatches += 1
-        if aspect_entails(arts.b5, "f", s).valid != \
-                entails_1d(arts.m5_rej, s).valid:
-            mismatches += 1
-    return _check(mismatches == 0, f"{mismatches} aspect mismatches")
+    statements = [Statement1D(_random_fset(rng, 2), _random_fset(rng, 2))
+                  for _ in range(200)]
+    return sum(aspect_entails(arts.b5, aspect, s).valid
+               != entails_1d(m, s).valid
+               for s in statements
+               for aspect, m in (("t", arts.m5), ("f", arts.m5_rej)))
 
 
-def _relation_properties(arts: MciArtifacts) -> tuple[bool, str]:
+def _relation_properties(arts: MciArtifacts) -> str:
+    """The first violations of overlap, dilution, substitution invariance
+    and finite cut on random statements of m5, mk1 and b5.  A statement is
+    a tuple of sides; ``shape`` gives the overlap and the base statement."""
     rng = random.Random(90017)
-    m1 = mk_matrix(1).matrix
     bad: list[str] = []
 
-    def check_1d(tag, m):
+    def check(tag, valid, sizes, shape):
         for i in range(500):
-            phi = _random_fset(rng, 2)
-            psi = _random_fset(rng, 2)
+            parts = tuple(_random_fset(rng, n) for n in sizes)
             x = _random_formula(rng, 2)
-            # overlap
-            if not entails_1d(m, Statement1D(phi | {x}, psi | {x})).valid:
+            overlap, s = shape(parts, x, rng.random() < 0.5)
+            if not valid(overlap):
                 bad.append(f"{tag} overlap #{i}")
-            # dilution and substitution invariance on a base statement
-            s = Statement1D(phi, psi | {x}) if rng.random() < 0.5 else \
-                Statement1D(phi, psi)
-            if entails_1d(m, s).valid:
-                bigger = Statement1D(s.antecedent | _random_fset(rng, 1),
-                                     s.succedent | _random_fset(rng, 1))
-                if not entails_1d(m, bigger).valid:
+            if valid(s):
+                bigger = list(s)
+                bigger[0] |= _random_fset(rng, 1)
+                bigger[-1] |= _random_fset(rng, 1)
+                if not valid(bigger):
                     bad.append(f"{tag} dilution #{i}")
-                sub = _random_subst(rng)
-                inst = Statement1D(
-                    frozenset(substitute(f, sub) for f in s.antecedent),
-                    frozenset(substitute(f, sub) for f in s.succedent))
-                if not entails_1d(m, inst).valid:
+                sub = {v: _random_formula(rng, 1) for v in ("p", "q", "r")}
+                if not valid([frozenset(substitute(f, sub) for f in part)
+                              for part in s]):
                     bad.append(f"{tag} substitution #{i}")
-            # finite cut
-            if entails_1d(m, Statement1D(phi, psi | {x})).valid and \
-                    entails_1d(m, Statement1D(phi | {x}, psi)).valid and \
-                    not entails_1d(m, Statement1D(phi, psi)).valid:
+            if valid(put(x, parts, 0)) and valid(put(x, parts, 1)) and \
+                    not valid(parts):
                 bad.append(f"{tag} cut #{i}")
 
-    check_1d("m5", arts.m5)
-    check_1d("mk1", m1)
+    def put(x, parts, *sides):
+        return [part | {x} if j in sides else part
+                for j, part in enumerate(parts)]
 
-    for i in range(500):
-        acc, nacc = _random_fset(rng, 2), _random_fset(rng, 1)
-        rej, nrej = _random_fset(rng, 1), _random_fset(rng, 1)
-        x = _random_formula(rng, 2)
-        side = rng.random() < 0.5
-        overlap = BStatement(acc | {x} if side else acc,
-                             nacc | {x} if side else nacc,
-                             rej if side else rej | {x},
-                             nrej if side else nrej | {x})
-        if not b_entails(arts.b5, overlap).valid:
-            bad.append(f"b5 overlap #{i}")
-        s = BStatement(acc, nacc, rej, nrej)
-        if b_entails(arts.b5, s).valid:
-            bigger = BStatement(acc | _random_fset(rng, 1), nacc,
-                                rej, nrej | _random_fset(rng, 1))
-            if not b_entails(arts.b5, bigger).valid:
-                bad.append(f"b5 dilution #{i}")
-            sub = _random_subst(rng)
-            inst = BStatement(*(frozenset(substitute(f, sub) for f in part)
-                                for part in (acc, nacc, rej, nrej)))
-            if not b_entails(arts.b5, inst).valid:
-                bad.append(f"b5 substitution #{i}")
-        if b_entails(arts.b5, BStatement(acc | {x}, nacc, rej, nrej)).valid \
-                and b_entails(arts.b5,
-                              BStatement(acc, nacc | {x}, rej, nrej)).valid \
-                and not b_entails(arts.b5, s).valid:
-            bad.append(f"b5 cut #{i}")
+    def shape_1d(parts, x, coin):
+        return put(x, parts, 0, 1), (put(x, parts, 1) if coin else parts)
 
-    return _check(not bad, "; ".join(bad[:5]))
+    def shape_2d(parts, x, coin):
+        return put(x, parts, *((0, 1) if coin else (2, 3))), parts
+
+    for tag, m in (("m5", arts.m5), ("mk1", mk_matrix(1).matrix)):
+        check(tag, lambda sides, m=m: entails_1d(m, Statement1D(*sides)).valid,
+              (2, 2), shape_1d)
+    check("b5", lambda sides: b_entails(arts.b5, BStatement(*sides)).valid,
+          (2, 1, 1, 1), shape_2d)
+    return "; ".join(bad[:5])
+
+
+def _proved(calc: Calculus, s: BStatement) -> bool:
+    """Proof search finds a tree for ``s`` that check_proof accepts."""
+    out = prove(calc, s, calc.theta, max_nodes=10 ** 4)
+    return isinstance(out, Proved) and check_proof(calc, s, out.tree)
 
 
 def _suite_items(arts: MciArtifacts, chain_k: int,
-                 ) -> list[tuple[str, Callable[[], tuple[bool, str]]]]:
+                 ) -> list[tuple[str, Callable[[], object], str]]:
+    """The battery as rows (name, check, detail).  A check returns a falsy
+    value when its item passes, and otherwise what failed, which the
+    report puts into ``detail`` at ``{}``."""
     golden = mci_artifacts()
     p, q = P, Q
     neg_p, cons_p = _f("neg(p)"), _f("cons(p)")
-
-    def construction():
-        ok = (arts.m5 == golden.m5 and arts.m5_rej == golden.m5_rej
-              and arts.b5 == golden.b5
-              and arts.hmci2d.rules == golden.hmci2d.rules)
-        return _check(ok, "artifacts differ from embedded golden tables")
-
-    def paraconsistency():
-        v = entails_1d(arts.m5, Statement1D({p, neg_p}, {q}))
-        return _check(not v.valid, "contradiction exploded")
-
-    def gentle_explosion():
-        v = entails_1d(arts.m5, Statement1D({cons_p, p, neg_p}, set()))
-        return _check(v.valid, "consistent contradiction not absurd")
 
     def hallmark_axioms():
         schemas = [_f("or(p,neg(p))"),
@@ -632,37 +596,25 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
                    _f("(neg(cons(p)) -> and(p,neg(p)))")]
         schemas += [App("cons", (iter_neg_formula(j, App("cons", (p,))),))
                     for j in range(5)]
-        bad = [str(s) for s in schemas
-               if not entails_1d(arts.m5, Statement1D(set(), {s})).valid]
-        return _check(not bad, f"invalid: {bad}")
+        return [str(s) for s in schemas
+                if not entails_1d(arts.m5, Statement1D(set(), {s})).valid]
 
     def disjunction_facts():
         disj = _f("or(p,q)")
         facts = [Statement1D({p}, {disj}), Statement1D({q}, {disj}),
                  Statement1D({disj}, {p, q})]
-        bad = [i for i, s in enumerate(facts)
-               if not entails_1d(arts.m5, s).valid]
-        return _check(not bad, f"facts {bad} invalid")
+        return [i for i, s in enumerate(facts)
+                if not entails_1d(arts.m5, s).valid]
 
     def rules_28_sound():
         bad = [r.name for r in arts.hmci2d.rules
                if not validate_rule(arts.b5, r).valid]
         n = len(arts.hmci2d.rules)
-        return _check(not bad and n == 28,
-                      f"{n} rules, invalid: {bad}")
+        return (bad or n != 28) and f"{n} rules, invalid: {bad}"
 
     def ex2_rules_sound():
         b, calc = example2()
-        bad = [r.name for r in calc.rules if not validate_rule(b, r).valid]
-        return _check(not bad, f"invalid: {bad}")
-
-    def ex2_repair():
-        got = example2_repair()
-        return _check(got == {"r2": ["g"], "r3": ["h"]}, f"got {got}")
-
-    def product_identity():
-        return _check(b_product(arts.m5, arts.m5_rej) == arts.b5,
-                      "product disagrees with bundled two-dimensional matrix")
+        return [r.name for r in calc.rules if not validate_rule(b, r).valid]
 
     def separator_table():
         rep = expressiveness_report(arts.b5, 1)
@@ -682,50 +634,18 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
                for e in rep.entries}
         ok = got == expected and rep.sufficiently_expressive
         diff = {k: v for k, v in got.items() if expected.get(k) != v}
-        return _check(ok, f"diverging entries: {diff}")
-
-    def inner_pairs_blind():
-        ok = (separator_for_pair(arts.m5, "t", "T", 1) is None
-              and separator_for_pair(arts.m5, "f", "F", 1) is None)
-        return _check(ok, "one-dimensional matrix separated an inner pair")
-
-    def ex1_blind_spot():
-        m, _ = example1()
-        return _check(separator_for_pair(m, "f", "bot", 2) is None,
-                      "depth-2 separator found unexpectedly")
-
-    def worked_derivations_check():
-        bad = [i for i, (s, t) in enumerate(mci_worked_derivations())
-               if not check_proof(arts.hmci2d, s, t)]
-        return _check(not bad, f"trees {bad} rejected")
-
-    def worked_derivations_search():
-        theta = arts.hmci2d.theta
-        bad = []
-        for i, (s, _) in enumerate(mci_worked_derivations()):
-            out = prove(arts.hmci2d, s, theta, max_nodes=10 ** 4)
-            if not isinstance(out, Proved) or \
-                    not check_proof(arts.hmci2d, s, out.tree):
-                bad.append(i)
-        return _check(not bad, f"statements {bad} not re-derived")
+        return not ok and str(diff)
 
     def compression():
         b, calc = example2()
-        bad = []
-        for i in (1, 2, 3):
-            s = BStatement(acc={_apply_h(i)}, nacc={p, _g("g(p)")})
-            out = prove(calc, s, calc.theta, max_nodes=10 ** 4)
-            ok = (isinstance(out, Proved)
-                  and check_proof(calc, s, out.tree)
-                  and b_entails(b, s).valid)
-            if not ok:
-                bad.append(i)
-        return _check(not bad, f"indexes {bad} failed")
+        statements = {i: BStatement(acc={_apply_h(i)}, nacc={p, _g("g(p)")})
+                      for i in (1, 2, 3)}
+        return [i for i, s in statements.items()
+                if not (_proved(calc, s) and b_entails(b, s).valid)]
 
     def ex1_schemas_valid():
         m, gen = example1()
-        bad = [i for i in range(5) if not validate_rule(m, gen(i)).valid]
-        return _check(not bad, f"schema indexes {bad} invalid")
+        return [i for i in range(5) if not validate_rule(m, gen(i)).valid]
 
     def chain_soundness():
         bool2 = two_valued_positive_matrix()
@@ -738,7 +658,7 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
             for r in hmci_axioms(2 * k - 1).calculus.rules:
                 if not validate_rule(mk, r).valid:
                     bad.append(f"k={k} rule {r.name}")
-        return _check(not bad, "; ".join(bad[:4]))
+        return "; ".join(bad[:4])
 
     def chain_strictness():
         bad = []
@@ -756,7 +676,7 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
                           hmci_axioms(2 * k + 1).calculus.rules}
             if not trace_ok or f"cons-iter{2 * k}" not in axiom_names:
                 bad.append(str(k))
-        return _check(not bad, f"k in {bad} failed")
+        return bad
 
     def itneg_closed_form():
         bad = []
@@ -766,53 +686,72 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
                     iterated_neg(k, m)
                 except LogicsError:
                     bad.append((k, m))
-        return _check(not bad, f"mismatches at {bad}")
-
-    def gap_and_glut():
-        gap = b_entails(arts.b5, BStatement(nacc={p}, nrej={p}))
-        glut = b_entails(arts.b5, BStatement(acc={p, cons_p}, nrej={p}))
-        return _check(not gap.valid and not glut.valid,
-                      "atomic gap/glut statement unexpectedly valid")
+        return bad
 
     def compound_recovery():
-        theta = arts.hmci2d.theta
         bad = []
         for conn in ("and", "or", "imp"):
             c = App(conn, (p, q))
             cc = App("cons", (c,))
-            for s in (BStatement(acc={c, cc}, rej={c}),
-                      BStatement(acc={c}, rej={cc, c})):
-                out = prove(arts.hmci2d, s, theta, max_nodes=10 ** 4)
-                if not isinstance(out, Proved) or \
-                        not b_entails(arts.b5, s).valid:
-                    bad.append(f"{conn}")
-                    break
-        return _check(not bad, f"compounds {bad} failed")
+            if not all(_proved(arts.hmci2d, s) and b_entails(arts.b5, s).valid
+                       for s in (BStatement(acc={c, cc}, rej={c}),
+                                 BStatement(acc={c}, rej={cc, c}))):
+                bad.append(conn)
+        return bad
 
     return [
-        ("construction-golden", construction),
-        ("paraconsistency", paraconsistency),
-        ("gentle-explosion", gentle_explosion),
-        ("hallmark-axioms", hallmark_axioms),
-        ("disjunction-facts", disjunction_facts),
-        ("rules-28-sound", rules_28_sound),
-        ("ex2-rules-sound", ex2_rules_sound),
-        ("ex2-repair", ex2_repair),
-        ("product-identity", product_identity),
-        ("separator-table", separator_table),
-        ("inner-pairs-blind", inner_pairs_blind),
-        ("ex1-blind-spot", ex1_blind_spot),
-        ("worked-derivations-check", worked_derivations_check),
-        ("worked-derivations-search", worked_derivations_search),
-        ("dimensional-compression", compression),
-        ("ex1-schemas-valid", ex1_schemas_valid),
-        ("chain-soundness", chain_soundness),
-        ("chain-strictness", chain_strictness),
-        ("itneg-closed-form", itneg_closed_form),
-        ("recovery-random", lambda: _recovery_random(arts)),
-        ("relation-properties", lambda: _relation_properties(arts)),
-        ("gap-and-glut", gap_and_glut),
-        ("compound-recovery", compound_recovery),
+        ("construction-golden",
+         lambda: not (arts.m5 == golden.m5 and arts.m5_rej == golden.m5_rej
+                      and arts.b5 == golden.b5
+                      and arts.hmci2d.rules == golden.hmci2d.rules),
+         "artifacts differ from embedded golden tables"),
+        ("paraconsistency",
+         lambda: entails_1d(arts.m5, Statement1D({p, neg_p}, {q})).valid,
+         "contradiction exploded"),
+        ("gentle-explosion",
+         lambda: not entails_1d(arts.m5,
+                                Statement1D({cons_p, p, neg_p}, set())).valid,
+         "consistent contradiction not absurd"),
+        ("hallmark-axioms", hallmark_axioms, "invalid: {}"),
+        ("disjunction-facts", disjunction_facts, "facts {} invalid"),
+        ("rules-28-sound", rules_28_sound, "{}"),
+        ("ex2-rules-sound", ex2_rules_sound, "invalid: {}"),
+        ("ex2-repair",
+         lambda: (got := example2_repair()) != {"r2": ["g"], "r3": ["h"]}
+         and got,
+         "got {}"),
+        ("product-identity",
+         lambda: b_product(arts.m5, arts.m5_rej) != arts.b5,
+         "product disagrees with bundled two-dimensional matrix"),
+        ("separator-table", separator_table, "diverging entries: {}"),
+        ("inner-pairs-blind",
+         lambda: separator_for_pair(arts.m5, "t", "T", 1) is not None
+         or separator_for_pair(arts.m5, "f", "F", 1) is not None,
+         "one-dimensional matrix separated an inner pair"),
+        ("ex1-blind-spot",
+         lambda: separator_for_pair(example1()[0], "f", "bot", 2) is not None,
+         "depth-2 separator found unexpectedly"),
+        ("worked-derivations-check",
+         lambda: [i for i, (s, t) in enumerate(mci_worked_derivations())
+                  if not check_proof(arts.hmci2d, s, t)],
+         "trees {} rejected"),
+        ("worked-derivations-search",
+         lambda: [i for i, (s, _) in enumerate(mci_worked_derivations())
+                  if not _proved(arts.hmci2d, s)],
+         "statements {} not re-derived"),
+        ("dimensional-compression", compression, "indexes {} failed"),
+        ("ex1-schemas-valid", ex1_schemas_valid, "schema indexes {} invalid"),
+        ("chain-soundness", chain_soundness, "{}"),
+        ("chain-strictness", chain_strictness, "k in {} failed"),
+        ("itneg-closed-form", itneg_closed_form, "mismatches at {}"),
+        ("recovery-random", lambda: _recovery_random(arts),
+         "{} aspect mismatches"),
+        ("relation-properties", lambda: _relation_properties(arts), "{}"),
+        ("gap-and-glut",
+         lambda: b_entails(arts.b5, BStatement(nacc={p}, nrej={p})).valid
+         or b_entails(arts.b5, BStatement(acc={p, cons_p}, nrej={p})).valid,
+         "atomic gap/glut statement unexpectedly valid"),
+        ("compound-recovery", compound_recovery, "compounds {} failed"),
     ]
 
 
@@ -829,11 +768,13 @@ def verify_paper_suite(artifacts: MciArtifacts | None = None,
         raise LogicsError(f"chain_k must be >= 1, got {chain_k}")
     arts = artifacts if artifacts is not None else mci_artifacts()
     items = []
-    for name, fn in _suite_items(arts, chain_k):
+    for name, check, detail in _suite_items(arts, chain_k):
         t0 = time.perf_counter()
         try:
-            ok, detail = fn()
+            failed = check()
+            detail = detail.format(failed) if failed else ""
         except Exception as e:  # a crashing item must not kill the report
-            ok, detail = False, f"{type(e).__name__}: {e}"
-        items.append(SuiteItem(name, ok, detail, time.perf_counter() - t0))
+            failed, detail = True, f"{type(e).__name__}: {e}"
+        items.append(SuiteItem(name, not failed, detail,
+                               time.perf_counter() - t0))
     return SuiteReport(tuple(items), all(it.ok for it in items))
