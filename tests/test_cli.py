@@ -161,6 +161,15 @@ class TestProve:
         assert res.exit_code == 1
         assert res.output.startswith("not proved: max_nodes limit reached")
 
+    def test_infix_needs_a_signature(self, runner):
+        # prove parses statements without a signature, so only prefix
+        # notation is known
+        res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
+                     "--bstatement", '{"acc":["(p -> q)"]}')
+        assert res.exit_code == 2
+        assert "unknown token '-'; infix notation needs a signature" \
+            in res.output
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-nodes", "-1"), ("--max-nodes", "0"), ("--max-depth", "-3")])
     def test_empty_budget_is_bad_input(self, runner, flag, value):

@@ -20,7 +20,7 @@ from ndlogic.calculi import (Proved, Saturated, check_proof, prove,
                              render_tree_text)
 from ndlogic.language import App, Var
 from ndlogic.logics import mci_artifacts
-from ndlogic.semantics import BStatement
+from ndlogic.semantics import BStatement, b_entails
 
 GOLDEN = Path(__file__).parent / "golden" / "prove_hmci2d.json"
 SEED = 20221
@@ -85,9 +85,13 @@ def test_outcomes_match_golden(hmci2d):
         assert got == want
     kinds = {kind for _, kind, _, _ in rows}
     assert kinds == {"proved", "saturated"}
+    b5 = mci_artifacts().b5
     for s, (_, kind, _, out) in zip(batch, rows):
         if kind == "proved":
             assert check_proof(hmci2d, s, out.tree), _statement_text(s)
+        # the calculus is sound and complete for mci-b
+        assert (kind == "proved") == b_entails(b5, s).valid, \
+            _statement_text(s)
 
 
 if __name__ == "__main__":
