@@ -1,7 +1,9 @@
 """The demo scripts run to completion and print something.
 
-``verification_suite.py`` is left out: it takes about 20 s, and
-``tests/test_cli.py`` already runs the suite through ``verify-suite``."""
+``verification_suite.py`` is left out: it runs the whole battery twice
+(about 5 s on a 2-core machine), and ``tests/test_logics.py`` and
+``tests/test_cli.py`` already run the battery, on clean and corrupted
+artifacts."""
 
 import os
 import subprocess
