@@ -193,17 +193,14 @@ class Signature:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
-def _tokenize(text: str,
-              infix_tokens: list[str] | None) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, infix_tokens: list[str]) -> list[tuple[str, str, int]]:
     """The tokens of ``text`` as ``(kind, text, position)``, ending with
     ``("eof", "", len(text))``.  The kind is ``"ident"``, ``"infix"`` or
-    the punctuation character itself.  ``infix_tokens`` is None in
-    permissive mode, where no infix operator is known."""
+    the punctuation character itself."""
     toks = []
     i, n = 0, len(text)
-    hint = "; infix notation needs a signature" if infix_tokens is None else ""
     # longest-match-first so "->" wins over a hypothetical "-"
-    infix_tokens = sorted(infix_tokens or (), key=len, reverse=True)
+    infix_tokens = sorted(infix_tokens, key=len, reverse=True)
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -224,6 +221,8 @@ def _tokenize(text: str,
                 i += len(tok)
                 break
         else:
+            hint = "" if infix_tokens else \
+                "; infix notation needs a signature that declares it"
             raise ParseError(f"unknown token {text[i]!r}{hint}", i)
     toks.append(("eof", "", n))
     return toks
@@ -246,7 +245,7 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     """
     arity = sig.connectives if sig is not None else {}
     infix = sig.infix_aliases() if sig is not None else {}
-    toks = _tokenize(text, list(infix) if sig is not None else None)
+    toks = _tokenize(text, list(infix))
     i = 0
     stack: list[list] = []
     while True:

@@ -518,8 +518,7 @@ def _random_fset(rng: random.Random, max_size: int,
 
 
 def _recovery_random(arts: MciArtifacts) -> int:
-    """How many aspect verdicts of b5 on 200 random statements differ from
-    the matching one-dimensional matrix's."""
+    """How many aspect verdicts of b5 differ from m5's and m5_rej's."""
     rng = random.Random(73501)
     statements = [Statement1D(_random_fset(rng, 2), _random_fset(rng, 2))
                   for _ in range(200)]
@@ -583,9 +582,8 @@ def _proved(calc: Calculus, s: BStatement) -> bool:
 
 def _suite_items(arts: MciArtifacts, chain_k: int,
                  ) -> list[tuple[str, Callable[[], object], str]]:
-    """The battery as rows (name, check, detail).  A check returns a falsy
-    value when its item passes, and otherwise what failed, which the
-    report puts into ``detail`` at ``{}``."""
+    """Rows (name, check, detail): a check returns a falsy value when its
+    item passes, else what failed, which goes into ``detail`` at ``{}``."""
     golden = mci_artifacts()
     p, q = P, Q
     neg_p, cons_p = _f("neg(p)"), _f("cons(p)")

@@ -167,8 +167,8 @@ class TestProve:
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
                      "--bstatement", '{"acc":["(p -> q)"]}')
         assert res.exit_code == 2
-        assert "unknown token '-'; infix notation needs a signature" \
-            in res.output
+        assert "unknown token '-'; infix notation needs a signature " \
+            "that declares it" in res.output
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-nodes", "-1"), ("--max-nodes", "0"), ("--max-depth", "-3")])

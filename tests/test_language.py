@@ -130,9 +130,11 @@ SIG_BOT = Signature({**SIG.connectives, "bot": 0}, SIG.notation)
 @pytest.mark.parametrize("text, sig, message, position", [
     ("neg(%)", SIG_BOT, "unknown token '%'", 4),
     ("p $ q", None,
-     "unknown token '$'; infix notation needs a signature", 2),
+     "unknown token '$'; infix notation needs a signature that declares it",
+     2),
     ("(p -> q)", None,
-     "unknown token '-'; infix notation needs a signature", 3),
+     "unknown token '-'; infix notation needs a signature that declares it",
+     3),
     ("", SIG_BOT, "expected a formula, found ''", 0),
     ("", None, "expected a formula, found ''", 0),
     (")", None, "expected a formula, found ')'", 0),
