@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import combinations, count, product
 from operator import or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
-from weakref import WeakMethod
+from weakref import ref
 
 from .errors import NonTotalAlgebraError, SemanticsError
 from .language import (P, App, Formula, Signature, Var, _pool_levels,
@@ -448,13 +448,14 @@ def _intern(items: list, ids: dict, item) -> int:
 
 class _Memo(dict):
     """A dict that fills a missing key with ``make(key)``; it holds the
-    method weakly, so its scan is freed without the cycle collector."""
+    method's object weakly, so that object is freed without the cycle
+    collector."""
 
     def __init__(self, make):
-        self.make = WeakMethod(make)
+        self.owner, self.make = ref(make.__self__), make.__func__
 
     def __missing__(self, key):
-        got = self[key] = self.make()(key)
+        got = self[key] = self.make(self.owner(), key)
         return got
 
 
