@@ -304,6 +304,61 @@ _CORRUPTIONS = {
            "FAIL gap-and-glut: atomic gap/glut statement unexpectedly valid",
            "PASS compound-recovery",
            "FAILED: 17/23 items passed"]),
+    "b5-antidesignated-fI": (
+        lambda a: replace(a, b5=BMatrix(a.b5.algebra, a.b5.designated,
+                                        frozenset({"f", "I"}))),
+        {"rules-28-sound", "separator-table"},
+        ["FAIL construction-golden: artifacts differ from embedded golden "
+         "tables"]
+        + _passes("paraconsistency", "gentle-explosion", "hallmark-axioms",
+                  "disjunction-facts")
+        + ["FAIL rules-28-sound: 28 rules, invalid: ['cons1', 'cons5', "
+           "'neg1']"]
+        + _passes("ex2-rules-sound", "ex2-repair")
+        + ["FAIL product-identity: product disagrees with bundled "
+           "two-dimensional matrix",
+           "FAIL separator-table: diverging entries: "
+           "{('I', 'T'): ('p', 'antidesignated', 'I'), "
+           "('T', 't'): ('neg(p)', 'antidesignated', 't')}"]
+        + _passes("inner-pairs-blind", "ex1-blind-spot",
+                  "worked-derivations-check", "worked-derivations-search",
+                  "dimensional-compression", "ex1-schemas-valid",
+                  "chain-soundness", "chain-strictness", "itneg-closed-form")
+        + ["FAIL recovery-random: 23 aspect mismatches"]
+        + _passes("relation-properties", "gap-and-glut", "compound-recovery")
+        + ["FAILED: 18/23 items passed"]),
+    "b5-designated-t-antidesignated-f": (
+        lambda a: replace(a, b5=BMatrix(a.b5.algebra, frozenset({"t"}),
+                                        frozenset({"f"}))),
+        {"rules-28-sound", "separator-table", "gap-and-glut"},
+        ["FAIL construction-golden: artifacts differ from embedded golden "
+         "tables"]
+        + _passes("paraconsistency", "gentle-explosion", "hallmark-axioms",
+                  "disjunction-facts")
+        + ["FAIL rules-28-sound: 28 rules, invalid: ['imp1', 'imp2', "
+           "'imp3', 'imp4', 'and1', 'and2', 'and3', 'and4', 'or1', 'or2', "
+           "'or3', 'or4', 'cons2', 'cons4', 'cons5', 'neg1', 'neg6', "
+           "'neg7', 'neg8']"]
+        + _passes("ex2-rules-sound", "ex2-repair")
+        + ["FAIL product-identity: product disagrees with bundled "
+           "two-dimensional matrix",
+           "FAIL separator-table: diverging entries: "
+           "{('f', 'I'): ('p', 'antidesignated', 'f'), "
+           "('f', 'T'): ('p', 'antidesignated', 'f'), "
+           "('F', 'I'): ('and(p,p)', 'antidesignated', 'F'), "
+           "('F', 'T'): ('and(p,p)', 'antidesignated', 'F'), "
+           "('I', 'T'): ('None', None, None), "
+           "('I', 't'): ('p', 'designated', 't'), "
+           "('T', 't'): ('p', 'designated', 't')}"]
+        + _passes("inner-pairs-blind", "ex1-blind-spot",
+                  "worked-derivations-check", "worked-derivations-search",
+                  "dimensional-compression", "ex1-schemas-valid",
+                  "chain-soundness", "chain-strictness", "itneg-closed-form")
+        + ["FAIL recovery-random: 100 aspect mismatches",
+           "PASS relation-properties",
+           "FAIL gap-and-glut: atomic gap/glut statement unexpectedly valid",
+           "PASS compound-recovery",
+           "FAILED: 17/23 items passed"]),
     "m5-designated-Tt": (
         lambda a: replace(a, m5=NdMatrix(a.m5.algebra,
                                          frozenset({"T", "t"}))),
