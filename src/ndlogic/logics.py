@@ -14,7 +14,6 @@ reports one pass/fail line per item.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,9 +22,9 @@ from typing import Callable, Iterable
 from .calculi import (STAR, Calculus, Label, Node, Proved, RuleSchema,
                       check_proof, prove)
 from .errors import LogicsError
-from .language import App, Formula, Signature, Var, parse_formula, substitute
+from .language import App, Formula, Signature, Var, parse_formula
 from .semantics import (BMatrix, BStatement, NdAlgebra, NdMatrix, Statement1D,
-                        aspect_entails, b_entails, b_product, entails_1d,
+                        b_entails, b_product, entails_1d,
                         expressiveness_report, separator_for_pair,
                         strong_hom_report, validate_rule)
 
@@ -501,79 +500,6 @@ class SuiteReport:
         return out
 
 
-def _random_formula(rng: random.Random, depth: int) -> Formula:
-    atoms = (Var("p"), Var("q"), Var("r"))
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(atoms)
-    conn = rng.choice(("neg", "cons", "and", "or", "imp"))
-    arity = SIGMA_MCI.arity(conn)
-    return App(conn, tuple(_random_formula(rng, depth - 1)
-                           for _ in range(arity)))
-
-
-def _random_fset(rng: random.Random, max_size: int,
-                 depth: int = 2) -> frozenset[Formula]:
-    return frozenset(_random_formula(rng, depth)
-                     for _ in range(rng.randint(0, max_size)))
-
-
-def _recovery_random(arts: MciArtifacts) -> int:
-    """How many aspect verdicts of b5 differ from m5's and m5_rej's."""
-    rng = random.Random(73501)
-    statements = [Statement1D(_random_fset(rng, 2), _random_fset(rng, 2))
-                  for _ in range(200)]
-    return sum(aspect_entails(arts.b5, aspect, s).valid
-               != entails_1d(m, s).valid
-               for s in statements
-               for aspect, m in (("t", arts.m5), ("f", arts.m5_rej)))
-
-
-def _relation_properties(arts: MciArtifacts) -> str:
-    """The first violations of overlap, dilution, substitution invariance
-    and finite cut on random statements of m5, mk1 and b5.  A statement is
-    a tuple of sides; ``shape`` gives the overlap and the base statement."""
-    rng = random.Random(90017)
-    bad: list[str] = []
-
-    def check(tag, valid, sizes, shape):
-        for i in range(500):
-            parts = tuple(_random_fset(rng, n) for n in sizes)
-            x = _random_formula(rng, 2)
-            overlap, s = shape(parts, x, rng.random() < 0.5)
-            if not valid(overlap):
-                bad.append(f"{tag} overlap #{i}")
-            if valid(s):
-                bigger = list(s)
-                bigger[0] |= _random_fset(rng, 1)
-                bigger[-1] |= _random_fset(rng, 1)
-                if not valid(bigger):
-                    bad.append(f"{tag} dilution #{i}")
-                sub = {v: _random_formula(rng, 1) for v in ("p", "q", "r")}
-                if not valid([frozenset(substitute(f, sub) for f in part)
-                              for part in s]):
-                    bad.append(f"{tag} substitution #{i}")
-            if valid(put(x, parts, 0)) and valid(put(x, parts, 1)) and \
-                    not valid(parts):
-                bad.append(f"{tag} cut #{i}")
-
-    def put(x, parts, *sides):
-        return [part | {x} if j in sides else part
-                for j, part in enumerate(parts)]
-
-    def shape_1d(parts, x, coin):
-        return put(x, parts, 0, 1), (put(x, parts, 1) if coin else parts)
-
-    def shape_2d(parts, x, coin):
-        return put(x, parts, *((0, 1) if coin else (2, 3))), parts
-
-    for tag, m in (("m5", arts.m5), ("mk1", mk_matrix(1).matrix)):
-        check(tag, lambda sides, m=m: entails_1d(m, Statement1D(*sides)).valid,
-              (2, 2), shape_1d)
-    check("b5", lambda sides: b_entails(arts.b5, BStatement(*sides)).valid,
-          (2, 1, 1, 1), shape_2d)
-    return "; ".join(bad[:5])
-
-
 def _proved(calc: Calculus, s: BStatement) -> bool:
     """Proof search finds a tree for ``s`` that check_proof accepts."""
     out = prove(calc, s, calc.theta, max_nodes=10 ** 4)
@@ -742,9 +668,6 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
         ("chain-soundness", chain_soundness, "{}"),
         ("chain-strictness", chain_strictness, "k in {} failed"),
         ("itneg-closed-form", itneg_closed_form, "mismatches at {}"),
-        ("recovery-random", lambda: _recovery_random(arts),
-         "{} aspect mismatches"),
-        ("relation-properties", lambda: _relation_properties(arts), "{}"),
         ("gap-and-glut",
          lambda: b_entails(arts.b5, BStatement(nacc={p}, nrej={p})).valid
          or b_entails(arts.b5, BStatement(acc={p, cons_p}, nrej={p})).valid,
