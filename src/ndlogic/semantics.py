@@ -460,7 +460,7 @@ class _Memo(dict):
 
 
 class _SeparatorScan:
-    """Separator search over one target matrix up to one depth.
+    """The unary formulas of one algebra up to one depth, and their vectors.
 
     The unary pool is built level by level, in the order of
     ``_pool_levels``, as deep as some pair's search needs; a level that
@@ -485,16 +485,12 @@ class _SeparatorScan:
     fits the budget, because they are its arguments; the last level built
     keeps only the first node of each new vector."""
 
-    def __init__(self, target: Matrix, max_depth: int,
+    def __init__(self, alg: NdAlgebra, max_depth: int,
                  max_formulas: int = 10 ** 6):
-        self.alg = alg = target.algebra
         _require_total(alg)
+        self.alg = alg
         if max_formulas < 1:
             raise SemanticsError("max_formulas must be >= 1")
-        self.dist = [(name, sum(1 << alg._index[v]
-                                for v in getattr(target, name)))
-                     for name in ("designated", "antidesignated")
-                     if hasattr(target, name)]
         self.nv = nv = len(alg.values)
         self.cells = {c: {sum(v * nv ** i for i, v in enumerate(args)):
                           sum(1 << w for w in out) for args, out in t.items()}
@@ -654,17 +650,6 @@ class _SeparatorScan:
                 got |= 1 << (code + w * top)
         return got
 
-    def separates(self, vec: int, x: int, y: int):
-        """None, or (set-name, value-landing-inside) when the formulas with
-        vector ``vec`` put x and y on opposite sides of that set."""
-        sx, sy = self.vectors[vec][x], self.vectors[vec][y]
-        for name, d in self.dist:
-            if not sx & ~d and not sy & d:
-                return name, x
-            if not sy & ~d and not sx & d:
-                return name, y
-        return None
-
 
 @dataclass(frozen=True)
 class PairSeparation:
@@ -688,12 +673,14 @@ def separator_for_pair(target: Matrix, x: str, y: str, max_depth: int,
     if no formula up to ``max_depth`` does, and a FormulaLimit if the pool
     up to the depth searched next has more than ``max_formulas`` formulas."""
     found = _separator_search(
-        _SeparatorScan(target, max_depth, max_formulas), x, y)
+        _SeparatorScan(target.algebra, max_depth, max_formulas), target, x, y)
     return found.limit or found.separator
 
 
-def _separator_search(scan: _SeparatorScan, x: str,
+def _separator_search(scan: _SeparatorScan, target: Matrix, x: str,
                       y: str) -> PairSeparation:
+    """The first vector of ``scan`` whose sets at x and y fall on opposite
+    sides of one of ``target``'s distinguished sets."""
     if x == y:
         raise SemanticsError("separator search requires two distinct values")
     index = scan.alg._index
@@ -701,14 +688,19 @@ def _separator_search(scan: _SeparatorScan, x: str,
         if v not in index:
             raise SemanticsError(f"unknown value {v!r}")
     xi, yi = index[x], index[y]
+    dist = [(name, sum(1 << index[v] for v in getattr(target, name)))
+            for name in ("designated", "antidesignated")
+            if hasattr(target, name)]
     for vec in count():
         while vec == len(scan.vectors):
             if not scan.grow():
                 return PairSeparation(x, y, None, limit=scan.limit)
-        hit = scan.separates(vec, xi, yi)
-        if hit:
-            return PairSeparation(x, y, scan.formula(scan.firsts[vec]),
-                                  hit[0], scan.alg.values[hit[1]])
+        sx, sy = scan.vectors[vec][xi], scan.vectors[vec][yi]
+        for name, d in dist:
+            for inside, outside, into in ((sx, sy, x), (sy, sx, y)):
+                if not inside & ~d and not outside & d:
+                    return PairSeparation(x, y, scan.formula(scan.firsts[vec]),
+                                          name, into)
 
 
 @dataclass(frozen=True)
@@ -746,8 +738,8 @@ def expressiveness_report(target: Matrix, max_depth: int,
                           ) -> ExpressivenessReport:
     """Separator search over every unordered pair of distinct values,
     within a pool of at most ``max_formulas`` formulas."""
-    scan = _SeparatorScan(target, max_depth, max_formulas)
-    entries = tuple(_separator_search(scan, x, y)
+    scan = _SeparatorScan(target.algebra, max_depth, max_formulas)
+    entries = tuple(_separator_search(scan, target, x, y)
                     for x, y in combinations(scan.alg.values, 2))
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix",

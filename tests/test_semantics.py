@@ -499,7 +499,7 @@ def _takes_relation(scan, index, f):
 
 
 def _full_scan(target, max_depth):
-    scan = _SeparatorScan(target, max_depth)
+    scan = _SeparatorScan(target.algebra, max_depth)
     while scan.grow():
         pass
     return scan
@@ -648,9 +648,9 @@ class TestLazyPool:
     def test_mci_b_report_stops_early(self, b5):
         reports = []
         for depth in (3, 4):
-            scan = _SeparatorScan(b5, depth)
+            scan = _SeparatorScan(b5.algebra, depth)
             values = b5.algebra.values
-            entries = [_separator_search(scan, x, y)
+            entries = [_separator_search(scan, b5, x, y)
                        for i, x in enumerate(values) for y in values[i + 1:]]
             assert all(e.separator for e in entries)
             assert scan.depth == 1 and len(scan.nodes) == scan.size == 6
@@ -659,7 +659,7 @@ class TestLazyPool:
         assert reports[1].sufficiently_expressive
 
     def test_pool_grows_to_the_end_in_order(self, m5):
-        scan = _SeparatorScan(m5, 2)
+        scan = _SeparatorScan(m5.algebra, 2)
         sizes = [scan.size]
         while scan.grow():
             sizes.append(scan.size)
@@ -705,7 +705,7 @@ class TestFormulaBudget:
             {FormulaLimit(2, 44165)}
         scan = _full_scan(m5, 3)
         assert scan.depth == 3 and scan.size == 44166
-        scan = _SeparatorScan(m5, 3, 44165)
+        scan = _SeparatorScan(m5.algebra, 3, 44165)
         while scan.grow():
             pass
         assert (scan.depth, scan.size, len(scan.nodes)) == (2, 121, 6)
