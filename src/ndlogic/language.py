@@ -162,7 +162,7 @@ class Signature:
         for name, arity in conns.items():
             if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
                 raise LanguageError(f"bad connective name: {name!r}")
-            if not isinstance(arity, int) or arity < 0:
+            if type(arity) is not int or arity < 0:
                 raise LanguageError(f"bad arity for {name!r}: {arity!r}")
         seen_aliases: dict[str, str] = {}
         for name, alias in notation.items():

@@ -223,7 +223,7 @@ def calculus_to_data(c: Calculus) -> Data:
 def calculus_from_data(data: Data, sig: Signature | None = None) -> Calculus:
     data = _expect_mapping(data, "calculus")
     _expect_keys(data, "calculus", {"name", "dimension", "rules"}, {"theta"})
-    if data["dimension"] not in (1, 2):
+    if type(data["dimension"]) is not int or data["dimension"] not in (1, 2):
         raise SerializeError("calculus dimension must be 1 or 2")
     if not isinstance(data["rules"], list):
         raise SerializeError("rules must be a list")

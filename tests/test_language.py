@@ -102,6 +102,11 @@ class TestParse:
         assert f == App("neg", (App("bottom", ()),))
         assert parse_formula(str(f), s) == f
 
+    @pytest.mark.parametrize("arity", [-1, True])
+    def test_bad_arity_rejected(self, arity):
+        with pytest.raises(LanguageError):
+            Signature({"neg": arity})
+
     def test_whitespace_insignificant(self):
         assert parse_formula(" neg ( p ) ", SIG) == neg(p)
 

@@ -149,9 +149,11 @@ class TestCalculusRoundtrip:
         with pytest.raises(SerializeError):
             rule_from_data({"acc": ["p"]}, 2)
 
-    def test_bad_dimension(self):
+    @pytest.mark.parametrize("dimension", [3, True, 1.0])
+    def test_bad_dimension(self, dimension):
         with pytest.raises(SerializeError):
-            calculus_from_data({"name": "x", "dimension": 3, "rules": []})
+            calculus_from_data({"name": "x", "dimension": dimension,
+                                "rules": []})
 
 
 class TestTreeRoundtrip:
