@@ -388,6 +388,118 @@ class TestBuiltin:
         assert "names a matrix" in res.output
 
 
+KNOWN = ("ex1, ex2, mci-b, mci5, mci5-rej, cplpos, ex2-calc, hmci2d, "
+         "mk:<k>, hmci:<k>, ex1-rules:<i>")
+
+
+class TestMessages:
+    """Every input error is one full ``error: ...`` line on exit 2."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["builtin", "nope"], f"unknown builtin 'nope'; known: {KNOWN}"),
+        (["builtin", "foo:3"], f"unknown builtin 'foo:3'; known: {KNOWN}"),
+        (["builtin", "foo:bar"],
+         "builtin 'foo:bar': index 'bar' is not an integer"),
+        (["builtin", "mk:zero"],
+         "builtin 'mk:zero': index 'zero' is not an integer"),
+        (["builtin", "builtin:builtin:mci5"],
+         "builtin 'builtin:mci5': index 'mci5' is not an integer"),
+        (["check", "--matrix", "builtin:hmci2d", "--statement",
+          PARACONSISTENCY], "'builtin:hmci2d' names a calculus, not a matrix"),
+        (["prove", "--calculus", "builtin:mci5", "--bstatement",
+          '{"acc":["p"]}'], "'builtin:mci5' names a matrix, not a calculus"),
+        (["check", "--matrix", "builtin:mci5", "--statement",
+          '{"acc":["p"]}'], "--statement requires antecedent/succedent keys"),
+        (["check", "--matrix", "builtin:mci-b", "--bstatement",
+          PARACONSISTENCY], "--bstatement requires acc/nacc/rej/nrej keys"),
+        (["check", "--matrix", "builtin:mci5"],
+         "exactly one of --statement/--bstatement is required"),
+        (["prove", "--calculus", "builtin:hmci2d", "--statement",
+          PARACONSISTENCY, "--bstatement", '{"acc":["p"]}'],
+         "exactly one of --statement/--bstatement is required"),
+        (["check", "--matrix", "builtin:mci5", "--statement", ""],
+         "cannot read statement from '': No such file or directory"),
+        (["check", "--matrix", "builtin:mci5", "--statement",
+          '{"foo":["p"],"antecedent":[]}'],
+         "statement has unknown key(s) ['foo']"),
+    ])
+    def test_error_line(self, runner, args, message):
+        res = invoke(runner, *args)
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
+
+
+# each command's parameters as click builds them: (name, opts, type,
+# required, default, help), in order; the help layout is click's own
+_MATRIX = ("matrix_spec", ("--matrix",), "text", True, None,
+           "Matrix: builtin:NAME, file path, @file, or inline JSON.")
+_CALCULUS = ("calculus_spec", ("--calculus",), "text", True, None,
+             "Calculus: builtin:NAME, file path, @file, or inline JSON.")
+_STATEMENTS = [
+    ("statement", ("--statement",), "text", False, None,
+     "One-dimensional statement as inline JSON or @file."),
+    ("bstatement", ("--bstatement",), "text", False, None,
+     "Two-dimensional statement as inline JSON or @file."),
+]
+_PARAMETERS = {
+    "check": [_MATRIX, *_STATEMENTS],
+    "prove": [
+        _CALCULUS, *_STATEMENTS,
+        ("theta", ("--theta",), "text", False, None,
+         "Theta set as a JSON list of formulas; defaults to the calculus "
+         "theta."),
+        ("max_nodes", ("--max-nodes",), "integer", False, 10 ** 6, None),
+        ("max_depth", ("--max-depth",), "integer", False, None,
+         "Depth limit; defaults to four times the fence size."),
+        ("dot", ("--dot",), "boolean", False, False,
+         "Render the proof tree as DOT."),
+    ],
+    "check-proof": [
+        _CALCULUS, *_STATEMENTS,
+        ("tree_spec", ("--tree",), "text", True, None,
+         "Derivation tree as inline JSON or @file."),
+    ],
+    "product": [
+        ("left", ("left",), "text", True, None, None),
+        ("right", ("right",), "text", True, None, None),
+        ("output", ("-o", "--output"), "text", False, None,
+         "Write the product matrix JSON here instead of stdout."),
+    ],
+    "separators": [
+        _MATRIX,
+        ("depth", ("--depth",), "integer", False, 3,
+         "Maximum separator formula depth."),
+        ("max_formulas", ("--max-formulas",), "integer", False, 10 ** 6,
+         "Stop before a depth that takes the formula pool past this size."),
+    ],
+    "validate-calculus": [_CALCULUS, _MATRIX],
+    "builtin": [
+        ("name", ("name",), "text", True, None, None),
+        ("output", ("-o", "--output"), "text", False, None,
+         "Write the artifact JSON here instead of stdout."),
+    ],
+    "verify-suite": [
+        ("chain_k", ("--chain-k",), "integer", False, 3,
+         "Largest family index exercised by the chain items."),
+        ("timings", ("--timings",), "boolean", False, False,
+         "Include per-item wall-clock times (non-reproducible)."),
+    ],
+}
+
+
+class TestParameters:
+
+    def test_commands_in_order(self):
+        assert list(main.commands) == list(_PARAMETERS)
+
+    @pytest.mark.parametrize("command", list(_PARAMETERS))
+    def test_parameters(self, command):
+        got = [(p.name, tuple(p.opts), p.type.name, p.required,
+                None if p.required else p.default, getattr(p, "help", None))
+               for p in main.commands[command].params]
+        assert got == _PARAMETERS[command]
+
+
 class TestVerifySuite:
 
     def test_runs_clean(self, runner):
