@@ -85,7 +85,7 @@ class RuleSchema:
     _vars: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if type(self.dimension) is not int or self.dimension not in (1, 2):
             raise CalculiError(f"rule {self.name!r}: dimension must be 1 or 2")
         for att in ("acc", "nacc", "rej", "nrej"):
             object.__setattr__(self, att, _fset(getattr(self, att)))
@@ -155,6 +155,9 @@ class Calculus:
     theta: frozenset[Formula] | None = None
 
     def __post_init__(self):
+        if type(self.dimension) is not int or self.dimension not in (1, 2):
+            raise CalculiError(
+                f"calculus {self.name!r}: dimension must be 1 or 2")
         rules = tuple(self.rules)
         names = [r.name for r in rules]
         if len(set(names)) != len(names):

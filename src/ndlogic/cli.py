@@ -53,27 +53,28 @@ def _read_source(spec: str, what: str) -> str:
             f"cannot read {what} from {path!r}: {e.strerror}")
 
 
-_MATRIX_BUILTINS = {
-    "mci5": lambda: mci_artifacts().m5,
-    "mci5-rej": lambda: mci_artifacts().m5_rej,
-    "mci-b": lambda: mci_artifacts().b5,
+_BUILTINS = {
     "ex1": lambda: example1()[0],
     "ex2": lambda: example2()[0],
+    "mci-b": lambda: mci_artifacts().b5,
+    "mci5": lambda: mci_artifacts().m5,
+    "mci5-rej": lambda: mci_artifacts().m5_rej,
+    "cplpos": cpl_pos,
+    "ex2-calc": lambda: example2()[1],
+    "hmci2d": lambda: mci_artifacts().hmci2d,
 }
 
-_CALCULUS_BUILTINS = {
-    "hmci2d": lambda: mci_artifacts().hmci2d,
-    "ex2-calc": lambda: example2()[1],
-    "cplpos": cpl_pos,
+_FAMILIES = {
+    "mk:<k>": lambda k: mk_matrix(k).matrix,
+    "hmci:<k>": lambda k: hmci_axioms(k).calculus,
+    "ex1-rules:<i>": example1_rules,
 }
 
 
 def _builtin(name: str):
     """Resolve a builtin artifact name, without the ``builtin:`` prefix."""
-    if name in _MATRIX_BUILTINS:
-        return _MATRIX_BUILTINS[name]()
-    if name in _CALCULUS_BUILTINS:
-        return _CALCULUS_BUILTINS[name]()
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     head, sep, arg = name.rpartition(":")
     if sep:
         try:
@@ -81,66 +82,67 @@ def _builtin(name: str):
         except ValueError:
             raise CliInputError(
                 f"builtin {name!r}: index {arg!r} is not an integer")
-        if head == "mk":
-            return mk_matrix(idx).matrix
-        if head == "hmci":
-            return hmci_axioms(idx).calculus
-        if head == "ex1-rules":
-            return example1_rules(idx)
-    known = sorted(_MATRIX_BUILTINS) + sorted(_CALCULUS_BUILTINS) + \
-        ["mk:<k>", "hmci:<k>", "ex1-rules:<i>"]
-    raise CliInputError(
-        f"unknown builtin {name!r}; known: {', '.join(known)}")
+        for key, make in _FAMILIES.items():
+            if key.rpartition(":")[0] == head:
+                return make(idx)
+    raise CliInputError(f"unknown builtin {name!r}; known: "
+                        f"{', '.join([*_BUILTINS, *_FAMILIES])}")
 
 
-def _load_matrix(spec: str) -> NdMatrix | BMatrix:
-    if spec.startswith("builtin:"):
-        got = _builtin(spec[len("builtin:"):])
-        if not isinstance(got, (NdMatrix, BMatrix)):
-            raise CliInputError(f"{spec!r} names a calculus, not a matrix")
+_FROM_DATA = {"matrix": serialize.matrix_from_data,
+              "calculus": serialize.calculus_from_data,
+              "statement": serialize.statement_from_data,
+              "tree": serialize.tree_from_data}
+
+
+def _load(spec: str, what: str, *args):
+    """Read a matrix, calculus, statement or tree; ``args`` go on to its
+    ``serialize`` reader.  Matrices and calculi also take builtin names."""
+    if what in ("matrix", "calculus") and spec.startswith("builtin:"):
+        got = _builtin(spec.removeprefix("builtin:"))
+        if isinstance(got, Calculus) != (what == "calculus"):
+            other = "matrix" if what == "calculus" else "calculus"
+            raise CliInputError(f"{spec!r} names a {other}, not a {what}")
         return got
-    return serialize.matrix_from_data(
-        serialize.loads(_read_source(spec, "matrix")))
+    return _FROM_DATA[what](serialize.loads(_read_source(spec, what)), *args)
 
 
-def _load_calculus(spec: str) -> Calculus:
-    if spec.startswith("builtin:"):
-        got = _builtin(spec[len("builtin:"):])
-        if not isinstance(got, Calculus):
-            raise CliInputError(f"{spec!r} names a matrix, not a calculus")
-        return got
-    return serialize.calculus_from_data(
-        serialize.loads(_read_source(spec, "calculus")))
-
-
-def _load_statement(spec: str, sig=None):
-    return serialize.statement_from_data(
-        serialize.loads(_read_source(spec, "statement")), sig)
-
-
-def _load_theta(spec: str, sig=None) -> frozenset:
+def _load_theta(spec: str) -> frozenset:
     data = serialize.loads(_read_source(spec, "theta"))
     if not isinstance(data, list) or \
             not all(isinstance(x, str) for x in data):
         raise CliInputError("theta must be a JSON list of formula strings")
-    return frozenset(parse_formula(t, sig) for t in data)
+    return frozenset(parse_formula(t) for t in data)
 
 
-def _statement_option(statement, bstatement, sig=None):
+def _statement(statement, bstatement, sig=None):
     """Resolve the mutually exclusive --statement/--bstatement pair."""
     if (statement is None) == (bstatement is None):
         raise CliInputError(
             "exactly one of --statement/--bstatement is required")
-    if statement is not None:
-        s = _load_statement(statement, sig)
-        if not isinstance(s, Statement1D):
-            raise CliInputError(
-                "--statement requires antecedent/succedent keys")
-        return s
-    s = _load_statement(bstatement, sig)
-    if not isinstance(s, BStatement):
-        raise CliInputError("--bstatement requires acc/nacc/rej/nrej keys")
+    flag, spec, kind, dim = (("--statement", statement, Statement1D, 1)
+                             if statement is not None else
+                             ("--bstatement", bstatement, BStatement, 2))
+    s = _load(spec, "statement", sig)
+    if not isinstance(s, kind):
+        raise CliInputError(
+            f"{flag} requires {'/'.join(serialize._SIDES[dim])} keys")
     return s
+
+
+def _artifact_option(what: str):
+    """The required --matrix or --calculus option."""
+    return click.option(f"--{what}", f"{what}_spec", required=True,
+                        help=f"{what.capitalize()}: builtin:NAME, file path, "
+                             "@file, or inline JSON.")
+
+
+def _statement_options(fn):
+    """The --statement/--bstatement pair; resolve it with ``_statement``."""
+    fn = click.option("--bstatement", default=None, help="Two-dimensional "
+                      "statement as inline JSON or @file.")(fn)
+    return click.option("--statement", default=None, help="One-dimensional "
+                        "statement as inline JSON or @file.")(fn)
 
 
 def _guarded(fn):
@@ -154,12 +156,10 @@ def _guarded(fn):
     def run(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (CliInputError, NdlogicError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(2)
         except Exception as e:
-            message = f"{type(e).__name__}: {e}".splitlines()[0]
-            click.echo(f"error: {message}", err=True)
+            if not isinstance(e, (CliInputError, NdlogicError)):
+                e = f"{type(e).__name__}: {e}".splitlines()[0]
+            click.echo(f"error: {e}", err=True)
             sys.exit(2)
 
     return run
@@ -183,17 +183,13 @@ def main():
 
 
 @main.command()
-@click.option("--matrix", "matrix_spec", required=True,
-              help="Matrix: builtin:NAME, file path, @file, or inline JSON.")
-@click.option("--statement", default=None,
-              help="One-dimensional statement as inline JSON or @file.")
-@click.option("--bstatement", default=None,
-              help="Two-dimensional statement as inline JSON or @file.")
+@_artifact_option("matrix")
+@_statement_options
 @_guarded
 def check(matrix_spec, statement, bstatement):
     """Decide a statement against a matrix; print the first countermodel."""
-    m = _load_matrix(matrix_spec)
-    s = _statement_option(statement, bstatement, m.algebra.signature)
+    m = _load(matrix_spec, "matrix")
+    s = _statement(statement, bstatement, m.algebra.signature)
     if isinstance(s, Statement1D):
         if not isinstance(m, NdMatrix):
             raise CliInputError("a one-dimensional statement needs a plain "
@@ -206,7 +202,7 @@ def check(matrix_spec, statement, bstatement):
         verdict = b_entails(m, s)
     if verdict.valid:
         click.echo("valid")
-        sys.exit(0)
+        return
     click.echo("invalid; countermodel:")
     for line in verdict.countermodel.lines():
         click.echo(f"  {line}")
@@ -214,12 +210,8 @@ def check(matrix_spec, statement, bstatement):
 
 
 @main.command()
-@click.option("--calculus", "calculus_spec", required=True,
-              help="Calculus: builtin:NAME, file path, @file, or inline JSON.")
-@click.option("--statement", default=None,
-              help="One-dimensional statement as inline JSON or @file.")
-@click.option("--bstatement", default=None,
-              help="Two-dimensional statement as inline JSON or @file.")
+@_artifact_option("calculus")
+@_statement_options
 @click.option("--theta", default=None,
               help="Theta set as a JSON list of formulas; defaults to the "
                    "calculus theta.")
@@ -231,20 +223,18 @@ def check(matrix_spec, statement, bstatement):
 def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,
           dot):
     """Search for a proof; print the tree, or why none was found."""
-    c = _load_calculus(calculus_spec)
-    s = _statement_option(statement, bstatement)
+    c = _load(calculus_spec, "calculus")
+    s = _statement(statement, bstatement)
     theta_set = _load_theta(theta) if theta is not None else c.theta
     if theta_set is None:
         raise CliInputError(
             "no theta: pass --theta or use a calculus that has one")
-    kwargs = {"max_nodes": max_nodes}
-    if max_depth is not None:
-        kwargs["max_depth"] = max_depth
-    outcome = run_prove(c, s, theta_set, **kwargs)
+    outcome = run_prove(c, s, theta_set, max_nodes=max_nodes,
+                        max_depth=max_depth)
     if isinstance(outcome, Proved):
         render = render_tree_dot if dot else render_tree_text
         click.echo(render(outcome.tree, c.dimension))
-        sys.exit(0)
+        return
     if isinstance(outcome, Saturated):
         click.echo("not proved: saturated at open label "
                    + outcome.label.render(c.dimension))
@@ -255,24 +245,18 @@ def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,
 
 
 @main.command("check-proof")
-@click.option("--calculus", "calculus_spec", required=True,
-              help="Calculus: builtin:NAME, file path, @file, or inline JSON.")
-@click.option("--statement", default=None,
-              help="One-dimensional statement as inline JSON or @file.")
-@click.option("--bstatement", default=None,
-              help="Two-dimensional statement as inline JSON or @file.")
+@_artifact_option("calculus")
+@_statement_options
 @click.option("--tree", "tree_spec", required=True,
               help="Derivation tree as inline JSON or @file.")
 @_guarded
 def check_proof_cmd(calculus_spec, statement, bstatement, tree_spec):
     """Check a transcribed derivation tree against calculus and statement."""
-    c = _load_calculus(calculus_spec)
-    s = _statement_option(statement, bstatement)
-    tree = serialize.tree_from_data(
-        serialize.loads(_read_source(tree_spec, "tree")))
-    if check_proof(c, s, tree):
+    c = _load(calculus_spec, "calculus")
+    s = _statement(statement, bstatement)
+    if check_proof(c, s, _load(tree_spec, "tree")):
         click.echo("proof ok")
-        sys.exit(0)
+        return
     click.echo("proof rejected")
     sys.exit(1)
 
@@ -285,17 +269,15 @@ def check_proof_cmd(calculus_spec, statement, bstatement, tree_spec):
 @_guarded
 def product(left, right, output):
     """Combine two matrices over one algebra into a B-matrix."""
-    m1, m2 = _load_matrix(left), _load_matrix(right)
+    m1, m2 = _load(left, "matrix"), _load(right, "matrix")
     if not isinstance(m1, NdMatrix) or not isinstance(m2, NdMatrix):
         raise CliInputError("product needs two plain matrices")
     b = b_product(m1, m2)
     _emit(serialize.dumps(serialize.matrix_to_data(b)), output)
-    sys.exit(0)
 
 
 @main.command()
-@click.option("--matrix", "matrix_spec", required=True,
-              help="Matrix: builtin:NAME, file path, @file, or inline JSON.")
+@_artifact_option("matrix")
 @click.option("--depth", type=int, default=3, show_default=True,
               help="Maximum separator formula depth.")
 @click.option("--max-formulas", type=int, default=10 ** 6, show_default=True,
@@ -304,7 +286,7 @@ def product(left, right, output):
 @_guarded
 def separators(matrix_spec, depth, max_formulas):
     """Search for unary separators for every pair of values."""
-    m = _load_matrix(matrix_spec)
+    m = _load(matrix_spec, "matrix")
     report = expressiveness_report(m, depth, max_formulas)
     for line in report.lines():
         click.echo(line)
@@ -312,15 +294,13 @@ def separators(matrix_spec, depth, max_formulas):
 
 
 @main.command("validate-calculus")
-@click.option("--calculus", "calculus_spec", required=True,
-              help="Calculus: builtin:NAME, file path, @file, or inline JSON.")
-@click.option("--matrix", "matrix_spec", required=True,
-              help="Matrix: builtin:NAME, file path, @file, or inline JSON.")
+@_artifact_option("calculus")
+@_artifact_option("matrix")
 @_guarded
 def validate_calculus(calculus_spec, matrix_spec):
     """Check every rule of a calculus for validity in a matrix."""
-    c = _load_calculus(calculus_spec)
-    m = _load_matrix(matrix_spec)
+    c = _load(calculus_spec, "calculus")
+    m = _load(matrix_spec, "matrix")
     bad = 0
     for r in c.rules:
         verdict = validate_rule(m, r)
@@ -341,15 +321,10 @@ def validate_calculus(calculus_spec, matrix_spec):
 @_guarded
 def builtin(name, output):
     """Print a bundled artifact as JSON; NAME may carry a builtin: prefix."""
-    if name.startswith("builtin:"):
-        name = name[len("builtin:"):]
-    got = _builtin(name)
-    if isinstance(got, (NdMatrix, BMatrix)):
-        data = serialize.matrix_to_data(got)
-    else:
-        data = serialize.calculus_to_data(got)
-    _emit(serialize.dumps(data), output)
-    sys.exit(0)
+    got = _builtin(name.removeprefix("builtin:"))
+    to_data = (serialize.calculus_to_data if isinstance(got, Calculus)
+               else serialize.matrix_to_data)
+    _emit(serialize.dumps(to_data(got)), output)
 
 
 @main.command("verify-suite")

@@ -53,26 +53,22 @@ _MCI_CONS = {("f",): {"T"}, ("F",): {"T"}, ("I",): {"F"},
              ("T",): {"T"}, ("t",): {"T"}}
 
 
-def _mci_binary_tables():
-    """The three binary tables, generated from their membership rules."""
-    d = MCI_DESIGNATED
-    both_high = frozenset({"I", "t"})
-    low = frozenset({"f"})
-    and_t, or_t, imp_t = {}, {}, {}
-    for x in MCI_VALUES:
-        for y in MCI_VALUES:
-            and_t[(x, y)] = both_high if (x in d and y in d) else low
-            or_t[(x, y)] = both_high if (x in d or y in d) else low
-            imp_t[(x, y)] = both_high if (x not in d or y in d) else low
-    return and_t, or_t, imp_t
+def _positive(values, designated, high, low) -> dict:
+    """The and/or/imp tables of a positive fragment: ``high`` where the
+    classical connective holds of membership in ``designated``, else
+    ``low``."""
+    ops = {"and": lambda a, b: a and b, "or": lambda a, b: a or b,
+           "imp": lambda a, b: not a or b}
+    return {conn: {(x, y): high if op(x in designated, y in designated)
+                   else low for x in values for y in values}
+            for conn, op in ops.items()}
 
 
 @lru_cache(maxsize=1)
 def _mci_algebra() -> NdAlgebra:
-    and_t, or_t, imp_t = _mci_binary_tables()
     alg = NdAlgebra(SIGMA_MCI, MCI_VALUES, {
         "neg": _MCI_NEG, "cons": _MCI_CONS,
-        "and": and_t, "or": or_t, "imp": imp_t,
+        **_positive(MCI_VALUES, MCI_DESIGNATED, {"I", "t"}, {"f"}),
     })
     # construction self-check: spot facts that pin each table's shape
     checks = [
@@ -266,18 +262,11 @@ def mk_matrix(k: int) -> MkMatrix:
             return x + s
         return x - (s - 1)
 
-    d = set(range(s + 1, top + 1))
     interp = {
         "neg": {(str(x),): {str(neg(x))} for x in range(1, top + 1)},
         "cons": {(str(x),): {"1" if x == top else str(s + 1)}
                  for x in range(1, top + 1)},
-        "and": {(str(x), str(y)): {str(s + 1) if (x in d and y in d) else "1"}
-                for x in range(1, top + 1) for y in range(1, top + 1)},
-        "or": {(str(x), str(y)): {str(s + 1) if (x in d or y in d) else "1"}
-               for x in range(1, top + 1) for y in range(1, top + 1)},
-        "imp": {(str(x), str(y)): {"1" if (x in d and y not in d)
-                                   else str(s + 1)}
-                for x in range(1, top + 1) for y in range(1, top + 1)},
+        **_positive(values, des, {str(s + 1)}, {"1"}),
     }
     return MkMatrix(k, NdMatrix(NdAlgebra(SIGMA_MCI, values, interp), des))
 
@@ -305,16 +294,8 @@ def iterated_neg(k: int, m: int) -> int:
 def two_valued_positive_matrix() -> NdMatrix:
     """Classical two-valued matrix for the binary fragment."""
     sig = Signature({"and": 2, "or": 2, "imp": 2})
-    t, f = "1", "0"
-    interp = {
-        "and": {(x, y): {t if x == t and y == t else f}
-                for x in (f, t) for y in (f, t)},
-        "or": {(x, y): {t if x == t or y == t else f}
-               for x in (f, t) for y in (f, t)},
-        "imp": {(x, y): {f if x == t and y == f else t}
-                for x in (f, t) for y in (f, t)},
-    }
-    return NdMatrix(NdAlgebra(sig, (f, t), interp), frozenset({t}))
+    interp = _positive(("0", "1"), {"1"}, {"1"}, {"0"})
+    return NdMatrix(NdAlgebra(sig, ("0", "1"), interp), frozenset({"1"}))
 
 
 def mk_boolean_collapse(k: int) -> dict[str, str]:

@@ -150,47 +150,35 @@ def matrix_from_data(data: Data) -> NdMatrix | BMatrix:
 
 
 # ---------------------------------------------------------------------------
-# statements
+# statements and rules
+#
+# the JSON keys of their formula sets by dimension, in the positional field
+# order of Statement1D, BStatement and RuleSchema (after name and dimension)
+
+_SIDES = {1: ("antecedent", "succedent"), 2: ("acc", "nacc", "rej", "nrej")}
 
 
 def statement_to_data(s: Statement1D | BStatement) -> Data:
-    if isinstance(s, Statement1D):
-        return {"antecedent": _formula_strs(s.antecedent),
-                "succedent": _formula_strs(s.succedent)}
-    if isinstance(s, BStatement):
-        return {"acc": _formula_strs(s.acc), "nacc": _formula_strs(s.nacc),
-                "rej": _formula_strs(s.rej), "nrej": _formula_strs(s.nrej)}
+    for kind, keys in zip((Statement1D, BStatement), _SIDES.values()):
+        if isinstance(s, kind):
+            return {k: _formula_strs(getattr(s, k)) for k in keys}
     raise SerializeError(f"not a statement: {s!r}")
 
 
 def statement_from_data(data: Data, sig: Signature | None = None,
                         ) -> Statement1D | BStatement:
     data = _expect_mapping(data, "statement")
-    if "antecedent" in data or "succedent" in data:
-        _expect_keys(data, "statement", set(), {"antecedent", "succedent"})
-        return Statement1D(
-            _formulas(data.get("antecedent", []), "antecedent", sig),
-            _formulas(data.get("succedent", []), "succedent", sig))
-    if set(data) & {"acc", "nacc", "rej", "nrej"}:
-        _expect_keys(data, "statement", set(), {"acc", "nacc", "rej", "nrej"})
-        return BStatement(*(_formulas(data.get(k, []), k, sig)
-                            for k in ("acc", "nacc", "rej", "nrej")))
-    raise SerializeError(
-        "statement must have antecedent/succedent or acc/nacc/rej/nrej keys")
-
-
-# ---------------------------------------------------------------------------
-# calculi
+    for kind, keys in zip((Statement1D, BStatement), _SIDES.values()):
+        if set(data) & set(keys):
+            _expect_keys(data, "statement", set(), set(keys))
+            return kind(*(_formulas(data.get(k, []), k, sig) for k in keys))
+    raise SerializeError("statement must have " + " or ".join(
+        "/".join(keys) for keys in _SIDES.values()) + " keys")
 
 
 def rule_to_data(r: RuleSchema) -> Data:
-    if r.dimension == 1:
-        return {"name": r.name,
-                "antecedent": _schema_strs(r.antecedent),
-                "succedent": _schema_strs(r.succedent)}
-    return {"name": r.name,
-            "acc": _schema_strs(r.acc), "nacc": _schema_strs(r.nacc),
-            "rej": _schema_strs(r.rej), "nrej": _schema_strs(r.nrej)}
+    keys = _SIDES[1 if r.dimension == 1 else 2]
+    return {"name": r.name, **{k: _schema_strs(getattr(r, k)) for k in keys}}
 
 
 def rule_from_data(data: Data, dimension: int,
@@ -200,16 +188,14 @@ def rule_from_data(data: Data, dimension: int,
         raise SerializeError("rule lacks a name")
     name = data["name"]
     what = f"rule {name!r}"
-    if dimension == 1:
-        _expect_keys(data, what, {"name"}, {"antecedent", "succedent"})
-        return RuleSchema(
-            name, 1,
-            acc=_formulas(data.get("antecedent", []), what, sig),
-            nacc=_formulas(data.get("succedent", []), what, sig))
-    _expect_keys(data, what, {"name"}, {"acc", "nacc", "rej", "nrej"})
-    return RuleSchema(name, 2,
-                      *(_formulas(data.get(k, []), what, sig)
-                        for k in ("acc", "nacc", "rej", "nrej")))
+    keys = _SIDES[1 if dimension == 1 else 2]
+    _expect_keys(data, what, {"name"}, set(keys))
+    return RuleSchema(name, dimension,
+                      *(_formulas(data.get(k, []), what, sig) for k in keys))
+
+
+# ---------------------------------------------------------------------------
+# calculi
 
 
 def calculus_to_data(c: Calculus) -> Data:

@@ -62,9 +62,10 @@ class TestSchemas:
         with pytest.raises(CalculiError):
             RuleSchema("x", 1, acc={p}, nrej={p})
 
-    def test_dimension_range(self):
+    @pytest.mark.parametrize("dimension", [3, True, 1.0])
+    def test_dimension_range(self, dimension):
         with pytest.raises(CalculiError):
-            RuleSchema("x", 3, acc={p})
+            RuleSchema("x", dimension, acc={p})
 
     def test_schema_variables_sorted(self):
         r = RuleSchema("x", 2, acc={fgh("g(q)")}, nrej={p})
@@ -88,6 +89,11 @@ class TestSchemas:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(CalculiError):
             Calculus("c", 2, (R1, AX_K))
+
+    @pytest.mark.parametrize("dimension", [3, True, 1.0])
+    def test_calculus_dimension_range(self, dimension):
+        with pytest.raises(CalculiError):
+            Calculus("c", dimension, ())
 
     def test_rule_named(self):
         assert GH_CALC.rule_named("r2") is R2
