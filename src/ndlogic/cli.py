@@ -120,9 +120,10 @@ def _statement(statement, bstatement, sig=None):
     if (statement is None) == (bstatement is None):
         raise CliInputError(
             "exactly one of --statement/--bstatement is required")
-    flag, spec, kind, dim = (("--statement", statement, Statement1D, 1)
-                             if statement is not None else
-                             ("--bstatement", bstatement, BStatement, 2))
+    if statement is not None:
+        flag, spec, kind, dim = "--statement", statement, Statement1D, 1
+    else:
+        flag, spec, kind, dim = "--bstatement", bstatement, BStatement, 2
     s = _load(spec, "statement", sig)
     if not isinstance(s, kind):
         raise CliInputError(
@@ -157,9 +158,10 @@ def _guarded(fn):
         try:
             return fn(*args, **kwargs)
         except Exception as e:
+            message = str(e)
             if not isinstance(e, (CliInputError, NdlogicError)):
-                e = f"{type(e).__name__}: {e}".splitlines()[0]
-            click.echo(f"error: {e}", err=True)
+                message = f"{type(e).__name__}: {e}".splitlines()[0]
+            click.echo(f"error: {message}", err=True)
             sys.exit(2)
 
     return run

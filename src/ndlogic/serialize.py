@@ -169,7 +169,7 @@ def statement_from_data(data: Data, sig: Signature | None = None,
                         ) -> Statement1D | BStatement:
     data = _expect_mapping(data, "statement")
     for kind, keys in zip((Statement1D, BStatement), _SIDES.values()):
-        if set(data) & set(keys):
+        if not data.keys().isdisjoint(keys):
             _expect_keys(data, "statement", set(), set(keys))
             return kind(*(_formulas(data.get(k, []), k, sig) for k in keys))
     raise SerializeError("statement must have " + " or ".join(
