@@ -203,14 +203,10 @@ def instantiate_rule(r: RuleSchema, s: Substitution) -> RuleInstance:
 
 
 class _StarType:
-    """The discontinuation label; a single shared instance."""
+    """The discontinuation label; copies and unpickling give back STAR."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):
+        return "STAR"
 
     def __repr__(self):
         return "Star"
@@ -579,10 +575,6 @@ def _statement_pairs(c: Calculus, s) -> tuple[Label, Label]:
     raise CalculiError(f"not a statement: {s!r}")
 
 
-def _meets(label: Label, succ: Label) -> bool:
-    return bool(label.acc & succ.acc) or bool(label.rej & succ.rej)
-
-
 def check_proof(c: Calculus, s, t: Node) -> bool:
     """True iff ``t`` is a correct derivation whose root lies inside the
     statement's antecedent pair and whose every branch discontinues or
@@ -595,7 +587,8 @@ def check_proof(c: Calculus, s, t: Node) -> bool:
     stack = [t]
     while stack:
         n = stack.pop()
-        if not (n.children or n.is_star or _meets(n.label, suc)):
+        if not (n.children or n.is_star or n.label.acc & suc.acc
+                or n.label.rej & suc.rej):
             return False
         stack += n.children
     return True
@@ -627,7 +620,7 @@ class LimitExceeded:
     nodes: int
     depth: int
     max_nodes: int
-    max_depth: int
+    max_depth: int | None
 
 
 ProofOutcome = Union[Proved, Saturated, LimitExceeded]
@@ -642,9 +635,9 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     Expands the leftmost open branch with the first applicable instance;
     a branch stops when its label meets the succedent pair.  Greedy
     expansion is complete relative to the fence (larger labels inherit
-    proofs), so the first saturated label ends the search.  A label with
-    no applicable instance saturates even at the depth limit, so the empty
-    statement (empty fence, depth limit 0) gives ``Saturated(Label())``.
+    proofs), so the first saturated label ends the search.  Each expansion
+    adds a formula to one side, so no branch outgrows the fence; the
+    search needs no depth limit, and ``max_depth`` is only the caller's.
 
     The search runs depth first on an explicit stack.  A label is one
     mask of fence positions, its acc side in the low ``n`` bits and its
@@ -663,8 +656,6 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     pool = _instance_pool(c, fence)
     n = len(fence.formulas)
     twice = 2 * n
-    if max_depth is None:
-        max_depth = 4 * n
     keys = [row[3] for row in pool]
     # per row, once it is used: the bits its children add, last child first
     grown: list[list[int] | None] = [None] * len(pool)
@@ -691,13 +682,16 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
             i = indexOf(map(_blocked(x, twice).__and__, keys), 0)
         except ValueError:
             return Saturated(fence.label_of(x))
-        if depth >= max_depth:
+        if max_depth is not None and depth >= max_depth:
             return LimitExceeded("max_depth", nodes, deepest, max_nodes,
                                  max_depth)
         me = len(visited)
         visited.append((x, i, parent))
         if not keys[i] >> twice:
             nodes += 1
+            if nodes > max_nodes:
+                return LimitExceeded("max_nodes", nodes, deepest, max_nodes,
+                                     max_depth)
             visited.append(None)
             continue
         adds = grown[i]

@@ -75,16 +75,15 @@ def _builtin(name: str):
     """Resolve a builtin artifact name, without the ``builtin:`` prefix."""
     if name in _BUILTINS:
         return _BUILTINS[name]()
-    head, sep, arg = name.rpartition(":")
-    if sep:
-        try:
-            idx = int(arg)
-        except ValueError:
-            raise CliInputError(
-                f"builtin {name!r}: index {arg!r} is not an integer")
-        for key, make in _FAMILIES.items():
-            if key.rpartition(":")[0] == head:
-                return make(idx)
+    head, _, arg = name.rpartition(":")
+    for key, make in _FAMILIES.items():
+        if key.rpartition(":")[0] == head:
+            try:
+                idx = int(arg)
+            except ValueError:
+                raise CliInputError(
+                    f"builtin {name!r}: index {arg!r} is not an integer")
+            return make(idx)
     raise CliInputError(f"unknown builtin {name!r}; known: "
                         f"{', '.join([*_BUILTINS, *_FAMILIES])}")
 
@@ -219,7 +218,7 @@ def check(matrix_spec, statement, bstatement):
                    "calculus theta.")
 @click.option("--max-nodes", type=int, default=10 ** 6, show_default=True)
 @click.option("--max-depth", type=int, default=None,
-              help="Depth limit; defaults to four times the fence size.")
+              help="Depth limit; none by default.")
 @click.option("--dot", is_flag=True, help="Render the proof tree as DOT.")
 @_guarded
 def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,

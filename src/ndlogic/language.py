@@ -179,12 +179,6 @@ class Signature:
         object.__setattr__(self, "connectives", conns)
         object.__setattr__(self, "notation", notation)
 
-    def arity(self, name: str) -> int:
-        try:
-            return self.connectives[name]
-        except KeyError:
-            raise LanguageError(f"unknown connective {name!r}") from None
-
     def infix_aliases(self) -> dict[str, str]:
         """alias -> connective name."""
         return {alias: name for name, alias in self.notation.items()}

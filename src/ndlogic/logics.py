@@ -64,30 +64,6 @@ def _positive(values, designated, high, low) -> dict:
             for conn, op in ops.items()}
 
 
-@lru_cache(maxsize=1)
-def _mci_algebra() -> NdAlgebra:
-    alg = NdAlgebra(SIGMA_MCI, MCI_VALUES, {
-        "neg": _MCI_NEG, "cons": _MCI_CONS,
-        **_positive(MCI_VALUES, MCI_DESIGNATED, {"I", "t"}, {"f"}),
-    })
-    # construction self-check: spot facts that pin each table's shape
-    checks = [
-        alg.interpretation["neg"][("f",)] == {"I", "t"},
-        alg.interpretation["neg"][("T",)] == {"F"},
-        alg.interpretation["cons"][("I",)] == {"F"},
-        alg.interpretation["cons"][("t",)] == {"T"},
-        alg.interpretation["and"][("T", "t")] == {"I", "t"},
-        alg.interpretation["and"][("T", "F")] == {"f"},
-        alg.interpretation["or"][("f", "F")] == {"f"},
-        alg.interpretation["or"][("f", "T")] == {"I", "t"},
-        alg.interpretation["imp"][("F", "f")] == {"I", "t"},
-        alg.interpretation["imp"][("t", "F")] == {"f"},
-    ]
-    if not all(checks):
-        raise LogicsError("five-valued algebra failed its construction check")
-    return alg
-
-
 # ---------------------------------------------------------------------------
 # the 28-rule two-dimensional calculus
 #
@@ -150,7 +126,25 @@ class MciArtifacts:
 
 @lru_cache(maxsize=1)
 def mci_artifacts() -> MciArtifacts:
-    alg = _mci_algebra()
+    alg = NdAlgebra(SIGMA_MCI, MCI_VALUES, {
+        "neg": _MCI_NEG, "cons": _MCI_CONS,
+        **_positive(MCI_VALUES, MCI_DESIGNATED, {"I", "t"}, {"f"}),
+    })
+    # construction self-check: spot facts that pin each table's shape
+    checks = [
+        alg.interpretation["neg"][("f",)] == {"I", "t"},
+        alg.interpretation["neg"][("T",)] == {"F"},
+        alg.interpretation["cons"][("I",)] == {"F"},
+        alg.interpretation["cons"][("t",)] == {"T"},
+        alg.interpretation["and"][("T", "t")] == {"I", "t"},
+        alg.interpretation["and"][("T", "F")] == {"f"},
+        alg.interpretation["or"][("f", "F")] == {"f"},
+        alg.interpretation["or"][("f", "T")] == {"I", "t"},
+        alg.interpretation["imp"][("F", "f")] == {"I", "t"},
+        alg.interpretation["imp"][("t", "F")] == {"f"},
+    ]
+    if not all(checks):
+        raise LogicsError("five-valued algebra failed its construction check")
     m5 = NdMatrix(alg, MCI_DESIGNATED)
     m5_rej = NdMatrix(alg, MCI_ANTIDESIGNATED)
     b5 = b_product(m5, m5_rej)

@@ -139,6 +139,12 @@ class BMatrix:
 Matrix = Union[NdMatrix, BMatrix]
 
 
+def _b_only(m: Matrix, what: str):
+    """Refuse a target that is not a B-matrix; ``what`` says why."""
+    if not isinstance(m, BMatrix):
+        raise SemanticsError(f"{what}; target is not a B-matrix")
+
+
 # ---------------------------------------------------------------------------
 # statements and verdicts
 
@@ -349,6 +355,7 @@ def b_entails(b: BMatrix, s: BStatement) -> Verdict:
     """B-entailment: valid iff no coherent valuation places acc inside the
     designated set, nacc outside it, rej inside the antidesignated set and
     nrej outside it, all at once."""
+    _b_only(b, "B-entailment is two-dimensional")
     return _entails(b.algebra, b.designated, b.antidesignated,
                     s.acc, s.nacc, s.rej, s.nrej)
 
@@ -359,6 +366,7 @@ def aspect_entails(b: BMatrix, aspect: str, s: Statement1D) -> Verdict:
     if aspect in ("t", "t-aspect"):
         dist = b.designated
     elif aspect in ("f", "f-aspect"):
+        _b_only(b, "the f-aspect reads the antidesignated set")
         dist = b.antidesignated
     else:
         raise SemanticsError(f"unknown aspect {aspect!r}; use 't' or 'f'")
@@ -754,15 +762,12 @@ def validate_rule(target: Matrix, rule) -> Verdict:
     """Check a rule schema semantically: its variables are read as atoms
     and the schema statement is run through the matching entailment (valid
     schemas stay valid under all substitutions)."""
-    if rule.dimension not in (1, 2):
-        raise SemanticsError(f"bad rule dimension {rule.dimension!r}")
     if rule.dimension == 1 and not isinstance(target, NdMatrix):
         raise SemanticsError(
             f"rule {rule.name!r} is one-dimensional; target is not an "
             f"ordinary matrix")
-    if rule.dimension == 2 and not isinstance(target, BMatrix):
-        raise SemanticsError(
-            f"rule {rule.name!r} is two-dimensional; target is not a B-matrix")
+    if rule.dimension == 2:
+        _b_only(target, f"rule {rule.name!r} is two-dimensional")
     return _entails(target.algebra, target.designated,
                     getattr(target, "antidesignated", ()),
                     rule.acc, rule.nacc, rule.rej, rule.nrej)

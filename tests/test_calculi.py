@@ -2,6 +2,8 @@
 ordering, derivation checking against hand-built trees, and saturation
 proof search with frozen outcomes and renderings."""
 
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -346,8 +348,6 @@ def reference_prove(c, s, theta, max_nodes=10 ** 6, max_depth=None):
         ant, suc = Label(s.acc, s.rej), Label(s.nacc, s.nrej)
     fence = gen_subformulas(theta_set(theta), s.formulas())
     pool = reference_pool(c, fence)
-    if max_depth is None:
-        max_depth = 4 * len(fence)
     count = {"nodes": 0, "deepest": 0}
 
     class Stop(Exception):
@@ -367,10 +367,12 @@ def reference_prove(c, s, theta, max_nodes=10 ** 6, max_depth=None):
         inst = next((i for i in pool if applies(i, label)), None)
         if inst is None:
             raise Stop(Saturated(label))
-        if depth >= max_depth:
+        if max_depth is not None and depth >= max_depth:
             raise Stop("max_depth")
         if inst.closing:
             count["nodes"] += 1
+            if count["nodes"] > max_nodes:
+                raise Stop("max_nodes")
             return Node(label, inst.rule, inst.subst, (Node(STAR),))
         kids = [expand(Label(label.acc | {f}, label.rej), depth + 1)
                 for f in sorted(inst.nacc, key=str)]
@@ -468,6 +470,10 @@ class TestCheckDerivation:
     def test_leaf_with_rule_rejected(self):
         assert not check_derivation(GH_CALC, Node(Label(), "r2", (("p", p),)))
 
+    def test_inner_node_without_rule_rejected(self):
+        t = Node(Label(), None, None, (Node(Label({p})),))
+        assert not check_derivation(GH_CALC, t)
+
     def test_unknown_rule_raises(self):
         t = Node(Label(), "zz", (("p", p),), (Node(Label({p})),))
         with pytest.raises(CalculiError):
@@ -532,6 +538,10 @@ class TestCheckProof:
         with pytest.raises(CalculiError):
             check_proof(HILBERT, self.S_R2, Node(Label()))
 
+    def test_not_a_statement(self):
+        with pytest.raises(CalculiError, match="not a statement: 'x'"):
+            check_proof(GH_CALC, "x", Node(Label()))
+
 
 # ---------------------------------------------------------------------------
 # proof search
@@ -588,7 +598,15 @@ class TestProve:
         assert isinstance(out, Proved)
         assert render_tree_text(out.tree).splitlines()[2] == "    *"
         assert prove(GH_CALC, s, {p}, max_nodes=4) == \
-            LimitExceeded("max_nodes", 5, 1, 4, 16)
+            LimitExceeded("max_nodes", 5, 1, 4, None)
+
+    def test_closing_star_is_checked_against_the_node_limit(self):
+        r1 = RuleSchema("r1", 2, acc={p}, rej={p})
+        c = Calculus("c", 2, (r1,))
+        s = BStatement(acc={p}, rej={p})
+        assert isinstance(prove(c, s, {p}, max_nodes=2), Proved)
+        assert prove(c, s, {p}, max_nodes=1) == \
+            LimitExceeded("max_nodes", 2, 0, 1, None)
 
     def test_depth_limit(self):
         out = prove(GH_CALC, TestCheckProof.S_R2, {p}, max_depth=0)
@@ -603,10 +621,18 @@ class TestProve:
             prove(GH_CALC, TestCheckProof.S_R2, {p}, **limits)
 
     def test_empty_statement_saturates(self):
-        # the fence is empty, so the depth limit is 0; the root label has
-        # no applicable instance, which is a verdict, not a limit
+        # the fence is empty; the root label has no applicable instance,
+        # which is a verdict, not a limit
         c = mci_artifacts().hmci2d
         assert prove(c, BStatement(), c.theta) == Saturated(Label())
+
+    def test_empty_fence_needs_no_depth_limit(self):
+        # a rule with no formulas closes the empty label at depth 0
+        c = Calculus("c", 2, (RuleSchema("r", 2),), theta={p})
+        out = prove(c, BStatement(), {p})
+        assert out == Proved(Node(Label(), "r", (), (Node(STAR),)))
+        assert prove(c, BStatement(), {p}, max_depth=0) == \
+            LimitExceeded("max_depth", 1, 0, 10 ** 6, 0)
 
     def test_theta_must_contain_p(self):
         with pytest.raises(LanguageError):
@@ -706,6 +732,13 @@ class TestRendering:
         s = BStatement(acc={p}, rej={p}, nacc={fgh("g(p)")})
         out = prove(GH_CALC, s, {p})
         assert '[label="*", shape=box];' in render_tree_dot(out.tree)
+
+    def test_star_repr_copy_and_pickle(self):
+        assert repr(Node(STAR)) == \
+            "Node(label=Star, rule=None, subst=None, children=())"
+        for copied in (copy.copy(STAR), copy.deepcopy(Node(STAR)).label,
+                       pickle.loads(pickle.dumps(Node(STAR))).label):
+            assert copied is STAR
 
     def test_dim1_rendering_hides_rejection(self):
         t = Node(Label({p}))

@@ -45,6 +45,12 @@ class TestCheck:
         assert res.exit_code == 0
         assert res.output == "valid\n"
 
+    def test_empty_statement_is_invalid(self, runner):
+        res = invoke(runner, "check", "--matrix", "builtin:mci5",
+                     "--statement", '{"antecedent": []}')
+        assert res.exit_code == 1
+        assert res.output == "invalid; countermodel:\n"
+
     def test_bstatement_gap(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci-b",
                      "--bstatement", '{"nacc":["p"],"nrej":["p"]}')
@@ -232,6 +238,18 @@ class TestCheckProof:
         assert res.output == "proof rejected\n"
 
 
+    def test_crash_is_one_error_line(self, runner):
+        # a tree nested too deep for the reader's recursion
+        tree = '{"label": {}}'
+        for _ in range(600):
+            tree = f'{{"label": {{}}, "rule": "r", "children": [{tree}]}}'
+        res = invoke(runner, "check-proof", "--calculus", "builtin:hmci2d",
+                     "--bstatement", '{"acc":["p"]}', "--tree", tree)
+        assert res.exit_code == 2
+        assert res.output.startswith("error: RecursionError: ")
+        assert res.output.count("\n") == 1
+
+
 class TestProductAndSeparators:
 
     def test_pipeline(self, runner, tmp_path, b5):
@@ -399,11 +417,11 @@ class TestMessages:
         (["builtin", "nope"], f"unknown builtin 'nope'; known: {KNOWN}"),
         (["builtin", "foo:3"], f"unknown builtin 'foo:3'; known: {KNOWN}"),
         (["builtin", "foo:bar"],
-         "builtin 'foo:bar': index 'bar' is not an integer"),
+         f"unknown builtin 'foo:bar'; known: {KNOWN}"),
         (["builtin", "mk:zero"],
          "builtin 'mk:zero': index 'zero' is not an integer"),
         (["builtin", "builtin:builtin:mci5"],
-         "builtin 'builtin:mci5': index 'mci5' is not an integer"),
+         f"unknown builtin 'builtin:mci5'; known: {KNOWN}"),
         (["check", "--matrix", "builtin:hmci2d", "--statement",
           PARACONSISTENCY], "'builtin:hmci2d' names a calculus, not a matrix"),
         (["prove", "--calculus", "builtin:mci5", "--bstatement",
@@ -422,6 +440,9 @@ class TestMessages:
         (["check", "--matrix", "builtin:mci5", "--statement",
           '{"foo":["p"],"antecedent":[]}'],
          "statement has unknown key(s) ['foo']"),
+        (["check", "--matrix", "builtin:mci5", "--bstatement",
+          '{"acc":["p"]}'], "a two-dimensional statement needs a B-matrix "
+         "(matrix with an antidesignated set)"),
     ])
     def test_error_line(self, runner, args, message):
         res = invoke(runner, *args)
@@ -450,7 +471,7 @@ _PARAMETERS = {
          "theta."),
         ("max_nodes", ("--max-nodes",), "integer", False, 10 ** 6, None),
         ("max_depth", ("--max-depth",), "integer", False, None,
-         "Depth limit; defaults to four times the fence size."),
+         "Depth limit; none by default."),
         ("dot", ("--dot",), "boolean", False, False,
          "Render the proof tree as DOT."),
     ],

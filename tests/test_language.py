@@ -107,6 +107,20 @@ class TestParse:
         with pytest.raises(LanguageError):
             Signature({"neg": arity})
 
+    @pytest.mark.parametrize("conns, notation, message", [
+        ({"1neg": 1}, {}, "bad connective name: '1neg'"),
+        ({"neg": 1}, {"imp": "->"},
+         "notation for undeclared connective 'imp'"),
+        ({"neg": 1}, {"neg": "~"}, "infix notation requires arity 2: 'neg'"),
+        ({"imp": 2}, {"imp": "imp"}, "bad infix alias for 'imp': 'imp'"),
+        ({"imp": 2, "or": 2}, {"imp": "->", "or": "->"},
+         "alias '->' used by both 'imp' and 'or'"),
+    ])
+    def test_bad_signature_rejected(self, conns, notation, message):
+        with pytest.raises(LanguageError) as e:
+            Signature(conns, notation)
+        assert str(e.value) == message
+
     def test_whitespace_insignificant(self):
         assert parse_formula(" neg ( p ) ", SIG) == neg(p)
 

@@ -23,7 +23,8 @@ from ndlogic.language import (App, Signature, Var, enumerate_unary_formulas,
 from ndlogic.logics import example1, example2
 from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                NdAlgebra, NdMatrix, PairSeparation,
-                               Statement1D, aspect_entails, b_entails,
+                               Statement1D, Valuation, Verdict,
+                               aspect_entails, b_entails,
                                b_product, check_strong_hom, check_total,
                                coherent_valuations, entails_1d,
                                expressiveness_report, induced_multifunction,
@@ -88,6 +89,13 @@ class TestAlgebra:
         with pytest.raises(SemanticsError):
             NdAlgebra(SIG5, V5, interp)
 
+    def test_bad_cell_key_rejected(self):
+        interp = dict(INTERP5)
+        interp["neg"] = {(k if k != ("t",) else ("zz",)): v
+                         for k, v in INTERP5["neg"].items()}
+        with pytest.raises(SemanticsError, match="bad cell key"):
+            NdAlgebra(SIG5, V5, interp)
+
     def test_duplicate_values_rejected(self):
         with pytest.raises(SemanticsError):
             NdAlgebra(SIG5, ("f", "F", "I", "T", "f"), INTERP5)
@@ -111,6 +119,9 @@ class TestAlgebra:
 
 
 class TestCoherentValuations:
+    def test_no_formula_has_only_the_empty_valuation(self, alg5):
+        assert coherent_valuations(alg5, []) == [Valuation((), {})]
+
     def test_single_variable(self, alg5):
         vs = coherent_valuations(alg5, [p])
         assert [v(p) for v in vs] == list(V5)
@@ -198,6 +209,20 @@ class TestEntails1D:
         v = entails_1d(m5, Statement1D(set(), {p}))
         assert not v.valid and v.countermodel(p) == "f"
 
+    def test_empty_statement_invalid(self, m5):
+        # no formula, so the one valuation is the empty one
+        assert entails_1d(m5, Statement1D()) == \
+            Verdict(False, Valuation((), {}))
+
+    def test_non_formula_rejected(self):
+        with pytest.raises(SemanticsError, match="not a formula: 'p'"):
+            Statement1D({"p"})
+
+    def test_arity_mismatch_rejected(self, m5):
+        s = Statement1D({App("neg", (p, q))}, set())
+        with pytest.raises(SemanticsError, match="arity mismatch"):
+            entails_1d(m5, s)
+
     def test_verdict_truthiness(self, m5):
         assert bool(entails_1d(m5, Statement1D({p}, {p})))
         assert not bool(entails_1d(m5, Statement1D({p}, {q})))
@@ -232,6 +257,22 @@ class TestBEntails:
         v = b_entails(b5, BStatement(acc={p}, nacc={q}))
         assert not v.valid
         assert v.countermodel(p) == "I" and v.countermodel(q) == "f"
+
+    def test_empty_statement_invalid(self, b5):
+        assert b_entails(b5, BStatement()) == Verdict(False, Valuation((), {}))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: b_entails(m, BStatement(acc={p})),
+         "B-entailment is two-dimensional"),
+        (lambda m: aspect_entails(m, "f", Statement1D({p}, {q})),
+         "the f-aspect reads the antidesignated set"),
+        (lambda m: validate_rule(m, RuleSchema("two", 2, acc={p})),
+         "rule 'two' is two-dimensional"),
+    ])
+    def test_plain_matrix_refused(self, m5, call, message):
+        with pytest.raises(SemanticsError) as e:
+            call(m5)
+        assert str(e.value) == f"{message}; target is not a B-matrix"
 
     def test_disjoint_distinguished_sets_close(self, b_gh):
         assert b_entails(b_gh, BStatement(acc={p}, rej={p})).valid

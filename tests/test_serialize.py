@@ -4,10 +4,11 @@ import pytest
 
 from ndlogic.calculi import STAR, Calculus, Label, Node, RuleSchema
 from ndlogic.errors import SerializeError
-from ndlogic.language import App, Var, parse_formula
+from ndlogic.language import App, Signature, Var, parse_formula
 from ndlogic.logics import (SIGMA_MCI, cpl_pos, example2, mci_artifacts,
                             mci_worked_derivations, mk_matrix)
-from ndlogic.semantics import BMatrix, BStatement, NdMatrix, Statement1D
+from ndlogic.semantics import (BMatrix, BStatement, NdAlgebra, NdMatrix,
+                               Statement1D)
 from ndlogic.serialize import (calculus_from_data, calculus_to_data, dumps,
                                loads, matrix_from_data, matrix_to_data,
                                rule_from_data, rule_to_data,
@@ -70,6 +71,38 @@ class TestMatrixRoundtrip:
         data["extra"] = 1
         with pytest.raises(SerializeError):
             matrix_from_data(data)
+
+
+def _int_cell_key():
+    data = matrix_to_data(mci_artifacts().m5)
+    data["interpretation"]["neg"] = {1: ["f"]}
+    return data
+
+
+_COMMA_VALUE = NdMatrix(NdAlgebra(Signature({}), ("a,b",), {}), {"a,b"})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_from_data([]), "matrix must be a JSON object"),
+    (lambda: matrix_from_data({"signature": {"connectives": {}},
+                               "values": "ab", "designated": [],
+                               "interpretation": {}}),
+     "values must be a list of strings"),
+    (lambda: matrix_to_data(_COMMA_VALUE),
+     "value names must not contain commas"),
+    (lambda: matrix_from_data(_int_cell_key()), "bad cell key 1 for 'neg'"),
+    (lambda: statement_to_data("x"), "not a statement: 'x'"),
+    (lambda: calculus_from_data({"name": "c", "dimension": 2, "rules": {}}),
+     "rules must be a list"),
+    (lambda: tree_from_data({"label": {}, "rule": 1}),
+     "rule name must be a string"),
+    (lambda: tree_from_data({"label": {}, "rule": "r", "children": {}}),
+     "children must be a list"),
+])
+def test_refusal_message(call, message):
+    with pytest.raises(SerializeError) as e:
+        call()
+    assert str(e.value) == message
 
 
 class TestStatementRoundtrip:
