@@ -13,8 +13,8 @@ from ndlogic import (App, BStatement, Proved, Statement1D, b_entails,
 # The k-indexed matrices grow by two values per step; negation walks their
 # value cycle in a closed form.
 mk1 = mk_matrix(1)
-print("k=1 values:", mk1.matrix.algebra.values)
-print("k=1 designated:", sorted(mk1.matrix.designated, key=int))
+print("k=1 values:", mk1.algebra.values)
+print("k=1 designated:", sorted(mk1.designated, key=int))
 print("k=2 negation orbit from value 4:",
       [iterated_neg(2, m) for m in range(1, 5)])
 
@@ -22,10 +22,10 @@ print("k=2 negation orbit from value 4:",
 # the chain is strict: the next consistency-iteration axiom fails.
 print()
 for k in (1, 2):
-    mk = mk_matrix(k).matrix
-    fam = hmci_axioms(2 * k - 1)
-    sound = all(validate_rule(mk, r).valid for r in fam.calculus.rules)
-    print(f"{fam.calculus.name} sound for the k={k} matrix: {sound}")
+    mk = mk_matrix(k)
+    calc = hmci_axioms(2 * k - 1)
+    sound = all(validate_rule(mk, r).valid for r in calc.rules)
+    print(f"{calc.name} sound for the k={k} matrix: {sound}")
     beyond = App("cons", (iter_neg_formula(
         2 * k, parse_formula("cons(p)", mk.algebra.signature)),))
     print(f"  next iteration axiom valid: "

@@ -25,9 +25,9 @@ from .language import parse_formula
 from .logics import (cpl_pos, example1, example1_rules, example2,
                      hmci_axioms, mci_artifacts, mk_matrix,
                      verify_paper_suite)
-from .semantics import (BMatrix, BStatement, NdMatrix, Statement1D,
-                        b_entails, b_product, entails_1d,
-                        expressiveness_report, validate_rule)
+from .semantics import (BMatrix, NdMatrix, Statement1D, b_entails,
+                        b_product, entails_1d, expressiveness_report,
+                        validate_rule)
 from . import serialize
 
 
@@ -65,8 +65,8 @@ _BUILTINS = {
 }
 
 _FAMILIES = {
-    "mk:<k>": lambda k: mk_matrix(k).matrix,
-    "hmci:<k>": lambda k: hmci_axioms(k).calculus,
+    "mk:<k>": mk_matrix,
+    "hmci:<k>": hmci_axioms,
     "ex1-rules:<i>": example1_rules,
 }
 
@@ -114,22 +114,6 @@ def _load_theta(spec: str) -> frozenset:
     return frozenset(parse_formula(t) for t in data)
 
 
-def _statement(statement, bstatement, sig=None):
-    """Resolve the mutually exclusive --statement/--bstatement pair."""
-    if (statement is None) == (bstatement is None):
-        raise CliInputError(
-            "exactly one of --statement/--bstatement is required")
-    if statement is not None:
-        flag, spec, kind, dim = "--statement", statement, Statement1D, 1
-    else:
-        flag, spec, kind, dim = "--bstatement", bstatement, BStatement, 2
-    s = _load(spec, "statement", sig)
-    if not isinstance(s, kind):
-        raise CliInputError(
-            f"{flag} requires {'/'.join(serialize._SIDES[dim])} keys")
-    return s
-
-
 def _artifact_option(what: str):
     """The required --matrix or --calculus option."""
     return click.option(f"--{what}", f"{what}_spec", required=True,
@@ -137,12 +121,9 @@ def _artifact_option(what: str):
                              "@file, or inline JSON.")
 
 
-def _statement_options(fn):
-    """The --statement/--bstatement pair; resolve it with ``_statement``."""
-    fn = click.option("--bstatement", default=None, help="Two-dimensional "
-                      "statement as inline JSON or @file.")(fn)
-    return click.option("--statement", default=None, help="One-dimensional "
-                        "statement as inline JSON or @file.")(fn)
+_statement_option = click.option(
+    "--statement", "statement_spec", required=True,
+    help="Statement as inline JSON or @file; its keys give its dimension.")
 
 
 def _guarded(fn):
@@ -185,12 +166,12 @@ def main():
 
 @main.command()
 @_artifact_option("matrix")
-@_statement_options
+@_statement_option
 @_guarded
-def check(matrix_spec, statement, bstatement):
+def check(matrix_spec, statement_spec):
     """Decide a statement against a matrix; print the first countermodel."""
     m = _load(matrix_spec, "matrix")
-    s = _statement(statement, bstatement, m.algebra.signature)
+    s = _load(statement_spec, "statement", m.algebra.signature)
     if isinstance(s, Statement1D):
         if not isinstance(m, NdMatrix):
             raise CliInputError("a one-dimensional statement needs a plain "
@@ -205,14 +186,14 @@ def check(matrix_spec, statement, bstatement):
         click.echo("valid")
         return
     click.echo("invalid; countermodel:")
-    for line in verdict.countermodel.lines():
+    for line in verdict.countermodel.lines() or ["(empty valuation)"]:
         click.echo(f"  {line}")
     sys.exit(1)
 
 
 @main.command()
 @_artifact_option("calculus")
-@_statement_options
+@_statement_option
 @click.option("--theta", default=None,
               help="Theta set as a JSON list of formulas; defaults to the "
                    "calculus theta.")
@@ -221,11 +202,10 @@ def check(matrix_spec, statement, bstatement):
               help="Depth limit; none by default.")
 @click.option("--dot", is_flag=True, help="Render the proof tree as DOT.")
 @_guarded
-def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,
-          dot):
+def prove(calculus_spec, statement_spec, theta, max_nodes, max_depth, dot):
     """Search for a proof; print the tree, or why none was found."""
     c = _load(calculus_spec, "calculus")
-    s = _statement(statement, bstatement)
+    s = _load(statement_spec, "statement")
     theta_set = _load_theta(theta) if theta is not None else c.theta
     if theta_set is None:
         raise CliInputError(
@@ -247,14 +227,14 @@ def prove(calculus_spec, statement, bstatement, theta, max_nodes, max_depth,
 
 @main.command("check-proof")
 @_artifact_option("calculus")
-@_statement_options
+@_statement_option
 @click.option("--tree", "tree_spec", required=True,
               help="Derivation tree as inline JSON or @file.")
 @_guarded
-def check_proof_cmd(calculus_spec, statement, bstatement, tree_spec):
+def check_proof_cmd(calculus_spec, statement_spec, tree_spec):
     """Check a transcribed derivation tree against calculus and statement."""
     c = _load(calculus_spec, "calculus")
-    s = _statement(statement, bstatement)
+    s = _load(statement_spec, "statement")
     if check_proof(c, s, _load(tree_spec, "tree")):
         click.echo("proof ok")
         return
@@ -270,10 +250,7 @@ def check_proof_cmd(calculus_spec, statement, bstatement, tree_spec):
 @_guarded
 def product(left, right, output):
     """Combine two matrices over one algebra into a B-matrix."""
-    m1, m2 = _load(left, "matrix"), _load(right, "matrix")
-    if not isinstance(m1, NdMatrix) or not isinstance(m2, NdMatrix):
-        raise CliInputError("product needs two plain matrices")
-    b = b_product(m1, m2)
+    b = b_product(_load(left, "matrix"), _load(right, "matrix"))
     _emit(serialize.dumps(serialize.matrix_to_data(b)), output)
 
 
@@ -310,7 +287,7 @@ def validate_calculus(calculus_spec, matrix_spec):
         else:
             bad += 1
             click.echo(f"BAD  {r.name}; countermodel: "
-                       + str(verdict.countermodel))
+                       + (str(verdict.countermodel) or "(empty valuation)"))
     click.echo(f"{len(c.rules) - bad}/{len(c.rules)} rules valid")
     sys.exit(0 if bad == 0 else 1)
 

@@ -219,21 +219,10 @@ def mci_worked_derivations() -> tuple[tuple[BStatement, Node], ...]:
 # the growing family of deterministic matrices
 
 
-@dataclass(frozen=True)
-class MkMatrix:
-    """Deterministic matrix with 2(k+1) values; the upper half is
-    designated.  Values are rendered as decimal strings."""
-
-    k: int
-    matrix: NdMatrix
-
-    @property
-    def successor(self) -> int:
-        return self.k + 1
-
-
-def mk_matrix(k: int) -> MkMatrix:
-    """The k-th member of the family; k must be at least 1.
+def mk_matrix(k: int) -> NdMatrix:
+    """The k-th member of the family; k must be at least 1.  A
+    deterministic matrix with 2(k+1) values written as decimal strings;
+    the upper half is designated.
 
     With s = k+1 and values 1..2s: conjunction yields s+1 when both
     arguments are designated and 1 otherwise; disjunction yields s+1 when
@@ -262,7 +251,7 @@ def mk_matrix(k: int) -> MkMatrix:
                  for x in range(1, top + 1)},
         **_positive(values, des, {str(s + 1)}, {"1"}),
     }
-    return MkMatrix(k, NdMatrix(NdAlgebra(SIGMA_MCI, values, interp), des))
+    return NdMatrix(NdAlgebra(SIGMA_MCI, values, interp), des)
 
 
 def iterated_neg(k: int, m: int) -> int:
@@ -271,7 +260,7 @@ def iterated_neg(k: int, m: int) -> int:
     (s+1)+m/2 for even m and 1+(m+1)/2 for odd m."""
     if not 1 <= m <= 2 * k:
         raise LogicsError(f"iteration count must be in 1..{2 * k}, got {m}")
-    alg = mk_matrix(k).matrix.algebra
+    alg = mk_matrix(k).algebra
     s = k + 1
     value = str(s + 1)
     for _ in range(m):
@@ -335,18 +324,10 @@ def iter_neg_formula(j: int, core: Formula) -> Formula:
     return out
 
 
-@dataclass(frozen=True)
-class HmciFamily:
-    """Axiomatic system number k of the chain: the positive base plus
-    excluded middle, controlled explosion, glut introduction, and the
-    iterated-consistency schemas up to index k."""
-
-    k: int
-    calculus: Calculus
-
-
-def hmci_axioms(k: int) -> HmciFamily:
-    """The k-th axiomatic system; k must be at least 0.  Every axiom is a
+def hmci_axioms(k: int) -> Calculus:
+    """Axiomatic system number k of the chain, k at least 0: the positive
+    base plus excluded middle, controlled explosion, glut introduction,
+    and the iterated-consistency schemas up to index k.  Every axiom is a
     succedent-singleton schema and detachment is the only proper rule."""
     if k < 0:
         raise LogicsError(f"chain index must be >= 0, got {k}")
@@ -360,7 +341,7 @@ def hmci_axioms(k: int) -> HmciFamily:
         body = App("cons", (iter_neg_formula(j, App("cons", (P,))),))
         rules.append(RuleSchema(f"cons-iter{j}", 1, nacc={body}))
     rules.append(_MP)
-    return HmciFamily(k, Calculus(f"hmci:{k}", 1, tuple(rules)))
+    return Calculus(f"hmci:{k}", 1, tuple(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +532,10 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
         sig_pos = bool2.algebra.signature
         bad = []
         for k in range(1, chain_k + 1):
-            mk = mk_matrix(k).matrix
+            mk = mk_matrix(k)
             if strong_hom_report(mk, bool2, mk_boolean_collapse(k), sig_pos):
                 bad.append(f"k={k} collapse not a strong homomorphism")
-            for r in hmci_axioms(2 * k - 1).calculus.rules:
+            for r in hmci_axioms(2 * k - 1).rules:
                 if not validate_rule(mk, r).valid:
                     bad.append(f"k={k} rule {r.name}")
         return "; ".join(bad[:4])
@@ -566,13 +547,13 @@ def _suite_items(arts: MciArtifacts, chain_k: int,
             top = 2 * (k + 1)
             body = iter_neg_formula(2 * k, App("cons", (p,)))
             goal = App("cons", (body,))
-            v = entails_1d(mk_matrix(k).matrix, Statement1D(set(), {goal}))
+            v = entails_1d(mk_matrix(k), Statement1D(set(), {goal}))
             trace_ok = (not v.valid
                         and v.countermodel(p) == "1"
                         and v.countermodel(App("cons", (p,))) == str(s_succ)
                         and v.countermodel(body) == str(top))
             axiom_names = {r.name for r in
-                          hmci_axioms(2 * k + 1).calculus.rules}
+                          hmci_axioms(2 * k + 1).rules}
             if not trace_ok or f"cons-iter{2 * k}" not in axiom_names:
                 bad.append(str(k))
         return bad

@@ -364,19 +364,22 @@ def aspect_entails(b: BMatrix, aspect: str, s: Statement1D) -> Verdict:
     """One-dimensional consequence recovered from a B-matrix: the t-aspect
     reads the statement through acc/nacc, the f-aspect through rej/nrej."""
     if aspect in ("t", "t-aspect"):
-        dist = b.designated
+        side = "designated"
     elif aspect in ("f", "f-aspect"):
-        _b_only(b, "the f-aspect reads the antidesignated set")
-        dist = b.antidesignated
+        side = "antidesignated"
     else:
         raise SemanticsError(f"unknown aspect {aspect!r}; use 't' or 'f'")
-    return _entails(b.algebra, dist, (), s.antecedent, s.succedent)
+    _b_only(b, f"the {aspect[0]}-aspect reads the {side} set")
+    return _entails(b.algebra, getattr(b, side), (), s.antecedent,
+                    s.succedent)
 
 
 def b_product(m1: NdMatrix, m2: NdMatrix) -> BMatrix:
     """Combine two matrices sharing one algebra into a B-matrix whose
     designated set comes from the first and antidesignated set from the
     second."""
+    if not (isinstance(m1, NdMatrix) and isinstance(m2, NdMatrix)):
+        raise SemanticsError("product needs two plain matrices")
     if m1.algebra != m2.algebra:
         raise SemanticsError(
             "product requires the two matrices to share an identical algebra")
@@ -389,7 +392,8 @@ def b_product(m1: NdMatrix, m2: NdMatrix) -> BMatrix:
 def strong_hom_report(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
                       subsig: Signature) -> list[str]:
     """Violations of the strong-homomorphism conditions for ``mapping``
-    restricted to the connectives of ``subsig``; empty means it holds."""
+    restricted to the connectives of ``subsig`` (cell images within target
+    cells, designation kept both ways); empty means it holds."""
     a1, a2 = m1.algebra, m2.algebra
     for v in a1.values:
         if v not in mapping:
@@ -416,13 +420,6 @@ def strong_hom_report(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
         if (x in m1.designated) != (mapping[x] in m2.designated):
             out.append(f"designation not preserved at {x!r} -> {mapping[x]!r}")
     return out
-
-
-def check_strong_hom(m1: NdMatrix, m2: NdMatrix, mapping: Mapping[str, str],
-                     subsig: Signature) -> bool:
-    """True iff ``mapping`` is a strong homomorphism on ``subsig``: cell
-    images stay within target cells and designation is preserved both ways."""
-    return not strong_hom_report(m1, m2, mapping, subsig)
 
 
 # ---------------------------------------------------------------------------

@@ -226,8 +226,8 @@ POOL_CALCULI = {
     "hmci2d": mci_artifacts().hmci2d,
     "ex2-calc": example2()[1],
     "cplpos": cpl_pos(),
-    "hmci:0": hmci_axioms(0).calculus,
-    "hmci:2": hmci_axioms(2).calculus,
+    "hmci:0": hmci_axioms(0),
+    "hmci:2": hmci_axioms(2),
     "ex1-rules:0": example1_rules(0),
     "ex1-rules:3": example1_rules(3),
     "lifted-cplpos": lift_calculus(cpl_pos()),

@@ -44,7 +44,8 @@ def _side(rng, sig, depth, most):
 
 
 def _render_check(verdict):
-    """The output of ``ndlogic check``."""
+    """A verdict in the layout of ``ndlogic check``, except that an empty
+    countermodel prints no line (the command prints a marker instead)."""
     if verdict.valid:
         return "valid\n"
     return "invalid; countermodel:\n" + "".join(
@@ -52,7 +53,8 @@ def _render_check(verdict):
 
 
 def _render_rule(name, verdict):
-    """A rule line of ``ndlogic validate-calculus``."""
+    """A rule line in the layout of ``ndlogic validate-calculus``, except
+    that an empty countermodel prints nothing after the colon."""
     if verdict.valid:
         return f"ok   {name}\n"
     return f"BAD  {name}; countermodel: {verdict.countermodel}\n"
@@ -72,7 +74,7 @@ def groups():
     arts = mci_artifacts()
     rng = random.Random(SEED)
     for name, m, depth in (("mci5", arts.m5, 2),
-                           ("mk:1", mk_matrix(1).matrix, 2),
+                           ("mk:1", mk_matrix(1), 2),
                            ("ex1", example1()[0], 3)):
         yield f"entails_1d {name}", [
             _render_check(entails_1d(m, Statement1D(*s)))
@@ -87,8 +89,8 @@ def groups():
             _render_check(aspect_entails(arts.b5, aspect, Statement1D(*s)))
             for s in _statements(rng, arts.b5, 2, 2)]
     for name, m, calc in (("hmci2d mci-b", arts.b5, arts.hmci2d),
-                          ("hmci:3 mk:2", mk_matrix(2).matrix,
-                           hmci_axioms(3).calculus)):
+                          ("hmci:3 mk:2", mk_matrix(2),
+                           hmci_axioms(3))):
         yield f"validate_rule {name}", [
             _render_rule(r.name, validate_rule(m, r)) for r in calc.rules]
     for name, alg in (("mci5", arts.m5.algebra),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from ndlogic.serialize import (dumps, loads, matrix_from_data,
                                statement_to_data, tree_to_data)
 
 PARACONSISTENCY = '{"antecedent":["p","neg(p)"],"succedent":["q"]}'
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -46,14 +48,18 @@ class TestCheck:
         assert res.output == "valid\n"
 
     def test_empty_statement_is_invalid(self, runner):
-        res = invoke(runner, "check", "--matrix", "builtin:mci5",
-                     "--statement", '{"antecedent": []}')
-        assert res.exit_code == 1
-        assert res.output == "invalid; countermodel:\n"
+        # the countermodel assigns no formula, so a marker stands in for it
+        for matrix, statement in (("builtin:mci5", '{"antecedent": []}'),
+                                  ("builtin:mci-b", '{"acc": []}')):
+            res = invoke(runner, "check", "--matrix", matrix,
+                         "--statement", statement)
+            assert res.exit_code == 1
+            assert res.output == "invalid; countermodel:\n" \
+                "  (empty valuation)\n"
 
     def test_bstatement_gap(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci-b",
-                     "--bstatement", '{"nacc":["p"],"nrej":["p"]}')
+                     "--statement", '{"nacc":["p"],"nrej":["p"]}')
         assert res.exit_code == 1
         assert res.output.startswith("invalid; countermodel:\n  v(p) = F\n")
 
@@ -64,13 +70,6 @@ class TestCheck:
             res = invoke(runner, "check", "--matrix", "builtin:mci5",
                          "--statement", spec)
             assert res.exit_code == 1
-
-    def test_both_statement_flags_rejected(self, runner):
-        res = invoke(runner, "check", "--matrix", "builtin:mci5",
-                     "--statement", PARACONSISTENCY,
-                     "--bstatement", '{"acc":["p"]}')
-        assert res.exit_code == 2
-        assert "exactly one of" in res.output
 
     def test_neither_statement_flag_rejected(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci5")
@@ -130,7 +129,7 @@ class TestProve:
 
     def test_fig_tree_statement_proved(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement",
+                     "--statement",
                      '{"acc":[],"nacc":["cons(neg(cons(p)))"],'
                      '"rej":[],"nrej":[]}')
         assert res.exit_code == 0
@@ -139,7 +138,7 @@ class TestProve:
 
     def test_dot_output(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:ex2-calc",
-                     "--bstatement", '{"acc":["h(p)"],"nacc":["p","g(p)"]}',
+                     "--statement", '{"acc":["h(p)"],"nacc":["p","g(p)"]}',
                      "--dot")
         assert res.exit_code == 0
         assert res.output.startswith("digraph proof {\n")
@@ -147,13 +146,13 @@ class TestProve:
 
     def test_saturated(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement", '{"acc":["p"],"nacc":["q"]}')
+                     "--statement", '{"acc":["p"],"nacc":["q"]}')
         assert res.exit_code == 1
         assert res.output.startswith("not proved: saturated at open label ")
 
     def test_empty_statement_saturated(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement",
+                     "--statement",
                      '{"acc":[],"nacc":[],"rej":[],"nrej":[]}')
         assert res.exit_code == 1
         assert res.output == \
@@ -161,7 +160,7 @@ class TestProve:
 
     def test_limit(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement",
+                     "--statement",
                      '{"acc":[],"nacc":["cons(neg(cons(p)))"]}',
                      "--max-nodes", "3")
         assert res.exit_code == 1
@@ -171,7 +170,7 @@ class TestProve:
         # prove parses statements without a signature, so only prefix
         # notation is known
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement", '{"acc":["(p -> q)"]}')
+                     "--statement", '{"acc":["(p -> q)"]}')
         assert res.exit_code == 2
         assert "unknown token '-'; infix notation needs a signature " \
             "that declares it" in res.output
@@ -180,7 +179,7 @@ class TestProve:
         ("--max-nodes", "-1"), ("--max-nodes", "0"), ("--max-depth", "-3")])
     def test_empty_budget_is_bad_input(self, runner, flag, value):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement", '{"acc":["p"],"nacc":["q"]}',
+                     "--statement", '{"acc":["p"],"nacc":["q"]}',
                      flag, value)
         assert res.exit_code == 2
         assert "not proved" not in res.output
@@ -210,7 +209,7 @@ class TestProve:
 
     def test_theta_must_be_string_list(self, runner):
         res = invoke(runner, "prove", "--calculus", "builtin:hmci2d",
-                     "--bstatement", '{"acc":["p"],"nacc":["q"]}',
+                     "--statement", '{"acc":["p"],"nacc":["q"]}',
                      "--theta", '{"p": 1}')
         assert res.exit_code == 2
 
@@ -222,7 +221,7 @@ class TestCheckProof:
         tree_path = tmp_path / "tree.json"
         tree_path.write_text(dumps(tree_to_data(tree)))
         res = invoke(runner, "check-proof", "--calculus", "builtin:hmci2d",
-                     "--bstatement", json.dumps(statement_to_data(s)),
+                     "--statement", json.dumps(statement_to_data(s)),
                      "--tree", f"@{tree_path}")
         assert res.exit_code == 0
         assert res.output == "proof ok\n"
@@ -232,7 +231,7 @@ class TestCheckProof:
         tree_path = tmp_path / "tree.json"
         tree_path.write_text(dumps(tree_to_data(tree)))
         res = invoke(runner, "check-proof", "--calculus", "builtin:hmci2d",
-                     "--bstatement", json.dumps(statement_to_data(s2)),
+                     "--statement", json.dumps(statement_to_data(s2)),
                      "--tree", f"@{tree_path}")
         assert res.exit_code == 1
         assert res.output == "proof rejected\n"
@@ -244,7 +243,7 @@ class TestCheckProof:
         for _ in range(600):
             tree = f'{{"label": {{}}, "rule": "r", "children": [{tree}]}}'
         res = invoke(runner, "check-proof", "--calculus", "builtin:hmci2d",
-                     "--bstatement", '{"acc":["p"]}', "--tree", tree)
+                     "--statement", '{"acc":["p"]}', "--tree", tree)
         assert res.exit_code == 2
         assert res.output.startswith("error: RecursionError: ")
         assert res.output.count("\n") == 1
@@ -349,6 +348,14 @@ class TestValidateCalculus:
                    for l in lines)
         assert lines[-1] == "15/16 rules valid"
 
+    def test_empty_countermodel_marked(self, runner):
+        res = invoke(runner, "validate-calculus", "--calculus",
+                     '{"name":"c","dimension":1,"rules":[{"name":"r"}]}',
+                     "--matrix", "builtin:mci5")
+        assert res.exit_code == 1
+        assert res.output == ("BAD  r; countermodel: (empty valuation)\n"
+                              "0/1 rules valid\n")
+
     def test_unsound_pairing(self, runner):
         # the two-dimensional mci rules are not valid against ex2's B-matrix
         res = invoke(runner, "validate-calculus", "--calculus",
@@ -401,7 +408,7 @@ class TestBuiltin:
         assert res.exit_code == 2
         assert "names a calculus" in res.output
         res = invoke(runner, "prove", "--calculus", "builtin:mci5",
-                     "--bstatement", '{"acc":["p"]}')
+                     "--statement", '{"acc":["p"]}')
         assert res.exit_code == 2
         assert "names a matrix" in res.output
 
@@ -424,23 +431,24 @@ class TestMessages:
          f"unknown builtin 'builtin:mci5'; known: {KNOWN}"),
         (["check", "--matrix", "builtin:hmci2d", "--statement",
           PARACONSISTENCY], "'builtin:hmci2d' names a calculus, not a matrix"),
-        (["prove", "--calculus", "builtin:mci5", "--bstatement",
+        (["prove", "--calculus", "builtin:mci5", "--statement",
           '{"acc":["p"]}'], "'builtin:mci5' names a matrix, not a calculus"),
-        (["check", "--matrix", "builtin:mci5", "--statement",
-          '{"acc":["p"]}'], "--statement requires antecedent/succedent keys"),
-        (["check", "--matrix", "builtin:mci-b", "--bstatement",
-          PARACONSISTENCY], "--bstatement requires acc/nacc/rej/nrej keys"),
-        (["check", "--matrix", "builtin:mci5"],
-         "exactly one of --statement/--bstatement is required"),
+        (["check", "--matrix", "builtin:mci-b", "--statement",
+          PARACONSISTENCY], "a one-dimensional statement needs a plain "
+         "matrix (no antidesignated set)"),
         (["prove", "--calculus", "builtin:hmci2d", "--statement",
-          PARACONSISTENCY, "--bstatement", '{"acc":["p"]}'],
-         "exactly one of --statement/--bstatement is required"),
+          PARACONSISTENCY],
+         "one-dimensional statement given to a two-dimensional calculus"),
+        (["product", "builtin:mci-b", "builtin:mci5"],
+         "product needs two plain matrices"),
+        (["product", "builtin:mci5", "builtin:mk:1"],
+         "product requires the two matrices to share an identical algebra"),
         (["check", "--matrix", "builtin:mci5", "--statement", ""],
          "cannot read statement from '': No such file or directory"),
         (["check", "--matrix", "builtin:mci5", "--statement",
           '{"foo":["p"],"antecedent":[]}'],
          "statement has unknown key(s) ['foo']"),
-        (["check", "--matrix", "builtin:mci5", "--bstatement",
+        (["check", "--matrix", "builtin:mci5", "--statement",
           '{"acc":["p"]}'], "a two-dimensional statement needs a B-matrix "
          "(matrix with an antidesignated set)"),
     ])
@@ -456,16 +464,13 @@ _MATRIX = ("matrix_spec", ("--matrix",), "text", True, None,
            "Matrix: builtin:NAME, file path, @file, or inline JSON.")
 _CALCULUS = ("calculus_spec", ("--calculus",), "text", True, None,
              "Calculus: builtin:NAME, file path, @file, or inline JSON.")
-_STATEMENTS = [
-    ("statement", ("--statement",), "text", False, None,
-     "One-dimensional statement as inline JSON or @file."),
-    ("bstatement", ("--bstatement",), "text", False, None,
-     "Two-dimensional statement as inline JSON or @file."),
-]
+_STATEMENT = ("statement_spec", ("--statement",), "text", True, None,
+              "Statement as inline JSON or @file; its keys give its "
+              "dimension.")
 _PARAMETERS = {
-    "check": [_MATRIX, *_STATEMENTS],
+    "check": [_MATRIX, _STATEMENT],
     "prove": [
-        _CALCULUS, *_STATEMENTS,
+        _CALCULUS, _STATEMENT,
         ("theta", ("--theta",), "text", False, None,
          "Theta set as a JSON list of formulas; defaults to the calculus "
          "theta."),
@@ -476,7 +481,7 @@ _PARAMETERS = {
          "Render the proof tree as DOT."),
     ],
     "check-proof": [
-        _CALCULUS, *_STATEMENTS,
+        _CALCULUS, _STATEMENT,
         ("tree_spec", ("--tree",), "text", True, None,
          "Derivation tree as inline JSON or @file."),
     ],
@@ -550,18 +555,61 @@ class TestUsage:
         assert res.exit_code == 2
 
 
+class TestReadme:
+
+    def test_command_block_runs(self, runner, tmp_path, monkeypatch):
+        # the sh block under "## Command line", run line by line in one
+        # directory, so that product's b.json feeds separators
+        section = README.read_text(encoding="utf-8").split(
+            "\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in
+                    block.replace("\\\n", " ").splitlines()]
+        assert len(commands) > 1
+        (s, tree), _, _ = mci_worked_derivations()
+        (tmp_path / "stmt.json").write_text(dumps(statement_to_data(s)))
+        (tmp_path / "tree.json").write_text(dumps(tree_to_data(tree)))
+        monkeypatch.chdir(tmp_path)
+        for program, *args in commands:
+            assert program == "ndlogic"
+            res = invoke(runner, *args)
+            assert res.exit_code in (0, 1), (args, res.output)
+            assert not any(line.startswith("error:")
+                           for line in res.output.splitlines()), args
+
+
+class TestDependencies:
+
+    def test_nothing_beyond_click_and_the_standard_library(self):
+        # only what the import adds counts, so modules that start-up hooks
+        # (.pth files) load before it stay out
+        code = ("import sys\n"
+                "before = {m.partition('.')[0] for m in sys.modules}\n"
+                "import ndlogic.cli, ndlogic.serialize\n"
+                "after = {m.partition('.')[0] for m in sys.modules}\n"
+                "print(*sorted(after - before\n"
+                "              - set(sys.stdlib_module_names)))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        added = set(res.stdout.split())
+        assert "ndlogic" in added and added <= {"click", "ndlogic"}
+
+
 class TestDeterminism:
     """stdout is a function of the input alone: the same bytes under
     every string-hash seed."""
 
     @pytest.mark.parametrize("args, code", [
-        (["check", "--matrix", "builtin:mci-b", "--bstatement",
+        (["check", "--matrix", "builtin:mci-b", "--statement",
           '{"acc":["imp(p,q)","neg(q)"],"nacc":["neg(p)"]}'], 1),
-        (["prove", "--calculus", "builtin:hmci2d", "--bstatement",
+        (["prove", "--calculus", "builtin:hmci2d", "--statement",
           '{"acc":["neg(p)","imp(p,q)"],'
           '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
         (["separators", "--matrix", "builtin:mci5", "--depth", "2"], 1),
-        (["prove", "--calculus", "builtin:hmci2d", "--dot", "--bstatement",
+        (["prove", "--calculus", "builtin:hmci2d", "--dot", "--statement",
           '{"acc":["neg(p)","imp(p,q)"],'
           '"nacc":["cons(neg(cons(p)))","q"]}'], 0),
         (["check", "--matrix", "builtin:mci5", "--statement",

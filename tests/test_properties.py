@@ -59,13 +59,13 @@ class TestOneDimensionalRelation:
     @settings(derandomize=True, deadline=None)
     @given(SMALL, SMALL, FORMULAS)
     def test_overlap(self, phi, psi, x):
-        for m in (_arts().m5, mk_matrix(1).matrix):
+        for m in (_arts().m5, mk_matrix(1)):
             assert entails_1d(m, Statement1D(phi | {x}, psi | {x})).valid
 
     @settings(derandomize=True, deadline=None)
     @given(SMALL, SMALL, SMALL, SMALL)
     def test_dilution(self, phi, psi, more_l, more_r):
-        for m in (_arts().m5, mk_matrix(1).matrix):
+        for m in (_arts().m5, mk_matrix(1)):
             if entails_1d(m, Statement1D(phi, psi)).valid:
                 assert entails_1d(
                     m, Statement1D(phi | more_l, psi | more_r)).valid
@@ -73,7 +73,7 @@ class TestOneDimensionalRelation:
     @settings(derandomize=True, deadline=None)
     @given(SMALL, SMALL, FORMULAS)
     def test_finite_cut(self, phi, psi, x):
-        for m in (_arts().m5, mk_matrix(1).matrix):
+        for m in (_arts().m5, mk_matrix(1)):
             if entails_1d(m, Statement1D(phi, psi | {x})).valid and \
                     entails_1d(m, Statement1D(phi | {x}, psi)).valid:
                 assert entails_1d(m, Statement1D(phi, psi)).valid
@@ -81,7 +81,7 @@ class TestOneDimensionalRelation:
     @settings(derandomize=True, deadline=None)
     @given(SMALL, SMALL, SUBSTITUTIONS)
     def test_substitution_invariance(self, phi, psi, sub):
-        for m in (_arts().m5, mk_matrix(1).matrix):
+        for m in (_arts().m5, mk_matrix(1)):
             if entails_1d(m, Statement1D(phi, psi)).valid:
                 assert entails_1d(
                     m, Statement1D(_apply(sub, phi), _apply(sub, psi))).valid
@@ -212,7 +212,7 @@ POS_SMALL = st.frozensets(POS_FORMULAS, max_size=2)
 
 
 def _positive_pair():
-    mk = mk_matrix(1).matrix
+    mk = mk_matrix(1)
     pos4 = NdMatrix(
         NdAlgebra(_POS_SIG, mk.algebra.values,
                   {c: mk.algebra.interpretation[c]

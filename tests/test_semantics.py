@@ -25,7 +25,7 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                NdAlgebra, NdMatrix, PairSeparation,
                                Statement1D, Valuation, Verdict,
                                aspect_entails, b_entails,
-                               b_product, check_strong_hom, check_total,
+                               b_product, check_total,
                                coherent_valuations, entails_1d,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
@@ -266,6 +266,8 @@ class TestBEntails:
          "B-entailment is two-dimensional"),
         (lambda m: aspect_entails(m, "f", Statement1D({p}, {q})),
          "the f-aspect reads the antidesignated set"),
+        (lambda m: aspect_entails(m, "t", Statement1D({p}, {q})),
+         "the t-aspect reads the designated set"),
         (lambda m: validate_rule(m, RuleSchema("two", 2, acc={p})),
          "rule 'two' is two-dimensional"),
     ])
@@ -353,6 +355,13 @@ class TestAspectsAndProduct:
         with pytest.raises(SemanticsError):
             b_product(m5, m_gh)
 
+    def test_product_refuses_a_b_matrix_factor(self, m5, b5):
+        # b5 shares m5's algebra, so only the kind check can refuse it
+        for left, right in ((b5, m5), (m5, b5)):
+            with pytest.raises(SemanticsError) as e:
+                b_product(left, right)
+            assert str(e.value) == "product needs two plain matrices"
+
 
 # ---------------------------------------------------------------------------
 # strong homomorphisms
@@ -376,10 +385,10 @@ COLLAPSE5 = {"f": "0", "F": "0", "I": "1", "T": "1", "t": "1"}
 class TestStrongHom:
     def test_identity(self, m5):
         ident = {v: v for v in V5}
-        assert check_strong_hom(m5, m5, ident, SIG5)
+        assert not strong_hom_report(m5, m5, ident, SIG5)
 
     def test_positive_collapse_to_two_valued(self, m5):
-        assert check_strong_hom(m5, BOOL2, COLLAPSE5, BOOL_SIG)
+        assert not strong_hom_report(m5, BOOL2, COLLAPSE5, BOOL_SIG)
 
     def test_designation_violation_reported(self, m5, alg5):
         target = NdMatrix(alg5, frozenset({"t"}))
@@ -394,7 +403,6 @@ class TestStrongHom:
                             frozenset({"1"}))
         report = strong_hom_report(m5, bool_neg, COLLAPSE5, sig)
         assert report and any(line.startswith("neg") for line in report)
-        assert not check_strong_hom(m5, bool_neg, COLLAPSE5, sig)
 
     def test_mapping_must_be_total(self, m5):
         partial = {v: "0" for v in V5 if v != "t"}

@@ -56,7 +56,7 @@ def matrices():
     yield "ex1", example1()[0]
     yield "ex2", example2()[0]
     for k in (2, 3, 4):
-        yield f"mk:{k}", mk_matrix(k).matrix
+        yield f"mk:{k}", mk_matrix(k)
     rng = random.Random(SEED)
     for i in range(RANDOM_COUNT):
         yield f"random:{i}", _random_matrix(rng)

@@ -41,7 +41,7 @@ class TestMatrixRoundtrip:
         assert isinstance(back, BMatrix) and back == b5
 
     def test_mk(self):
-        m = mk_matrix(2).matrix
+        m = mk_matrix(2)
         assert matrix_from_data(matrix_to_data(m)) == m
 
     def test_signature_notation_kept(self):
