@@ -11,14 +11,16 @@ Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
 makes finite enumeration sound and complete.  Partial algebras can be
 represented but every checking operation rejects them with
-NonTotalAlgebraError.
+NonTotalAlgebraError.  Separator reports scan the unary formulas depth by
+depth, except for value pairs that a simulation of the cells proves
+inseparable at every depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, count, product
+from itertools import combinations, count, islice, product
 from operator import or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 from weakref import ref
@@ -469,8 +471,8 @@ class _SeparatorScan:
 
     The unary pool is built level by level, in the order of
     ``_pool_levels``, as deep as some pair's search needs; a level that
-    would take it past ``max_formulas`` formulas is not built, and the
-    scan records a FormulaLimit.  Each formula has a vector, its induced
+    would take it past ``max_formulas`` formulas is not built, and rest()
+    names that FormulaLimit.  Each formula has a vector, its induced
     value set at every value of p as bit masks.  Vectors are interned in
     the order of their first formula, and ``firsts[v]`` is vector v's
     first formula as a node ``(conn, arg ids)``.
@@ -488,7 +490,8 @@ class _SeparatorScan:
     argument), read off the joint relation of S and the argument, or the
     vector if S is empty.  A level is kept as nodes when the next level
     fits the budget, because they are its arguments; the last level built
-    keeps only the first node of each new vector."""
+    keeps only the first node of each new vector.  The algebra must be
+    total, which ``_simulation`` relies on too."""
 
     def __init__(self, alg: NdAlgebra, max_depth: int,
                  max_formulas: int = 10 ** 6):
@@ -501,11 +504,10 @@ class _SeparatorScan:
                           sum(1 << w for w in out) for args, out in t.items()}
                       for c, t in alg._tables.items()}  # by row code
         self.cells[None] = {v: 1 << v for v in range(nv)}  # copies a column
-        self.max_formulas = max_formulas
+        self.max_depth, self.max_formulas = max_depth, max_formulas
         self.levels = _pool_levels(alg.signature, max_depth)
         self.next = next(self.levels)  # the level grow() builds
         self.depth, self.size = -1, 0  # deepest level built, pool size
-        self.limit: FormulaLimit | None = None
         self.nodes, self.firsts = [], []  # kept nodes, first node per vector
         self.vector, self.multi = [], []  # per node: vector id, see above
         self.vectors, self.vector_ids = [], {}
@@ -524,7 +526,6 @@ class _SeparatorScan:
             return False
         first, below, conns, size = self.next
         if self.size + size > self.max_formulas:
-            self.limit = FormulaLimit(self.depth, self.max_formulas)
             return False
         self.depth += 1
         self.size += size
@@ -543,6 +544,16 @@ class _SeparatorScan:
                     self.nodes.append((conn, ids))
                     self.vector.append(vec)
         return True
+
+    def rest(self) -> tuple[int, FormulaLimit | None]:
+        """The formulas grow() would still build, and its FormulaLimit."""
+        depth, size = self.depth, self.size
+        for *_, n in islice(_pool_levels(self.alg.signature, self.max_depth),
+                            depth + 1, None):
+            if size + n > self.max_formulas:
+                return size - self.size, FormulaLimit(depth, self.max_formulas)
+            depth, size = depth + 1, size + n
+        return size - self.size, None
 
     def _walk(self, k: int, first: int, below: int, keep: bool) -> list:
         """(ids, relation id) of every argument tuple of arity k if
@@ -656,6 +667,46 @@ class _SeparatorScan:
         return got
 
 
+def _simulation(scan: _SeparatorScan, dist: Sequence[int]) -> list[int]:
+    """``rel[x]``, the mask of the y with x R y, for a relation R that keeps
+    the distinguished masks ``dist`` and simulates every cell.  R starts as
+    the pairs whose membership patterns in p and each vector built at x
+    occur at y; it loses each non-identity pair of any tuple of pairs where
+    the left cell has an output with no R-partner in the right cell, until
+    none is lost.  So x R y proves ⟨x,y⟩ inseparable: bottom-up, a coherent
+    valuation with p = x has a partner with p = y, R-related at each
+    formula, and each value of x's non-empty set has one of its membership
+    in y's.  R is sound, not greatest; it is the identity unless its work
+    bound, the candidates times Σ |R|^arity, is below the formulas left."""
+    nv = scan.nv
+    seen = [[{tuple(d >> w & 1 for d in dist) for w in _bits(m)} for m in vec]
+            for vec in ([1 << w for w in range(nv)], *scan.vectors)]
+    rel = [sum(1 << y for y in range(nv) if all(s[x] <= s[y] for s in seen))
+           for x in range(nv)]
+    size = sum(map(int.bit_count, rel))
+    arities = [k for k in scan.alg.signature.connectives.values() if k]
+    if (size - nv) * sum(size ** k for k in arities) >= scan.rest()[0]:
+        return [1 << x for x in range(nv)]
+    conns = sorted(({xs: sum(1 << w for w in out) for xs, out in t.items()}
+                    for t in scan.alg._tables.values() if next(iter(t))),
+                   key=len)
+    at = clean = 0  # the connective checked next; clean checks in a row
+    while clean < len(conns):
+        cells, rows, drop = conns[at], list(map(_bits, rel)), [0] * nv
+        partners = {m: sum(1 << z for z in range(nv) if rel[z] & m)
+                    for m in set(cells.values())}
+        for xs, out in cells.items():
+            for ys in product(*map(rows.__getitem__, xs)):
+                if out & ~partners[cells[ys]]:
+                    for x, y in zip(xs, ys):
+                        drop[x] |= (x != y) << y
+        if any(drop):
+            rel, clean = [r & ~d for r, d in zip(rel, drop)], 0
+        else:
+            at, clean = (at + 1) % len(conns), clean + 1
+    return rel
+
+
 @dataclass(frozen=True)
 class PairSeparation:
     """One unordered value pair's separation result; ``into`` is the value
@@ -676,16 +727,19 @@ def separator_for_pair(target: Matrix, x: str, y: str, max_depth: int,
     """First unary formula (in enumeration order) whose induced value sets
     at ``x`` and ``y`` fall on opposite sides of a distinguished set; None
     if no formula up to ``max_depth`` does, and a FormulaLimit if the pool
-    up to the depth searched next has more than ``max_formulas`` formulas."""
+    up to the depth searched next has more than ``max_formulas`` formulas.
+    A pair that a simulation proves inseparable gets that without a scan."""
     found = _separator_search(
         _SeparatorScan(target.algebra, max_depth, max_formulas), target, x, y)
     return found.limit or found.separator
 
 
-def _separator_search(scan: _SeparatorScan, target: Matrix, x: str,
-                      y: str) -> PairSeparation:
+def _separator_search(scan: _SeparatorScan, target: Matrix, x: str, y: str,
+                      rel: list[int] | None = None) -> PairSeparation:
     """The first vector of ``scan`` whose sets at x and y fall on opposite
-    sides of one of ``target``'s distinguished sets."""
+    sides of one of ``target``'s distinguished sets.  ``rel``, filled with
+    ``_simulation`` when a search first would grow the scan, ends the
+    search of a pair it relates either way with the scan's final answer."""
     if x == y:
         raise SemanticsError("separator search requires two distinct values")
     index = scan.alg._index
@@ -696,10 +750,13 @@ def _separator_search(scan: _SeparatorScan, target: Matrix, x: str,
     dist = [(name, sum(1 << index[v] for v in getattr(target, name)))
             for name in ("designated", "antidesignated")
             if hasattr(target, name)]
+    rel = [] if rel is None else rel
     for vec in count():
         while vec == len(scan.vectors):
-            if not scan.grow():
-                return PairSeparation(x, y, None, limit=scan.limit)
+            if not rel:
+                rel += _simulation(scan, [d for _, d in dist])
+            if rel[xi] >> yi & 1 or rel[yi] >> xi & 1 or not scan.grow():
+                return PairSeparation(x, y, None, limit=scan.rest()[1])
         sx, sy = scan.vectors[vec][xi], scan.vectors[vec][yi]
         for name, d in dist:
             for inside, outside, into in ((sx, sy, x), (sy, sx, y)):
@@ -742,9 +799,10 @@ def expressiveness_report(target: Matrix, max_depth: int,
                           max_formulas: int = 10 ** 6,
                           ) -> ExpressivenessReport:
     """Separator search over every unordered pair of distinct values,
-    within a pool of at most ``max_formulas`` formulas."""
-    scan = _SeparatorScan(target.algebra, max_depth, max_formulas)
-    entries = tuple(_separator_search(scan, target, x, y)
+    within a pool of at most ``max_formulas`` formulas; the pairs share one
+    scan, and no pair that a simulation proves inseparable grows it."""
+    scan, rel = _SeparatorScan(target.algebra, max_depth, max_formulas), []
+    entries = tuple(_separator_search(scan, target, x, y, rel)
                     for x, y in combinations(scan.alg.values, 2))
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix",

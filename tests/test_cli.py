@@ -315,6 +315,26 @@ class TestProductAndSeparators:
         assert "  <T,t>: open after depth 2, max_formulas 121 reached" in \
             res.output.splitlines()
 
+    def test_separators_depth_four_stdout(self, runner):
+        # <f,F> and <T,t> are certified inseparable, so their lines give
+        # the budget a whole scan would reach without the scan
+        res = invoke(runner, "separators", "--matrix", "builtin:mci5",
+                     "--depth", "4")
+        assert res.exit_code == 1
+        assert res.output == (
+            "expressiveness report (matrix, depth <= 4)\n"
+            "  <f,F>: open after depth 3, max_formulas 1000000 reached\n"
+            "  <f,I>: p  [I inside designated]\n"
+            "  <f,T>: p  [T inside designated]\n"
+            "  <f,t>: p  [t inside designated]\n"
+            "  <F,I>: p  [I inside designated]\n"
+            "  <F,T>: p  [T inside designated]\n"
+            "  <F,t>: p  [t inside designated]\n"
+            "  <I,T>: cons(p)  [T inside designated]\n"
+            "  <I,t>: cons(p)  [t inside designated]\n"
+            "  <T,t>: open after depth 3, max_formulas 1000000 reached\n"
+            "  => max_formulas limit reached after depth 3\n")
+
     def test_separators_budget_must_be_positive(self, runner):
         res = invoke(runner, "separators", "--matrix", "builtin:mci5",
                      "--max-formulas", "0")

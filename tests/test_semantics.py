@@ -29,8 +29,9 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                coherent_valuations, entails_1d,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
-                               validate_rule, _SeparatorScan,
-                               _separator_search)
+                               validate_rule, ExpressivenessReport,
+                               _SeparatorScan, _separator_search,
+                               _simulation)
 
 p = Var("p")
 q = Var("q")
@@ -716,7 +717,7 @@ class TestLazyPool:
         # the last level keeps no nodes, only each new vector's first
         assert len(scan.nodes) == len(scan.vector) == 6
         assert len(scan.firsts) == len(scan.vectors)
-        assert not scan.grow() and scan.limit is None
+        assert not scan.grow() and scan.rest() == (0, None)
 
 
 class TestFormulaBudget:
@@ -743,7 +744,7 @@ class TestFormulaBudget:
         # depth 3 is the last level built, so its nodes are not kept
         scan = _full_scan(m5, 4)
         assert (scan.depth, scan.size, len(scan.nodes)) == (3, 44166, 121)
-        assert scan.limit == limit
+        assert scan.rest() == (0, limit)
 
     def test_limit_is_checked_per_level(self, m5, b5):
         # 44,166 formulas fit a budget of 44,166 and not one of 44,165
@@ -758,7 +759,7 @@ class TestFormulaBudget:
         while scan.grow():
             pass
         assert (scan.depth, scan.size, len(scan.nodes)) == (2, 121, 6)
-        assert scan.limit == FormulaLimit(2, 44165)
+        assert scan.rest() == (0, FormulaLimit(2, 44165))
         # mci-b separates every pair by depth 1, so six formulas do
         assert expressiveness_report(b5, 4, 6).sufficiently_expressive
         assert separator_for_pair(b5, "I", "T", 2, 1) == FormulaLimit(0, 1)
@@ -766,6 +767,184 @@ class TestFormulaBudget:
     def test_budget_must_be_positive(self, m5):
         with pytest.raises(SemanticsError):
             expressiveness_report(m5, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the simulation certificate
+
+
+def _dist(target):
+    """The distinguished sets of ``target`` as value masks."""
+    index = target.algebra._index
+    return [sum(1 << index[v] for v in getattr(target, name))
+            for name in ("designated", "antidesignated")
+            if hasattr(target, name)]
+
+
+def _related(target, scan=None, max_depth=3):
+    """The non-identity pairs of the certificate, as value names."""
+    scan = scan or _SeparatorScan(target.algebra, max_depth)
+    rel, values = _simulation(scan, _dist(target)), target.algebra.values
+    assert all(rel[x] >> x & 1 for x in range(len(values)))
+    return {(values[x], values[y]) for x in range(len(values))
+            for y in range(len(values)) if x != y and rel[x] >> y & 1}
+
+
+def _uncertified_lines(target, max_depth, max_formulas=10 ** 6, scan=None):
+    """The report lines with the certificate off: an identity relation
+    makes every pair's search run the scan."""
+    scan = scan or _SeparatorScan(target.algebra, max_depth, max_formulas)
+    identity = [1 << x for x in range(len(target.algebra.values))]
+    entries = tuple(_separator_search(scan, target, x, y, identity)
+                    for x, y in combinations(target.algebra.values, 2))
+    return ExpressivenessReport(
+        "bmatrix" if isinstance(target, BMatrix) else "matrix", max_depth,
+        entries, all(e.separator is not None for e in entries)).lines()
+
+
+def _assert_certificate_sound(target, max_depth, scan):
+    """No certified pair has a separator in the whole scan ``scan`` up to
+    ``max_depth``, and the report equals the one without the certificate;
+    returns the certified pairs.  They are computed for depth 8, whose
+    pool is large enough that the work bound never turns them off."""
+    related = _related(target, max_depth=8)
+    identity = [1 << x for x in range(len(target.algebra.values))]
+    for x, y in related:
+        found = _separator_search(scan, target, x, y, identity)
+        assert found.separator is None and found.limit is None, (x, y)
+    assert expressiveness_report(target, max_depth).lines() == \
+        _uncertified_lines(target, max_depth, scan=scan)
+    return related
+
+
+def _unary_matrix(conns):
+    """Five values over unary connectives only, a its one designated
+    value: g runs a -> b -> c -> d -> a and sends e to b or c, and h, if
+    present, keeps every value, so the pool doubles at each depth."""
+    values = ("a", "b", "c", "d", "e")
+    g = {"a": {"b"}, "b": {"c"}, "c": {"d"}, "d": {"a"}, "e": {"b", "c"}}
+    interp = {"g": {(x,): g[x] for x in values},
+              "h": {(x,): {x} for x in values}}
+    return NdMatrix(NdAlgebra(Signature({c: 1 for c in conns}), values,
+                              {c: interp[c] for c in conns}), {"a"})
+
+
+class TestSimulationCertificate:
+    def test_relates_exactly_the_open_mci5_pairs(self, m5, b5):
+        assert _related(m5) == {("F", "f"), ("T", "t")}
+        # the vectors up to depth 2 leave the same candidates: f's set at
+        # neg(neg(p)) has a designated and an undesignated value, F's
+        # only an undesignated one
+        scan = _SeparatorScan(m5.algebra, 3)
+        for _ in range(3):
+            scan.grow()
+        assert scan.depth == 2 and _related(m5, scan) == \
+            {("F", "f"), ("T", "t")}
+        assert _related(b5) == set()
+        assert _related(example2()[0]) == set()
+
+    def test_keeps_membership_before_any_vector(self, m5, m5_rej):
+        for target in (m5, m5_rej):
+            for x, y in _related(target):
+                assert (x in target.designated) == (y in target.designated)
+
+    def test_mci5_report_stops_at_depth_one(self, m5):
+        scan, rel = _SeparatorScan(m5.algebra, 3), []
+        entries = [_separator_search(scan, m5, x, y, rel)
+                   for x, y in combinations(m5.algebra.values, 2)]
+        assert scan.depth == 1
+        assert [(e.x, e.y) for e in entries if e.separator is None] == \
+            [("f", "F"), ("T", "t")]
+        assert expressiveness_report(m5, 3).lines() == \
+            _uncertified_lines(m5, 3)
+
+    def test_work_bound_leaves_small_pools_to_the_scan(self, m5):
+        # mci5's bound is 8 candidate pairs times 2 * 13 + 3 * 13 ** 2:
+        # 4,264, against 6 formulas at depth 1, and 121 or 44,166 up to
+        # depth 3 as the budget stops or admits the last level
+        identity = [1, 2, 4, 8, 16]
+        for scan in (_SeparatorScan(m5.algebra, 1),
+                     _SeparatorScan(m5.algebra, 3, 44165)):
+            assert _simulation(scan, _dist(m5)) == identity
+        assert _simulation(_SeparatorScan(m5.algebra, 3, 44166),
+                           _dist(m5)) != identity
+
+    def test_every_distinguished_set_over_the_mci_algebra(self, m5):
+        alg, values = m5.algebra, m5.algebra.values
+        sets = [[v for i, v in enumerate(values) if mask >> i & 1]
+                for mask in range(1 << len(values))]
+        scan = _full_scan(m5, 3)
+        certified = 0
+        for target in [NdMatrix(alg, d) for d in sets] + \
+                [BMatrix(alg, m5.designated, a) for a in sets]:
+            certified += len(_assert_certificate_sound(target, 3, scan))
+        assert certified >= 60
+
+    def test_random_algebras(self):
+        rng = random.Random(22)
+        certified = 0
+        for arity, depth in ((2, 3), (2, 3), (3, 2)) * 8:
+            alg = _random_algebra(rng, arity)
+            sets = [frozenset(rng.sample(alg.values, rng.randint(0, 2)))
+                    for _ in range(2)]
+            target = NdMatrix(alg, sets[0]) if rng.random() < 0.5 else \
+                BMatrix(alg, *sets)
+            scan = _SeparatorScan(alg, depth)
+            while scan.grow():
+                pass
+            certified += len(_assert_certificate_sound(target, depth, scan))
+        assert certified >= 20
+
+    def test_reports_share_no_state(self, m5, b5):
+        assert m5.algebra is b5.algebra
+        first = [expressiveness_report(t, 3).lines() for t in (b5, m5)]
+        assert [expressiveness_report(t, 3).lines()
+                for t in (b5, m5)] == first
+        assert first[1] == _uncertified_lines(m5, 3)
+
+
+class TestCertifiedLimits:
+    def test_small_budget_reads_the_level_sizes(self, m5):
+        assert separator_for_pair(m5, "f", "F", 3, max_formulas=100) == \
+            FormulaLimit(1, 100)
+        assert separator_for_pair(m5, "T", "t", 4) == FormulaLimit(3, 10 ** 6)
+
+    def test_mci5_depth_four_lines(self, m5):
+        assert expressiveness_report(m5, 4).lines() == [
+            "expressiveness report (matrix, depth <= 4)",
+            "  <f,F>: open after depth 3, max_formulas 1000000 reached",
+            "  <f,I>: p  [I inside designated]",
+            "  <f,T>: p  [T inside designated]",
+            "  <f,t>: p  [t inside designated]",
+            "  <F,I>: p  [I inside designated]",
+            "  <F,T>: p  [T inside designated]",
+            "  <F,t>: p  [t inside designated]",
+            "  <I,T>: cons(p)  [T inside designated]",
+            "  <I,t>: cons(p)  [t inside designated]",
+            "  <T,t>: open after depth 3, max_formulas 1000000 reached",
+            "  => max_formulas limit reached after depth 3"]
+
+    def test_unary_connectives_at_depth_forty(self):
+        # <b,e> is certified; a whole scan of the two-connective pool
+        # would build 524,287 formulas before the budget stops it
+        head = ["expressiveness report (matrix, depth <= 40)",
+                "  <a,b>: p  [a inside designated]",
+                "  <a,c>: p  [a inside designated]",
+                "  <a,d>: p  [a inside designated]",
+                "  <a,e>: p  [a inside designated]",
+                "  <b,c>: g(g(p))  [c inside designated]",
+                "  <b,d>: g(p)  [d inside designated]"]
+        tail = ["  <c,d>: g(p)  [d inside designated]",
+                "  <c,e>: g(g(p))  [c inside designated]",
+                "  <d,e>: g(p)  [d inside designated]"]
+        assert expressiveness_report(_unary_matrix("g"), 40).lines() == \
+            head + ["  <b,e>: none up to depth 40"] + tail + \
+            ["  => not separated within bound"]
+        assert expressiveness_report(_unary_matrix("gh"), 40).lines() == \
+            head + ["  <b,e>: open after depth 18, max_formulas 1000000 "
+                    "reached"] + tail + \
+            ["  => max_formulas limit reached after depth 18"]
+        assert _related(_unary_matrix("gh"), max_depth=40) == {("b", "e")}
 
 
 # ---------------------------------------------------------------------------
