@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations, count, islice, product
+from itertools import combinations, count, product
 from operator import or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 from weakref import ref
 
 from .errors import NonTotalAlgebraError, SemanticsError
-from .language import (P, App, Formula, Signature, Var, _pool_levels,
-                       subformula_sequence, variables)
+from .language import (P, Formula, Signature, Var, _pool_levels,
+                       _rebuild, subformula_sequence, variables)
 
 # ---------------------------------------------------------------------------
 # algebras and matrices
@@ -147,6 +147,13 @@ def _b_only(m: Matrix, what: str):
         raise SemanticsError(f"{what}; target is not a B-matrix")
 
 
+def _require_statement(s, kind: type):
+    """Refuse a statement that is not a ``kind``."""
+    if not isinstance(s, kind):
+        raise SemanticsError(
+            f"statement must be a {kind.__name__}, not {type(s).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # statements and verdicts
 
@@ -231,7 +238,7 @@ class Verdict:
 # valuation enumeration
 
 def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
-    """Order the subformula closure (variables first, then compounds
+    """Number the subformula closure (variables first, then compounds
     bottom-up) and compile one plan entry per position: (None, var_name)
     for a variable, (conn, arg_positions) otherwise."""
     seq = subformula_sequence(fs)
@@ -249,7 +256,7 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
             if conns[f.conn] != len(f.args):
                 raise SemanticsError(f"arity mismatch for {f.conn!r} in {f}")
             plan.append((f.conn, tuple(pos[a] for a in f.args)))
-    return tuple(doms), plan
+    return tuple(doms), pos, plan
 
 
 def _valuations(alg: NdAlgebra, plan: list[tuple],
@@ -295,7 +302,7 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
     """All coherent valuations on the subformula closure of ``fs`` in
     enumeration order.  Requires a total algebra."""
     _require_total(alg)
-    doms, plan = _compile(alg, _sorted(fs))
+    doms, _, plan = _compile(alg, _sorted(fs))
     return [_to_valuation(alg, doms, vals)
             for vals in _valuations(alg, plan, {})]
 
@@ -313,8 +320,8 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
     for x in inputs:
         if x not in index:
             raise SemanticsError(f"unknown value {x!r}")
-    doms, plan = _compile(alg, [f])
-    pins = {doms.index(Var(v)): (index[x],) for v, x in zip(vs, inputs)}
+    doms, pos, plan = _compile(alg, [f])
+    pins = {pos[Var(v)]: (index[x],) for v, x in zip(vs, inputs)}
     out = {vals[-1] for vals in _valuations(alg, plan, pins)}
     return frozenset(alg.values[i] for i in out)
 
@@ -336,8 +343,7 @@ def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
     every = frozenset(range(len(alg.values)))
     oks = (d, every - d, a, every - a)
     fs = [(f, ok) for side, ok in zip(sides, oks) for f in _sorted(side)]
-    doms, plan = _compile(alg, [f for f, _ in fs])
-    pos = {f: i for i, f in enumerate(doms)}
+    doms, pos, plan = _compile(alg, [f for f, _ in fs])
     allowed: dict[int, frozenset[int]] = {}
     for f, ok in fs:
         allowed[pos[f]] = allowed.get(pos[f], ok) & ok
@@ -350,6 +356,7 @@ def entails_1d(m: NdMatrix, s: Statement1D) -> Verdict:
     """SET-SET entailment: valid iff every coherent valuation that
     designates the whole antecedent designates some succedent formula;
     the t-aspect of B-entailment."""
+    _require_statement(s, Statement1D)
     return _entails(m.algebra, m.designated, (), s.antecedent, s.succedent)
 
 
@@ -358,6 +365,7 @@ def b_entails(b: BMatrix, s: BStatement) -> Verdict:
     designated set, nacc outside it, rej inside the antidesignated set and
     nrej outside it, all at once."""
     _b_only(b, "B-entailment is two-dimensional")
+    _require_statement(s, BStatement)
     return _entails(b.algebra, b.designated, b.antidesignated,
                     s.acc, s.nacc, s.rej, s.nrej)
 
@@ -372,6 +380,7 @@ def aspect_entails(b: BMatrix, aspect: str, s: Statement1D) -> Verdict:
     else:
         raise SemanticsError(f"unknown aspect {aspect!r}; use 't' or 'f'")
     _b_only(b, f"the {aspect[0]}-aspect reads the {side} set")
+    _require_statement(s, Statement1D)
     return _entails(b.algebra, getattr(b, side), (), s.antecedent,
                     s.succedent)
 
@@ -470,12 +479,13 @@ class _SeparatorScan:
     """The unary formulas of one algebra up to one depth, and their vectors.
 
     The unary pool is built level by level, in the order of
-    ``_pool_levels``, as deep as some pair's search needs; a level that
-    would take it past ``max_formulas`` formulas is not built, and rest()
-    names that FormulaLimit.  Each formula has a vector, its induced
-    value set at every value of p as bit masks.  Vectors are interned in
-    the order of their first formula, and ``firsts[v]`` is vector v's
-    first formula as a node ``(conn, arg ids)``.
+    ``_pool_levels``, as deep as some pair's search needs.  The budget is
+    read once, off the level sizes: ``total`` counts the formulas of the
+    levels that fit ``max_formulas``, and ``limit`` is the FormulaLimit of
+    the first level that does not, or None.  Each formula has a vector,
+    its induced value set at every value of p as bit masks.  Vectors are
+    interned in the order of their first formula, and ``firsts[v]`` is
+    vector v's first formula as a node ``(conn, arg ids)``.
 
     A node's vector is read off its argument relation: the rows of values
     its arguments take together at each value of p, as masks of row codes
@@ -488,10 +498,10 @@ class _SeparatorScan:
     iff they agree on S.  The relation is thus the join on S of the
     arguments' profiles: the pairs (values of S as one code, value of the
     argument), read off the joint relation of S and the argument, or the
-    vector if S is empty.  A level is kept as nodes when the next level
-    fits the budget, because they are its arguments; the last level built
-    keeps only the first node of each new vector.  The algebra must be
-    total, which ``_simulation`` relies on too."""
+    vector if S is empty.  A level is kept as nodes when more formulas fit
+    the budget, because they are the next level's arguments; the last level
+    built keeps only the first node of each new vector.  The algebra must
+    be total, which ``_simulation`` relies on too."""
 
     def __init__(self, alg: NdAlgebra, max_depth: int,
                  max_formulas: int = 10 ** 6):
@@ -504,9 +514,13 @@ class _SeparatorScan:
                           sum(1 << w for w in out) for args, out in t.items()}
                       for c, t in alg._tables.items()}  # by row code
         self.cells[None] = {v: 1 << v for v in range(nv)}  # copies a column
-        self.max_depth, self.max_formulas = max_depth, max_formulas
         self.levels = _pool_levels(alg.signature, max_depth)
-        self.next = next(self.levels)  # the level grow() builds
+        self.total, self.limit = 0, None
+        for d, (*_, n) in enumerate(_pool_levels(alg.signature, max_depth)):
+            if self.total + n > max_formulas:
+                self.limit = FormulaLimit(d - 1, max_formulas)
+                break
+            self.total += n
         self.depth, self.size = -1, 0  # deepest level built, pool size
         self.nodes, self.firsts = [], []  # kept nodes, first node per vector
         self.vector, self.multi = [], []  # per node: vector id, see above
@@ -520,18 +534,14 @@ class _SeparatorScan:
         self.joints, self.expansions = _Memo(self._joint), _Memo(self._expand)
 
     def grow(self) -> bool:
-        """Build the next level of the pool; False once the pool is
-        complete or the budget stops it."""
-        if self.next is None:
+        """Build the next level of the pool; False once it holds the
+        ``total`` formulas within the budget."""
+        if self.size == self.total:
             return False
-        first, below, conns, size = self.next
-        if self.size + size > self.max_formulas:
-            return False
+        first, below, conns, size = next(self.levels)
         self.depth += 1
         self.size += size
-        self.next = next(self.levels, None)
-        keep = self.next is not None and \
-            self.size + self.next[3] <= self.max_formulas
+        keep = self.size < self.total
         walks = {k: self._walk(k, first, below, keep)
                  for k in {k for _, k in conns}}
         for conn, k in conns:
@@ -544,16 +554,6 @@ class _SeparatorScan:
                     self.nodes.append((conn, ids))
                     self.vector.append(vec)
         return True
-
-    def rest(self) -> tuple[int, FormulaLimit | None]:
-        """The formulas grow() would still build, and its FormulaLimit."""
-        depth, size = self.depth, self.size
-        for *_, n in islice(_pool_levels(self.alg.signature, self.max_depth),
-                            depth + 1, None):
-            if size + n > self.max_formulas:
-                return size - self.size, FormulaLimit(depth, self.max_formulas)
-            depth, size = depth + 1, size + n
-        return size - self.size, None
 
     def _walk(self, k: int, first: int, below: int, keep: bool) -> list:
         """(ids, relation id) of every argument tuple of arity k if
@@ -632,9 +632,19 @@ class _SeparatorScan:
         return got
 
     def formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
-        conn, ids = node
-        return P if conn is None else \
-            App(conn, tuple(self.formula(self.nodes[a]) for a in ids))
+        """The formula of ``node``.  Argument ids lie below their node's,
+        so the closure's ids ascending list it for ``_rebuild``, which
+        builds it without recursion."""
+        seen, todo = set(), [node]
+        while todo:
+            for a in todo.pop()[1]:
+                if a not in seen:
+                    seen.add(a)
+                    todo.append(self.nodes[a])
+        at = {a: i for i, a in enumerate(sorted(seen))}
+        return _rebuild(tuple(
+            P.name if conn is None else (conn, tuple(map(at.__getitem__, ids)))
+            for conn, ids in [*map(self.nodes.__getitem__, at), node]))
 
     def _joint(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         """The rows the ascending, distinct ``ids`` take together at each
@@ -667,28 +677,27 @@ class _SeparatorScan:
         return got
 
 
-def _simulation(scan: _SeparatorScan, dist: Sequence[int]) -> list[int]:
+def _simulation(alg: NdAlgebra, dist: Sequence[int], total: int) -> list[int]:
     """``rel[x]``, the mask of the y with x R y, for a relation R that keeps
     the distinguished masks ``dist`` and simulates every cell.  R starts as
-    the pairs whose membership patterns in p and each vector built at x
-    occur at y; it loses each non-identity pair of any tuple of pairs where
-    the left cell has an output with no R-partner in the right cell, until
-    none is lost.  So x R y proves ⟨x,y⟩ inseparable: bottom-up, a coherent
-    valuation with p = x has a partner with p = y, R-related at each
-    formula, and each value of x's non-empty set has one of its membership
-    in y's.  R is sound, not greatest; it is the identity unless its work
-    bound, the candidates times Σ |R|^arity, is below the formulas left."""
-    nv = scan.nv
-    seen = [[{tuple(d >> w & 1 for d in dist) for w in _bits(m)} for m in vec]
-            for vec in ([1 << w for w in range(nv)], *scan.vectors)]
-    rel = [sum(1 << y for y in range(nv) if all(s[x] <= s[y] for s in seen))
+    the pairs of equal membership in every mask; it loses each non-identity
+    pair of any tuple of pairs where the left cell has an output with no
+    R-partner in the right cell, until none is lost.  So x R y proves
+    ⟨x,y⟩ inseparable: bottom-up, a coherent valuation with p = x has a
+    partner with p = y, R-related at each formula, and each value of x's
+    non-empty set has one of its membership in y's.  R is sound, not
+    greatest; it is the identity unless its work bound, the candidates
+    times Σ |R|^arity, is below the ``total`` formulas of a whole scan."""
+    nv = len(alg.values)
+    rel = [sum(1 << y for y in range(nv)
+               if all(d >> x & 1 == d >> y & 1 for d in dist))
            for x in range(nv)]
     size = sum(map(int.bit_count, rel))
-    arities = [k for k in scan.alg.signature.connectives.values() if k]
-    if (size - nv) * sum(size ** k for k in arities) >= scan.rest()[0]:
+    arities = [k for k in alg.signature.connectives.values() if k]
+    if (size - nv) * sum(size ** k for k in arities) >= total:
         return [1 << x for x in range(nv)]
     conns = sorted(({xs: sum(1 << w for w in out) for xs, out in t.items()}
-                    for t in scan.alg._tables.values() if next(iter(t))),
+                    for t in alg._tables.values() if next(iter(t))),
                    key=len)
     at = clean = 0  # the connective checked next; clean checks in a row
     while clean < len(conns):
@@ -729,34 +738,36 @@ def separator_for_pair(target: Matrix, x: str, y: str, max_depth: int,
     if no formula up to ``max_depth`` does, and a FormulaLimit if the pool
     up to the depth searched next has more than ``max_formulas`` formulas.
     A pair that a simulation proves inseparable gets that without a scan."""
-    found = _separator_search(
-        _SeparatorScan(target.algebra, max_depth, max_formulas), target, x, y)
+    scan = _SeparatorScan(target.algebra, max_depth, max_formulas)
+    if x == y:
+        raise SemanticsError("separator search requires two distinct values")
+    for v in (x, y):
+        if v not in scan.alg._index:
+            raise SemanticsError(f"unknown value {v!r}")
+    found = _separator_search(scan, *_certificate(scan, target), x, y)
     return found.limit or found.separator
 
 
-def _separator_search(scan: _SeparatorScan, target: Matrix, x: str, y: str,
-                      rel: list[int] | None = None) -> PairSeparation:
-    """The first vector of ``scan`` whose sets at x and y fall on opposite
-    sides of one of ``target``'s distinguished sets.  ``rel``, filled with
-    ``_simulation`` when a search first would grow the scan, ends the
-    search of a pair it relates either way with the scan's final answer."""
-    if x == y:
-        raise SemanticsError("separator search requires two distinct values")
+def _certificate(scan: _SeparatorScan, target: Matrix) -> tuple:
+    """``target``'s distinguished sets as named value masks, and the
+    ``_simulation`` relation they give over ``scan``'s algebra."""
     index = scan.alg._index
-    for v in (x, y):
-        if v not in index:
-            raise SemanticsError(f"unknown value {v!r}")
-    xi, yi = index[x], index[y]
     dist = [(name, sum(1 << index[v] for v in getattr(target, name)))
             for name in ("designated", "antidesignated")
             if hasattr(target, name)]
-    rel = [] if rel is None else rel
+    return dist, _simulation(scan.alg, [d for _, d in dist], scan.total)
+
+
+def _separator_search(scan: _SeparatorScan, dist: list[tuple[str, int]],
+                      rel: list[int], x: str, y: str) -> PairSeparation:
+    """The first vector of ``scan`` whose sets at x and y fall on opposite
+    sides of one of the named masks ``dist``; a pair that ``rel`` relates
+    either way gets the scan's final answer with no further level built."""
+    xi, yi = scan.alg._index[x], scan.alg._index[y]
     for vec in count():
         while vec == len(scan.vectors):
-            if not rel:
-                rel += _simulation(scan, [d for _, d in dist])
             if rel[xi] >> yi & 1 or rel[yi] >> xi & 1 or not scan.grow():
-                return PairSeparation(x, y, None, limit=scan.rest()[1])
+                return PairSeparation(x, y, None, limit=scan.limit)
         sx, sy = scan.vectors[vec][xi], scan.vectors[vec][yi]
         for name, d in dist:
             for inside, outside, into in ((sx, sy, x), (sy, sx, y)):
@@ -801,8 +812,9 @@ def expressiveness_report(target: Matrix, max_depth: int,
     """Separator search over every unordered pair of distinct values,
     within a pool of at most ``max_formulas`` formulas; the pairs share one
     scan, and no pair that a simulation proves inseparable grows it."""
-    scan, rel = _SeparatorScan(target.algebra, max_depth, max_formulas), []
-    entries = tuple(_separator_search(scan, target, x, y, rel)
+    scan = _SeparatorScan(target.algebra, max_depth, max_formulas)
+    dist, rel = _certificate(scan, target)
+    entries = tuple(_separator_search(scan, dist, rel, x, y)
                     for x, y in combinations(scan.alg.values, 2))
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix",

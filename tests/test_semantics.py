@@ -30,8 +30,8 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
                                validate_rule, ExpressivenessReport,
-                               _SeparatorScan, _separator_search,
-                               _simulation)
+                               _SeparatorScan, _certificate,
+                               _separator_search, _simulation)
 
 p = Var("p")
 q = Var("q")
@@ -277,6 +277,21 @@ class TestBEntails:
             call(m5)
         assert str(e.value) == f"{message}; target is not a B-matrix"
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda m5, b5: b_entails(b5, Statement1D({p}, {q})),
+         "statement must be a BStatement, not Statement1D"),
+        (lambda m5, b5: entails_1d(m5, BStatement(acc={p})),
+         "statement must be a Statement1D, not BStatement"),
+        (lambda m5, b5: aspect_entails(b5, "t", BStatement(acc={p})),
+         "statement must be a Statement1D, not BStatement"),
+        (lambda m5, b5: aspect_entails(b5, "f", BStatement(rej={p})),
+         "statement must be a Statement1D, not BStatement"),
+    ])
+    def test_wrong_statement_kind_refused(self, m5, b5, call, message):
+        with pytest.raises(SemanticsError) as e:
+            call(m5, b5)
+        assert str(e.value) == message
+
     def test_disjoint_distinguished_sets_close(self, b_gh):
         assert b_entails(b_gh, BStatement(acc={p}, rej={p})).valid
 
@@ -440,10 +455,17 @@ class TestSeparators:
         assert separator_for_pair(b5, "I", "T", 0) is None
 
     def test_distinct_values_required(self, b5):
-        with pytest.raises(SemanticsError):
-            separator_for_pair(b5, "I", "I", 1)
-        with pytest.raises(SemanticsError):
-            separator_for_pair(b5, "I", "zz", 1)
+        for x, y, message in (
+                ("I", "I", "separator search requires two distinct values"),
+                ("I", "z", "unknown value 'z'"),
+                ("z", "I", "unknown value 'z'")):
+            with pytest.raises(SemanticsError) as e:
+                separator_for_pair(b5, x, y, 1)
+            assert str(e.value) == message
+            # the scan's own refusals come first
+            with pytest.raises(SemanticsError) as e:
+                separator_for_pair(b5, x, y, 1, 0)
+            assert str(e.value) == "max_formulas must be >= 1"
 
     def test_full_b5_report(self, b5):
         rep = expressiveness_report(b5, 1)
@@ -699,8 +721,9 @@ class TestLazyPool:
         reports = []
         for depth in (3, 4):
             scan = _SeparatorScan(b5.algebra, depth)
+            dist, rel = _certificate(scan, b5)
             values = b5.algebra.values
-            entries = [_separator_search(scan, b5, x, y)
+            entries = [_separator_search(scan, dist, rel, x, y)
                        for i, x in enumerate(values) for y in values[i + 1:]]
             assert all(e.separator for e in entries)
             assert scan.depth == 1 and len(scan.nodes) == scan.size == 6
@@ -717,7 +740,8 @@ class TestLazyPool:
         # the last level keeps no nodes, only each new vector's first
         assert len(scan.nodes) == len(scan.vector) == 6
         assert len(scan.firsts) == len(scan.vectors)
-        assert not scan.grow() and scan.rest() == (0, None)
+        assert not scan.grow()
+        assert (scan.total - scan.size, scan.limit) == (0, None)
 
 
 class TestFormulaBudget:
@@ -744,7 +768,7 @@ class TestFormulaBudget:
         # depth 3 is the last level built, so its nodes are not kept
         scan = _full_scan(m5, 4)
         assert (scan.depth, scan.size, len(scan.nodes)) == (3, 44166, 121)
-        assert scan.rest() == (0, limit)
+        assert (scan.total - scan.size, scan.limit) == (0, limit)
 
     def test_limit_is_checked_per_level(self, m5, b5):
         # 44,166 formulas fit a budget of 44,166 and not one of 44,165
@@ -759,7 +783,8 @@ class TestFormulaBudget:
         while scan.grow():
             pass
         assert (scan.depth, scan.size, len(scan.nodes)) == (2, 121, 6)
-        assert scan.rest() == (0, FormulaLimit(2, 44165))
+        assert (scan.total - scan.size, scan.limit) == \
+            (0, FormulaLimit(2, 44165))
         # mci-b separates every pair by depth 1, so six formulas do
         assert expressiveness_report(b5, 4, 6).sufficiently_expressive
         assert separator_for_pair(b5, "I", "T", 2, 1) == FormulaLimit(0, 1)
@@ -781,10 +806,11 @@ def _dist(target):
             if hasattr(target, name)]
 
 
-def _related(target, scan=None, max_depth=3):
+def _related(target, max_depth=3):
     """The non-identity pairs of the certificate, as value names."""
-    scan = scan or _SeparatorScan(target.algebra, max_depth)
-    rel, values = _simulation(scan, _dist(target)), target.algebra.values
+    total = _SeparatorScan(target.algebra, max_depth).total
+    rel = _simulation(target.algebra, _dist(target), total)
+    values = target.algebra.values
     assert all(rel[x] >> x & 1 for x in range(len(values)))
     return {(values[x], values[y]) for x in range(len(values))
             for y in range(len(values)) if x != y and rel[x] >> y & 1}
@@ -795,7 +821,8 @@ def _uncertified_lines(target, max_depth, max_formulas=10 ** 6, scan=None):
     makes every pair's search run the scan."""
     scan = scan or _SeparatorScan(target.algebra, max_depth, max_formulas)
     identity = [1 << x for x in range(len(target.algebra.values))]
-    entries = tuple(_separator_search(scan, target, x, y, identity)
+    dist, _ = _certificate(scan, target)
+    entries = tuple(_separator_search(scan, dist, identity, x, y)
                     for x, y in combinations(target.algebra.values, 2))
     return ExpressivenessReport(
         "bmatrix" if isinstance(target, BMatrix) else "matrix", max_depth,
@@ -809,8 +836,9 @@ def _assert_certificate_sound(target, max_depth, scan):
     pool is large enough that the work bound never turns them off."""
     related = _related(target, max_depth=8)
     identity = [1 << x for x in range(len(target.algebra.values))]
+    dist, _ = _certificate(scan, target)
     for x, y in related:
-        found = _separator_search(scan, target, x, y, identity)
+        found = _separator_search(scan, dist, identity, x, y)
         assert found.separator is None and found.limit is None, (x, y)
     assert expressiveness_report(target, max_depth).lines() == \
         _uncertified_lines(target, max_depth, scan=scan)
@@ -832,14 +860,6 @@ def _unary_matrix(conns):
 class TestSimulationCertificate:
     def test_relates_exactly_the_open_mci5_pairs(self, m5, b5):
         assert _related(m5) == {("F", "f"), ("T", "t")}
-        # the vectors up to depth 2 leave the same candidates: f's set at
-        # neg(neg(p)) has a designated and an undesignated value, F's
-        # only an undesignated one
-        scan = _SeparatorScan(m5.algebra, 3)
-        for _ in range(3):
-            scan.grow()
-        assert scan.depth == 2 and _related(m5, scan) == \
-            {("F", "f"), ("T", "t")}
         assert _related(b5) == set()
         assert _related(example2()[0]) == set()
 
@@ -849,8 +869,9 @@ class TestSimulationCertificate:
                 assert (x in target.designated) == (y in target.designated)
 
     def test_mci5_report_stops_at_depth_one(self, m5):
-        scan, rel = _SeparatorScan(m5.algebra, 3), []
-        entries = [_separator_search(scan, m5, x, y, rel)
+        scan = _SeparatorScan(m5.algebra, 3)
+        dist, rel = _certificate(scan, m5)
+        entries = [_separator_search(scan, dist, rel, x, y)
                    for x, y in combinations(m5.algebra.values, 2)]
         assert scan.depth == 1
         assert [(e.x, e.y) for e in entries if e.separator is None] == \
@@ -865,9 +886,10 @@ class TestSimulationCertificate:
         identity = [1, 2, 4, 8, 16]
         for scan in (_SeparatorScan(m5.algebra, 1),
                      _SeparatorScan(m5.algebra, 3, 44165)):
-            assert _simulation(scan, _dist(m5)) == identity
-        assert _simulation(_SeparatorScan(m5.algebra, 3, 44166),
-                           _dist(m5)) != identity
+            assert _simulation(m5.algebra, _dist(m5), scan.total) == identity
+        assert _simulation(m5.algebra, _dist(m5),
+                           _SeparatorScan(m5.algebra, 3, 44166).total) \
+            != identity
 
     def test_every_distinguished_set_over_the_mci_algebra(self, m5):
         alg, values = m5.algebra, m5.algebra.values
@@ -1233,6 +1255,16 @@ class TestDeepFormulas:
             "App('neg', (Var('p'),)), ")
         got = copy.deepcopy(v)
         assert got == v and got.countermodel.domain == v.countermodel.domain
+
+    def test_scan_rebuilds_a_deep_node(self):
+        # the swap's pool holds one s-chain per depth; a node's formula
+        # is rebuilt from its closure without one call per level
+        swap = NdAlgebra(Signature({"s": 1}), ("a", "b"),
+                         {"s": {("a",): {"b"}, ("b",): {"a"}}})
+        scan = _SeparatorScan(swap, 1500)
+        while scan.grow():
+            pass
+        assert scan.formula(scan.nodes[-1]) is _chain("s", 1499)
 
     def test_valid_statement_over_a_cons_chain(self, m5):
         deep = _chain("cons", self.DEPTH)
