@@ -424,7 +424,9 @@ def _pool_levels(sig: Signature, max_depth: int,
     arity)`` of ``conns`` in turn, one node per argument tuple of
     ``_arg_tuples``: ``size`` nodes in all, known before any is made.
     Level 0 is ``p`` alone, as the connective None; then connectives come
-    by name, constants only at depth 1."""
+    by name, constants only at depth 1.  An empty level past depth 0 has
+    no arguments for the next, so every later level is empty too: the
+    levels stop before it."""
     if max_depth < 0:
         raise LanguageError("max_depth must be >= 0")
     yield 0, 0, [(None, 0)], 1
@@ -434,6 +436,8 @@ def _pool_levels(sig: Signature, max_depth: int,
         conns = [(name, arity[name]) for name in sorted(arity)
                  if arity[name] or d == 1]
         size = sum(below ** k - first ** k if k else 1 for _, k in conns)
+        if not size:
+            return
         yield first, below, conns, size
         first, below = below, below + size
 

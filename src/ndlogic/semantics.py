@@ -5,7 +5,10 @@ value set; an NdMatrix adds one distinguished (designated) set, a BMatrix
 adds two (designated and antidesignated).  Consequence is decided by
 enumerating coherent valuations of a statement's subformula closure in one
 fixed order, checking each position's sides as it is assigned; cut branches
-hold no countermodel, so the first countermodel found is reproducible.
+hold no countermodel, so the first countermodel found is reproducible.  A
+search that has not answered after a few steps narrows every position's
+values by arc consistency, which removes no value of any countermodel, and
+runs again in the same order.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -260,11 +263,14 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
 
 
 def _valuations(alg: NdAlgebra, plan: list[tuple],
-                allowed: Mapping[int, Container[int]]) -> Iterator[list[int]]:
+                allowed: Mapping[int, Container[int]], pushes: int = -1,
+                ) -> Iterator[list[int] | None]:
     """Yield, as a reused list of value indices, every coherent assignment
     that keeps each position of ``allowed`` in its set, in declared value
     order with earlier positions varying slowest.  Sets are checked as
-    positions are assigned; candidates wait on a stack, not in recursion."""
+    positions are assigned; candidates wait on a stack, not in recursion.
+    With ``pushes`` >= 0, it yields None and stops where it would push
+    more positions than that."""
     vals = [0] * len(plan)
     tables = alg._tables
     every = range(len(alg.values))
@@ -285,11 +291,61 @@ def _valuations(alg: NdAlgebra, plan: list[tuple],
         for v in stack[i]:
             vals[i] = v
             if i < last:
+                if not pushes:
+                    yield None
+                    return
+                pushes -= 1
                 stack.append(iter(candidates(i + 1)))
                 break
             yield vals
         else:
             stack.pop()
+
+
+def _arc_consistent(alg: NdAlgebra, plan: list[tuple],
+                    allowed: Mapping[int, frozenset[int]],
+                    ) -> dict[int, frozenset[int]] | None:
+    """The values each position keeps under generalised arc consistency
+    (AC-3), or None once some position keeps none.  Domains start as bit
+    masks of ``allowed``; each compound's cell, v(i) in conn(v(a1), ...,
+    v(ak)), is one constraint, revised until no domain shrinks.  A revision
+    keeps the values of some argument row whose cell meets the compound's
+    domain; a repeated argument is revised as independent columns, weaker
+    than exact but still sound.  So no value of a coherent valuation within
+    ``allowed`` is removed."""
+    full = (1 << len(alg.values)) - 1
+    dom = [sum(1 << v for v in allowed[i]) if i in allowed else full
+           for i in range(len(plan))]
+    cells = {conn: {row: sum(1 << w for w in out)
+                    for row, out in alg._tables[conn].items()}
+             for conn in {conn for conn, _ in plan if conn is not None}}
+    watch: list[list[int]] = [[] for _ in plan]  # constraints on a position
+    todo = [i for i, (conn, _) in enumerate(plan) if conn is not None]
+    for i in todo:
+        for x in {i, *plan[i][1]}:
+            watch[x].append(i)
+    # a revision does not queue its own constraint again: that is left
+    # consistent, except with repeated arguments, where skipping is weaker
+    queued = set(todo)
+    while todo:
+        i = todo.pop()
+        conn, args = plan[i]
+        out, keep = 0, [0] * len(args)
+        for row in product(*(_bits(dom[a]) for a in args)):
+            got = cells[conn][row] & dom[i]
+            if got:
+                out |= got
+                for j, v in enumerate(row):
+                    keep[j] |= 1 << v
+        for x, mask in ((i, out), *zip(args, keep)):
+            if dom[x] & ~mask:
+                dom[x] &= mask
+                todo.extend(c for c in watch[x] if c not in queued)
+                queued.update(watch[x])
+        queued.discard(i)
+    if all(dom):
+        return {i: frozenset(_bits(m)) for i, m in enumerate(dom)}
+    return None
 
 
 def _to_valuation(alg: NdAlgebra, doms: tuple[Formula, ...],
@@ -329,6 +385,15 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
 # ---------------------------------------------------------------------------
 # entailment
 
+# Positions the plain search pushes before _entails narrows the domains.
+# Chosen on the benchmark's check-mix inputs, seed 1, 5,000 operations
+# in-process, median of four runs on a 2-core VM: at 16, 64 and 256 the
+# p50 latency read 0.162, 0.150 and 0.154 ms, p99.9 1.94, 1.96 and 2.28 ms,
+# and throughput 4,845, 4,838 and 4,211 ops/s.  The plain search alone
+# read 0.154 ms, 23.1 ms and 2,446 ops/s.
+_PLAIN_PUSHES = 64
+
+
 def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
              *sides: Iterable[Formula]) -> Verdict:
     """The one entailment search over the ``sides`` acc, nacc, rej and
@@ -337,7 +402,13 @@ def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
     it.  ``_valuations`` checks those sets, intersected for a formula on
     several sides, as it assigns; a cut branch holds no countermodel, so the
     first valuation it yields is the first countermodel in its order.  The
-    closure is built from each side sorted, in turn."""
+    search runs in two phases.  The plain one stops after ``_PLAIN_PUSHES``
+    positions pushed if it has not answered; then ``_arc_consistent``
+    narrows every position's set, valid if one empties, and the search
+    restarts on the narrowed sets.  Arc consistency removes only values
+    that no countermodel takes, so the restart meets the same countermodels
+    in the same order.  The closure is built from each side sorted, in
+    turn."""
     _require_total(alg)
     d, a = (frozenset(map(alg._index.__getitem__, x)) for x in (des, anti))
     every = frozenset(range(len(alg.values)))
@@ -347,8 +418,12 @@ def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
     allowed: dict[int, frozenset[int]] = {}
     for f, ok in fs:
         allowed[pos[f]] = allowed.get(pos[f], ok) & ok
-    vals = next(_valuations(alg, plan, allowed), None)
-    return Verdict(True) if vals is None else \
+    vals = next(_valuations(alg, plan, allowed, _PLAIN_PUSHES), False)
+    if vals is None:
+        narrowed = _arc_consistent(alg, plan, allowed)
+        vals = False if narrowed is None else \
+            next(_valuations(alg, plan, narrowed), False)
+    return Verdict(True) if vals is False else \
         Verdict(False, _to_valuation(alg, doms, vals))
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -15,11 +16,12 @@ import pytest
 import ndlogic
 from conftest import D5, INTERP5, R5, SIG5, V5, make_alg5
 from test_separators_golden import matrices
+from ndlogic import semantics
 from ndlogic.calculi import RuleSchema
 from ndlogic.errors import NonTotalAlgebraError, SemanticsError
-from ndlogic.language import (App, Signature, Var, enumerate_unary_formulas,
-                              parse_formula, subformula_sequence, subformulas,
-                              variables)
+from ndlogic.language import (App, Signature, Var, _pool_levels,
+                              enumerate_unary_formulas, parse_formula,
+                              subformula_sequence, subformulas, variables)
 from ndlogic.logics import example1, example2
 from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                NdAlgebra, NdMatrix, PairSeparation,
@@ -30,8 +32,9 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
                                validate_rule, ExpressivenessReport,
-                               _SeparatorScan, _certificate,
-                               _separator_search, _simulation)
+                               _SeparatorScan, _arc_consistent,
+                               _certificate, _compile, _separator_search,
+                               _simulation, _valuations)
 
 p = Var("p")
 q = Var("q")
@@ -968,6 +971,19 @@ class TestCertifiedLimits:
             ["  => max_formulas limit reached after depth 18"]
         assert _related(_unary_matrix("gh"), max_depth=40) == {("b", "e")}
 
+    def test_constants_only_stop_at_the_first_empty_level(self):
+        # no connective has an argument, so every level past depth 1 is
+        # empty; walking all 10^7 of them took about 16 s
+        alg = NdAlgebra(Signature({"c": 0}), ("a", "b"), {"c": {(): {"a"}}})
+        assert [size for *_, size in _pool_levels(alg.signature, 10 ** 7)] \
+            == [1, 1]
+        t0 = time.perf_counter()
+        lines = expressiveness_report(NdMatrix(alg, {"a"}), 10 ** 7).lines()
+        assert time.perf_counter() - t0 < 1
+        assert lines == ["expressiveness report (matrix, depth <= 10000000)",
+                         "  <a,b>: p  [a inside designated]",
+                         "  => sufficiently expressive (up to bound)"]
+
 
 # ---------------------------------------------------------------------------
 # rule validation
@@ -1279,3 +1295,142 @@ class TestDeepFormulas:
         assert [v(p) for v in vs] == list(V5)
         assert all(v(deep) == "T" and len(v.domain) == self.DEPTH + 1
                    for v in vs)
+
+
+def _family(n):
+    """and(p_i,neg(p_i)) for i < n; every p_i = I designates each."""
+    return {App("and", (Var(f"p{i}"), App("neg", (Var(f"p{i}"),))))
+            for i in range(n)}
+
+
+class TestContradictionFamily:
+    # the plain search assigns every p_i before any compound, so each
+    # wrong value of a p_i costs a whole subtree: x5 per variable, 35.6 s
+    # at n = 9 on mci5
+
+    def test_first_countermodels(self, m5, b5):
+        # pinned from the plain search: each p_i takes x, q takes y and
+        # each and(p_i,neg(p_i)) takes z
+        def expected(n, x, y, z):
+            ps = [f"p{i}" for i in range(n)]
+            return ", ".join([f"v({v})={x}" for v in ps] + [f"v(q)={y}"] + [
+                f"v({f})={w}" for v in ps
+                for f, w in ((f"neg({v})", "I"), (f"and({v},neg({v}))", z))])
+
+        for n in range(1, 7):
+            s = Statement1D(_family(n), {q})
+            for v, want in (
+                    (entails_1d(m5, s), ("I", "f", "I")),
+                    (b_entails(b5, BStatement(acc=_family(n), nacc={q})),
+                     ("I", "f", "I")),
+                    (aspect_entails(b5, "f", s), ("f", "F", "f"))):
+                assert str(v.countermodel) == expected(n, *want)
+
+    def test_twelve_variables_in_a_child_process(self):
+        # a child process turns a regression into a timeout instead of a
+        # hung suite
+        code = ("from ndlogic import App, Var\n"
+                "from ndlogic.logics import mci_artifacts\n"
+                "from ndlogic.semantics import (BStatement, Statement1D,\n"
+                "    aspect_entails, b_entails, entails_1d)\n"
+                "q, ps = Var('q'), [Var(f'p{i}') for i in range(12)]\n"
+                "fam = {App('and', (x, App('neg', (x,)))) for x in ps}\n"
+                "arts = mci_artifacts()\n"
+                "s = Statement1D(fam, {q})\n"
+                "for v in (entails_1d(arts.m5, s),\n"
+                "          b_entails(arts.b5, BStatement(acc=fam, nacc={q})),\n"
+                "          aspect_entails(arts.b5, 'f', s)):\n"
+                "    m = v.countermodel\n"
+                "    print(v.valid, *sorted({m(x) for x in ps}), m(q))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True, text=True,
+                             timeout=60).stdout
+        assert out.splitlines() == ["False I f", "False I f", "False f F"]
+
+
+# ---------------------------------------------------------------------------
+# arc consistency and the two-phase search
+
+
+def _repeating_formula(rng, sig, depth):
+    """A random formula whose arguments often repeat one subformula."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((p, q))
+    conn = rng.choice(sorted(sig.connectives))
+    same = _repeating_formula(rng, sig, depth - 1)
+    return App(conn, tuple(
+        same if rng.random() < 0.5 else _repeating_formula(rng, sig, depth - 1)
+        for _ in range(sig.connectives[conn])))
+
+
+class TestArcConsistency:
+    def test_removes_no_value_of_a_coherent_valuation(self):
+        rng = random.Random(26)
+        sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
+        removed = emptied = 0
+        for _ in range(600):
+            values = ("a", "b", "d", "e")[:rng.randint(2, 4)]
+            alg = NdAlgebra(sig, values, {
+                conn: {args: set(rng.sample(values,
+                                            rng.randint(1, len(values))))
+                       for args in product(values, repeat=k)}
+                for conn, k in sig.connectives.items()})
+            fs = [_repeating_formula(rng, sig, 3)
+                  for _ in range(rng.randint(1, 2))]
+            _, _, plan = _compile(alg, fs)
+            if len(plan) > 8:
+                continue
+            every = frozenset(range(len(values)))
+            allowed = {i: frozenset(rng.sample(sorted(every),
+                                               rng.randint(1, len(every))))
+                       for i in range(len(plan)) if rng.random() < 0.4}
+            taken = [set() for _ in plan]
+            for vals in _valuations(alg, plan, allowed):
+                for seen, v in zip(taken, vals):
+                    seen.add(v)
+            doms = _arc_consistent(alg, plan, allowed)
+            if doms is None:
+                assert not taken[0]
+                emptied += 1
+                continue
+            for i, seen in enumerate(taken):
+                assert seen <= doms[i] <= allowed.get(i, every) and doms[i]
+                removed += doms[i] < allowed.get(i, every)
+        assert removed >= 200 and emptied >= 25
+
+    def test_plain_and_two_phase_search_agree(self, m5, b5, monkeypatch):
+        # closures of 10-14 positions: some statements finish within the
+        # plain phase's budget, the others are narrowed and searched again
+        rng = random.Random(2026)
+        statements = []
+        while len(statements) < 80:
+            sides = [frozenset(_random_formula(rng, SIG5, 3)
+                               for _ in range(rng.randint(0, 2)))
+                     for _ in range(4)]
+            if 10 <= len(_closure([f for x in sides for f in x])) <= 14:
+                statements.append(sides)
+
+        def verdicts():
+            out = []
+            for acc, nacc, rej, nrej in statements:
+                s = Statement1D(acc, nacc)
+                out += [entails_1d(m5, s), aspect_entails(b5, "t", s),
+                        aspect_entails(b5, "f", s),
+                        b_entails(b5, BStatement(acc, nacc, rej, nrej)),
+                        validate_rule(m5, RuleSchema("r", 1, acc, nacc)),
+                        validate_rule(b5, RuleSchema("r", 2, acc, nacc,
+                                                     rej, nrej))]
+            return out
+
+        narrowed = []
+        monkeypatch.setattr(semantics, "_arc_consistent",
+                            lambda *a: narrowed.append(a) or
+                            _arc_consistent(*a))
+        two_phase = verdicts()
+        assert 50 < len(narrowed) < len(two_phase) - 50
+        assert 50 < sum(v.valid for v in two_phase) < len(two_phase) - 50
+        for pushes in (-1, 0):  # the plain search alone; no plain phase
+            monkeypatch.setattr(semantics, "_PLAIN_PUSHES", pushes)
+            assert verdicts() == two_phase
