@@ -6,9 +6,10 @@ adds two (designated and antidesignated).  Consequence is decided by
 enumerating coherent valuations of a statement's subformula closure in one
 fixed order, checking each position's sides as it is assigned; cut branches
 hold no countermodel, so the first countermodel found is reproducible.  A
-search that has not answered after a few steps narrows every position's
-values by arc consistency, which removes no value of any countermodel, and
-runs again in the same order.
+search that has not answered after a few steps beyond the closure's size
+starts over in the same order, keeping arc consistency after every
+assignment (MAC) and undoing it by a trail; narrowing removes no value of
+any countermodel.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, count, product
-from operator import or_
+from operator import and_, or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 from weakref import ref
 
@@ -53,6 +54,11 @@ class NdAlgebra:
     _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
     _tables: Mapping[str, Mapping[tuple[int, ...], tuple[int, ...]]] = \
         field(init=False, compare=False, repr=False)
+    # _tables' rows numbered in order, as bit masks of row numbers: per
+    # value, the rows whose cell holds it; per column and value, the rows
+    # with that value there
+    _rows: Mapping[str, tuple[list[int], list[list[int]]]] = \
+        field(init=False, compare=False, repr=False)
     _total: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -62,6 +68,7 @@ class NdAlgebra:
         index = {v: i for i, v in enumerate(values)}
         interp: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
         tables: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        rows_of: dict[str, tuple[list[int], list[list[int]]]] = {}
         for conn, arity in self.signature.connectives.items():
             cells = self.interpretation.get(conn)
             if cells is None:
@@ -81,10 +88,17 @@ class NdAlgebra:
                     raise SemanticsError(f"cell {conn}{args} not within values")
                 rows[tuple(map(index.__getitem__, args))] = args, out
             interp[conn], tables[conn] = {}, {}
-            for ik, (args, out) in sorted(rows.items()):
+            holds = [0] * len(values)
+            cols = [[0] * len(values) for _ in range(arity)]
+            for row, (ik, (args, out)) in enumerate(sorted(rows.items())):
                 interp[conn][args] = out
                 tables[conn][ik] = tuple(i for i, v in enumerate(values)
                                          if v in out)
+                for w in tables[conn][ik]:
+                    holds[w] |= 1 << row
+                for col, v in zip(cols, ik):
+                    col[v] |= 1 << row
+            rows_of[conn] = holds, cols
         extra = set(self.interpretation) - set(self.signature.connectives)
         if extra:
             raise SemanticsError(f"interpretation for undeclared {sorted(extra)}")
@@ -92,6 +106,7 @@ class NdAlgebra:
         object.__setattr__(self, "interpretation", interp)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_rows", rows_of)
         object.__setattr__(self, "_total", all(
             out for cells in interp.values() for out in cells.values()))
 
@@ -264,12 +279,12 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
 
 def _valuations(alg: NdAlgebra, plan: list[tuple],
                 allowed: Mapping[int, Container[int]], pushes: int = -1,
-                ) -> Iterator[list[int] | None]:
+                ) -> Iterator[list[int] | bool]:
     """Yield, as a reused list of value indices, every coherent assignment
     that keeps each position of ``allowed`` in its set, in declared value
     order with earlier positions varying slowest.  Sets are checked as
     positions are assigned; candidates wait on a stack, not in recursion.
-    With ``pushes`` >= 0, it yields None and stops where it would push
+    With ``pushes`` >= 0, it yields False and stops where it would push
     more positions than that."""
     vals = [0] * len(plan)
     tables = alg._tables
@@ -292,7 +307,7 @@ def _valuations(alg: NdAlgebra, plan: list[tuple],
             vals[i] = v
             if i < last:
                 if not pushes:
-                    yield None
+                    yield False
                     return
                 pushes -= 1
                 stack.append(iter(candidates(i + 1)))
@@ -302,50 +317,140 @@ def _valuations(alg: NdAlgebra, plan: list[tuple],
             stack.pop()
 
 
+class _Subsets(dict):
+    """``_bits`` of each mask looked up, computed once per mask."""
+
+    def __missing__(self, mask: int) -> list[int]:
+        got = self[mask] = _bits(mask)
+        return got
+
+
+class _Arcs:
+    """Generalised arc consistency over a plan's cells, undone by a trail.
+
+    ``dom`` holds each position's values as a bit mask, from ``allowed``.
+    Each compound's cell, v(i) in conn(v(a1), ..., v(ak)), is one
+    constraint on i and its distinct arguments, read off the algebra's
+    ``_rows``; a repeated argument's columns must agree, so a revision is
+    exact.  Every shrunk domain goes on ``trail`` as (position, old mask)."""
+
+    def __init__(self, alg: NdAlgebra, plan: list[tuple],
+                 allowed: Mapping[int, Container[int]]):
+        nv = len(alg.values)
+        self.bits = _Subsets()
+        self.dom = [sum(1 << v for v in range(nv) if v in allowed[i])
+                    if i in allowed else (1 << nv) - 1
+                    for i in range(len(plan))]
+        self.trail: list[tuple[int, int]] = []
+        self.cons: list[tuple | None] = []  # (distinct args, columns, holds)
+        self.watch: list[list[int]] = [[] for _ in plan]  # constraints on i
+        for i, (conn, args) in enumerate(plan):
+            if conn is None:
+                self.cons.append(None)
+                continue
+            holds, cols = alg._rows[conn]
+            scope = tuple(dict.fromkeys(args))
+            if len(scope) < len(args):
+                cols = [[reduce(and_, rows) for rows in zip(*(
+                    col for col, a in zip(cols, args) if a == x))]
+                    for x in scope]
+            self.cons.append((scope, cols, holds))
+            for x in (i, *scope):
+                self.watch[x].append(i)
+
+    def narrow(self, todo: list[int]) -> bool:
+        """Revise the constraints ``todo`` (a list it empties), and those
+        on any domain that shrinks, until none shrinks (AC-3); False once
+        one empties.  A revision keeps the values of the rows within the
+        argument domains whose cell meets the compound's domain, so it
+        removes no value of a coherent valuation within the domains."""
+        dom, trail, cons, watch, bits = \
+            self.dom, self.trail, self.cons, self.watch, self.bits
+        queued = set(todo)
+        while todo:
+            i = todo.pop()
+            queued.discard(i)
+            scope, cols, holds = cons[i]
+            rows = -1
+            for a, col in zip(scope, cols):
+                within = 0
+                for v in bits[dom[a]]:
+                    within |= col[v]
+                rows &= within
+            out = met = 0
+            for w in bits[dom[i]]:
+                if rows & holds[w]:
+                    out |= 1 << w
+                    met |= rows & holds[w]
+            if not out:
+                return False
+            shrunk = [(i, out)]
+            if met != rows:  # some argument value may have lost its rows
+                shrunk += [(a, sum(1 << v for v in bits[dom[a]]
+                                   if met & col[v]))
+                           for a, col in zip(scope, cols)]
+            for x, mask in shrunk:
+                if dom[x] & ~mask:
+                    trail.append((x, dom[x]))
+                    dom[x] &= mask
+                    for c in watch[x]:
+                        if c not in queued and c != i:
+                            queued.add(c)
+                            todo.append(c)
+        return True
+
+    def fix(self, i: int, mask: int) -> bool:
+        """Narrow position i to ``mask``, within its domain, and propagate;
+        False if any domain empties."""
+        if mask == self.dom[i]:
+            return True
+        self.trail.append((i, self.dom[i]))
+        self.dom[i] = mask
+        return bool(mask) and self.narrow(self.watch[i][:])
+
+    def undo(self, mark: int):
+        dom, trail = self.dom, self.trail
+        while len(trail) > mark:
+            x, old = trail.pop()
+            dom[x] = old
+
+
 def _arc_consistent(alg: NdAlgebra, plan: list[tuple],
                     allowed: Mapping[int, frozenset[int]],
                     ) -> dict[int, frozenset[int]] | None:
-    """The values each position keeps under generalised arc consistency
-    (AC-3), or None once some position keeps none.  Domains start as bit
-    masks of ``allowed``; each compound's cell, v(i) in conn(v(a1), ...,
-    v(ak)), is one constraint, revised until no domain shrinks.  A revision
-    keeps the values of some argument row whose cell meets the compound's
-    domain; a repeated argument is revised as independent columns, weaker
-    than exact but still sound.  So no value of a coherent valuation within
-    ``allowed`` is removed."""
-    full = (1 << len(alg.values)) - 1
-    dom = [sum(1 << v for v in allowed[i]) if i in allowed else full
-           for i in range(len(plan))]
-    cells = {conn: {row: sum(1 << w for w in out)
-                    for row, out in alg._tables[conn].items()}
-             for conn in {conn for conn, _ in plan if conn is not None}}
-    watch: list[list[int]] = [[] for _ in plan]  # constraints on a position
-    todo = [i for i, (conn, _) in enumerate(plan) if conn is not None]
-    for i in todo:
-        for x in {i, *plan[i][1]}:
-            watch[x].append(i)
-    # a revision does not queue its own constraint again: that is left
-    # consistent, except with repeated arguments, where skipping is weaker
-    queued = set(todo)
-    while todo:
-        i = todo.pop()
-        conn, args = plan[i]
-        out, keep = 0, [0] * len(args)
-        for row in product(*(_bits(dom[a]) for a in args)):
-            got = cells[conn][row] & dom[i]
-            if got:
-                out |= got
-                for j, v in enumerate(row):
-                    keep[j] |= 1 << v
-        for x, mask in ((i, out), *zip(args, keep)):
-            if dom[x] & ~mask:
-                dom[x] &= mask
-                todo.extend(c for c in watch[x] if c not in queued)
-                queued.update(watch[x])
-        queued.discard(i)
-    if all(dom):
-        return {i: frozenset(_bits(m)) for i, m in enumerate(dom)}
+    """The values each position keeps under generalised arc consistency,
+    or None once some position keeps none: ``_mac_search``'s root step."""
+    arcs = _Arcs(alg, plan, allowed)
+    if arcs.narrow([i for i, c in enumerate(arcs.cons) if c]):
+        return {i: frozenset(arcs.bits[m]) for i, m in enumerate(arcs.dom)}
     return None
+
+
+def _mac_search(alg: NdAlgebra, plan: list[tuple],
+                allowed: Mapping[int, Container[int]]) -> list[int] | None:
+    """The first assignment ``_valuations`` yields within ``allowed``, or
+    None, by maintaining arc consistency (MAC).  Positions go in plan
+    order, each taking the lowest value left in its domain; a value that
+    fails is taken out, and the search backtracks from an empty domain.
+    Domains are narrowed at the root and after each step, which removes
+    only values of no coherent valuation within them: so the search meets
+    the same valuations in the same order."""
+    arcs = _Arcs(alg, plan, allowed)
+    if not arcs.narrow([i for i, c in enumerate(arcs.cons) if c]):
+        return None
+    dom, marks = arcs.dom, []  # the trail's length before each assignment
+    while len(marks) < len(plan):
+        i = len(marks)
+        marks.append(len(arcs.trail))
+        if not arcs.fix(i, dom[i] & -dom[i]):
+            while True:
+                i = len(marks) - 1
+                arcs.undo(marks.pop())
+                if arcs.fix(i, dom[i] & (dom[i] - 1)):
+                    break
+                if not marks:
+                    return None
+    return [d.bit_length() - 1 for d in dom]
 
 
 def _to_valuation(alg: NdAlgebra, doms: tuple[Formula, ...],
@@ -385,12 +490,15 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
 # ---------------------------------------------------------------------------
 # entailment
 
-# Positions the plain search pushes before _entails narrows the domains.
-# Chosen on the benchmark's check-mix inputs, seed 1, 5,000 operations
-# in-process, median of four runs on a 2-core VM: at 16, 64 and 256 the
-# p50 latency read 0.162, 0.150 and 0.154 ms, p99.9 1.94, 1.96 and 2.28 ms,
-# and throughput 4,845, 4,838 and 4,211 ops/s.  The plain search alone
-# read 0.154 ms, 23.1 ms and 2,446 ops/s.
+# Positions the plain search pushes beyond the closure's size before
+# _entails switches to the MAC search; a search that never backtracks
+# pushes fewer than the closure's size.  Chosen on the benchmark's
+# check-mix inputs, seed 1, 5,000 operations in-process, medians of six
+# runs on a 2-core VM: at 0, 16, 64 and 256 the p50 latency read 0.140,
+# 0.137, 0.139 and 0.149 ms, p99.9 0.56, 0.56, 0.62 and 0.88 ms, and
+# throughput 6,595, 6,549, 6,025 and 4,911 ops/s (an eight-run repeat:
+# p50 0.149 ms at 0, 0.129 at 64).  The plain search alone: 0.133 ms,
+# 18.1 ms and 2,761 ops/s.
 _PLAIN_PUSHES = 64
 
 
@@ -399,16 +507,15 @@ def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
     """The one entailment search over the ``sides`` acc, nacc, rej and
     nrej (trailing ones optional): valid iff no coherent valuation puts acc
     inside ``des``, nacc outside it, rej inside ``anti`` and nrej outside
-    it.  ``_valuations`` checks those sets, intersected for a formula on
-    several sides, as it assigns; a cut branch holds no countermodel, so the
-    first valuation it yields is the first countermodel in its order.  The
-    search runs in two phases.  The plain one stops after ``_PLAIN_PUSHES``
-    positions pushed if it has not answered; then ``_arc_consistent``
-    narrows every position's set, valid if one empties, and the search
-    restarts on the narrowed sets.  Arc consistency removes only values
-    that no countermodel takes, so the restart meets the same countermodels
-    in the same order.  The closure is built from each side sorted, in
-    turn."""
+    it.  Those sets, intersected for a formula on several sides, are each
+    position's allowed values.  The search runs in two phases in one
+    order, so the first countermodel is the same either way.  The plain
+    ``_valuations`` checks the sets as it assigns; a cut branch holds no
+    countermodel, so its first yield is the first countermodel.  If it has
+    not answered after ``_PLAIN_PUSHES`` positions pushed beyond the
+    closure's size, ``_mac_search`` starts over, keeping arc consistency
+    after every assignment and undoing it by a trail.  The closure is built
+    from each side sorted, in turn."""
     _require_total(alg)
     d, a = (frozenset(map(alg._index.__getitem__, x)) for x in (des, anti))
     every = frozenset(range(len(alg.values)))
@@ -418,12 +525,11 @@ def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
     allowed: dict[int, frozenset[int]] = {}
     for f, ok in fs:
         allowed[pos[f]] = allowed.get(pos[f], ok) & ok
-    vals = next(_valuations(alg, plan, allowed, _PLAIN_PUSHES), False)
-    if vals is None:
-        narrowed = _arc_consistent(alg, plan, allowed)
-        vals = False if narrowed is None else \
-            next(_valuations(alg, plan, narrowed), False)
-    return Verdict(True) if vals is False else \
+    vals = next(_valuations(alg, plan, allowed, len(plan) + _PLAIN_PUSHES),
+                None)
+    if vals is False:
+        vals = _mac_search(alg, plan, allowed)
+    return Verdict(True) if vals is None else \
         Verdict(False, _to_valuation(alg, doms, vals))
 
 

@@ -33,8 +33,9 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                separator_for_pair, strong_hom_report,
                                validate_rule, ExpressivenessReport,
                                _SeparatorScan, _arc_consistent,
-                               _certificate, _compile, _separator_search,
-                               _simulation, _valuations)
+                               _certificate, _compile, _mac_search,
+                               _separator_search, _simulation,
+                               _valuations)
 
 p = Var("p")
 q = Var("q")
@@ -1351,7 +1352,7 @@ class TestContradictionFamily:
 
 
 # ---------------------------------------------------------------------------
-# arc consistency and the two-phase search
+# arc consistency and the MAC search
 
 
 def _repeating_formula(rng, sig, depth):
@@ -1365,31 +1366,42 @@ def _repeating_formula(rng, sig, depth):
         for _ in range(sig.connectives[conn])))
 
 
+def _random_total_algebra(rng, sig):
+    """2-4 values; every cell a random non-empty set."""
+    values = ("a", "b", "d", "e")[:rng.randint(2, 4)]
+    return NdAlgebra(sig, values, {
+        conn: {args: set(rng.sample(values, rng.randint(1, len(values))))
+               for args in product(values, repeat=k)}
+        for conn, k in sig.connectives.items()})
+
+
+def _taken(alg, plan, allowed):
+    """The values each position takes in some coherent valuation within
+    ``allowed``."""
+    taken = [set() for _ in plan]
+    for vals in _valuations(alg, plan, allowed):
+        for seen, v in zip(taken, vals):
+            seen.add(v)
+    return taken
+
+
 class TestArcConsistency:
     def test_removes_no_value_of_a_coherent_valuation(self):
         rng = random.Random(26)
         sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
         removed = emptied = 0
         for _ in range(600):
-            values = ("a", "b", "d", "e")[:rng.randint(2, 4)]
-            alg = NdAlgebra(sig, values, {
-                conn: {args: set(rng.sample(values,
-                                            rng.randint(1, len(values))))
-                       for args in product(values, repeat=k)}
-                for conn, k in sig.connectives.items()})
+            alg = _random_total_algebra(rng, sig)
             fs = [_repeating_formula(rng, sig, 3)
                   for _ in range(rng.randint(1, 2))]
             _, _, plan = _compile(alg, fs)
             if len(plan) > 8:
                 continue
-            every = frozenset(range(len(values)))
+            every = frozenset(range(len(alg.values)))
             allowed = {i: frozenset(rng.sample(sorted(every),
                                                rng.randint(1, len(every))))
                        for i in range(len(plan)) if rng.random() < 0.4}
-            taken = [set() for _ in plan]
-            for vals in _valuations(alg, plan, allowed):
-                for seen, v in zip(taken, vals):
-                    seen.add(v)
+            taken = _taken(alg, plan, allowed)
             doms = _arc_consistent(alg, plan, allowed)
             if doms is None:
                 assert not taken[0]
@@ -1400,9 +1412,111 @@ class TestArcConsistency:
                 removed += doms[i] < allowed.get(i, every)
         assert removed >= 200 and emptied >= 25
 
+    def test_revision_of_one_compound_is_exact(self):
+        # one compound over variables is one constraint, so arc
+        # consistency keeps exactly the values that coherent valuations
+        # take, also when an argument repeats
+        rng = random.Random(27)
+        sig = Signature({"g": 1, "k": 2, "t": 3})
+        repeated = narrowed = emptied = 0
+        for _ in range(400):
+            alg = _random_total_algebra(rng, sig)
+            conn = rng.choice(sorted(sig.connectives))
+            args = tuple(rng.choice((p, q, Var("r")))
+                         for _ in range(sig.connectives[conn]))
+            _, _, plan = _compile(alg, [App(conn, args)])
+            every = range(len(alg.values))
+            allowed = {i: frozenset(rng.sample(every, rng.randint(1, 2)))
+                       for i in range(len(plan)) if rng.random() < 0.75}
+            taken = _taken(alg, plan, allowed)
+            doms = _arc_consistent(alg, plan, allowed)
+            if not taken[0]:
+                assert doms is None
+                emptied += 1
+            else:
+                assert doms == dict(enumerate(map(frozenset, taken)))
+                narrowed += any(len(d) < len(allowed.get(i, every))
+                                for i, d in doms.items())
+            repeated += len(set(args)) < len(args)
+        assert repeated >= 100 and narrowed >= 100 and emptied >= 5
+        # k(p,p) with its output b: no value of p gives b, though each
+        # column alone has a row that does
+        swap = NdAlgebra(Signature({"k": 2}), ("a", "b"), {"k": {
+            ("a", "a"): {"a"}, ("b", "b"): {"a"},
+            ("a", "b"): {"b"}, ("b", "a"): {"b"}}})
+        _, _, plan = _compile(swap, [App("k", (p, p))])
+        assert _arc_consistent(swap, plan, {1: frozenset({1})}) is None
+        assert _arc_consistent(swap, plan, {1: frozenset({0})}) == \
+            {0: frozenset({0, 1}), 1: frozenset({0})}
+
+    def test_mac_search_meets_the_first_valuation(self):
+        # the MAC search goes in _valuations' order and narrowing skips
+        # only branches that hold no coherent valuation
+        rng = random.Random(1994)
+        sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
+        tried = none = 0
+        while tried < 1000:
+            alg = _random_total_algebra(rng, sig)
+            fs = [_repeating_formula(rng, sig, 3)
+                  for _ in range(rng.randint(1, 3))]
+            _, _, plan = _compile(alg, fs)
+            if len(plan) > 10:
+                continue
+            every = range(len(alg.values))
+            allowed = {i: frozenset(rng.sample(every,
+                                               rng.randint(1, len(every) - 1)))
+                       for i in range(len(plan)) if rng.random() < 0.75}
+            want = next(_valuations(alg, plan, allowed), None)
+            assert _mac_search(alg, plan, allowed) == want
+            tried += 1
+            none += want is None
+        assert 250 <= none <= 750
+
+    def test_mac_search_is_linear_in_a_chain(self):
+        # the domains are undone by a trail: copying them at every node
+        # would make 4x the depth cost 16x.  A child process turns a
+        # regression into a timeout instead of a hung suite.
+        code = ("import time\n"
+                "from ndlogic import App, Var\n"
+                "from ndlogic.logics import mci_artifacts\n"
+                "from ndlogic.semantics import _compile, _mac_search\n"
+                "m5 = mci_artifacts().m5\n"
+                "des = frozenset(map(m5.algebra._index.get, m5.designated))\n"
+                "def cost(n):\n"
+                "    f = Var('p')\n"
+                "    for _ in range(n):\n"
+                "        f = App('neg', (f,))\n"
+                "    _, _, plan = _compile(m5.algebra, [f])\n"
+                "    times = []\n"
+                "    for _ in range(3):\n"
+                "        t = time.perf_counter()\n"
+                "        got = _mac_search(m5.algebra, plan, {n: des})\n"
+                "        times.append(time.perf_counter() - t)\n"
+                "    assert len(got) == n + 1\n"
+                "    return min(times)\n"
+                "print(cost(10_000) / cost(2_500))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True, text=True,
+                             timeout=120).stdout
+        assert float(out) < 8
+
+    def test_chains_answer_in_the_plain_phase(self, m5, monkeypatch):
+        # a search that never backtracks pushes fewer positions than its
+        # closure holds, so the plain phase's budget, counted beyond the
+        # closure's size, lets it finish without the MAC search
+        calls = []
+        monkeypatch.setattr(semantics, "_mac_search",
+                            lambda *a: calls.append(a))
+        for conn, succedent in (("neg", set()), ("cons", {p})):
+            s = Statement1D({_chain(conn, TestDeepFormulas.DEPTH)}, succedent)
+            assert not entails_1d(m5, s).valid
+        assert not calls
+
     def test_plain_and_two_phase_search_agree(self, m5, b5, monkeypatch):
         # closures of 10-14 positions: some statements finish within the
-        # plain phase's budget, the others are narrowed and searched again
+        # plain phase's budget, the others go to the MAC search
         rng = random.Random(2026)
         statements = []
         while len(statements) < 80:
@@ -1424,13 +1538,13 @@ class TestArcConsistency:
                                                      rej, nrej))]
             return out
 
-        narrowed = []
-        monkeypatch.setattr(semantics, "_arc_consistent",
-                            lambda *a: narrowed.append(a) or
-                            _arc_consistent(*a))
+        searched = []
+        monkeypatch.setattr(semantics, "_mac_search",
+                            lambda *a: searched.append(a) or _mac_search(*a))
         two_phase = verdicts()
-        assert 50 < len(narrowed) < len(two_phase) - 50
+        assert 50 < len(searched) < len(two_phase) - 50
         assert 50 < sum(v.valid for v in two_phase) < len(two_phase) - 50
-        for pushes in (-1, 0):  # the plain search alone; no plain phase
+        # the plain search alone; then switches at about the closure's size
+        for pushes in (-10 ** 9, -1, 0):
             monkeypatch.setattr(semantics, "_PLAIN_PUSHES", pushes)
             assert verdicts() == two_phase
