@@ -317,14 +317,6 @@ def _valuations(alg: NdAlgebra, plan: list[tuple],
             stack.pop()
 
 
-class _Subsets(dict):
-    """``_bits`` of each mask looked up, computed once per mask."""
-
-    def __missing__(self, mask: int) -> list[int]:
-        got = self[mask] = _bits(mask)
-        return got
-
-
 class _Arcs:
     """Generalised arc consistency over a plan's cells, undone by a trail.
 
@@ -337,7 +329,7 @@ class _Arcs:
     def __init__(self, alg: NdAlgebra, plan: list[tuple],
                  allowed: Mapping[int, Container[int]]):
         nv = len(alg.values)
-        self.bits = _Subsets()
+        self.bits = [_bits(m) for m in range(1 << nv)]
         self.dom = [sum(1 << v for v in range(nv) if v in allowed[i])
                     if i in allowed else (1 << nv) - 1
                     for i in range(len(plan))]
@@ -399,6 +391,12 @@ class _Arcs:
                             todo.append(c)
         return True
 
+    def root(self) -> bool:
+        """Narrow from every constraint; False if a domain is or becomes
+        empty."""
+        return all(self.dom) and \
+            self.narrow([i for i, c in enumerate(self.cons) if c])
+
     def fix(self, i: int, mask: int) -> bool:
         """Narrow position i to ``mask``, within its domain, and propagate;
         False if any domain empties."""
@@ -415,17 +413,6 @@ class _Arcs:
             dom[x] = old
 
 
-def _arc_consistent(alg: NdAlgebra, plan: list[tuple],
-                    allowed: Mapping[int, frozenset[int]],
-                    ) -> dict[int, frozenset[int]] | None:
-    """The values each position keeps under generalised arc consistency,
-    or None once some position keeps none: ``_mac_search``'s root step."""
-    arcs = _Arcs(alg, plan, allowed)
-    if arcs.narrow([i for i, c in enumerate(arcs.cons) if c]):
-        return {i: frozenset(arcs.bits[m]) for i, m in enumerate(arcs.dom)}
-    return None
-
-
 def _mac_search(alg: NdAlgebra, plan: list[tuple],
                 allowed: Mapping[int, Container[int]]) -> list[int] | None:
     """The first assignment ``_valuations`` yields within ``allowed``, or
@@ -436,7 +423,7 @@ def _mac_search(alg: NdAlgebra, plan: list[tuple],
     only values of no coherent valuation within them: so the search meets
     the same valuations in the same order."""
     arcs = _Arcs(alg, plan, allowed)
-    if not arcs.narrow([i for i, c in enumerate(arcs.cons) if c]):
+    if not arcs.root():
         return None
     dom, marks = arcs.dom, []  # the trail's length before each assignment
     while len(marks) < len(plan):
@@ -492,13 +479,13 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
 
 # Positions the plain search pushes beyond the closure's size before
 # _entails switches to the MAC search; a search that never backtracks
-# pushes fewer than the closure's size.  Chosen on the benchmark's
-# check-mix inputs, seed 1, 5,000 operations in-process, medians of six
-# runs on a 2-core VM: at 0, 16, 64 and 256 the p50 latency read 0.140,
-# 0.137, 0.139 and 0.149 ms, p99.9 0.56, 0.56, 0.62 and 0.88 ms, and
-# throughput 6,595, 6,549, 6,025 and 4,911 ops/s (an eight-run repeat:
-# p50 0.149 ms at 0, 0.129 at 64).  The plain search alone: 0.133 ms,
-# 18.1 ms and 2,761 ops/s.
+# pushes fewer than the closure's size.  64 buys the median, which most
+# operations pay, at some cost in the tail.  On the benchmark's check-mix
+# inputs, seed 1, 5,000 operations in-process, medians of ten runs on a
+# 2-core VM, budgets 0, 16 and 64 read p50 0.158, 0.156 and 0.149 ms,
+# p99.9 0.55, 0.57 and 0.69 ms, and 5,815, 5,731 and 5,561 ops/s.  An
+# earlier six-run set put 256 at p50 0.149 ms against 0.139 at 64, p99.9
+# 0.88 ms; the plain search alone had a p99.9 of 18.1 ms.
 _PLAIN_PUSHES = 64
 
 

@@ -32,7 +32,7 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                expressiveness_report, induced_multifunction,
                                separator_for_pair, strong_hom_report,
                                validate_rule, ExpressivenessReport,
-                               _SeparatorScan, _arc_consistent,
+                               _Arcs, _SeparatorScan,
                                _certificate, _compile, _mac_search,
                                _separator_search, _simulation,
                                _valuations)
@@ -1375,6 +1375,15 @@ def _random_total_algebra(rng, sig):
         for conn, k in sig.connectives.items()})
 
 
+def _narrowed(alg, plan, allowed):
+    """The values each position keeps after the MAC search's root step, or
+    None once one keeps none."""
+    arcs = _Arcs(alg, plan, allowed)
+    if arcs.root():
+        return {i: frozenset(arcs.bits[m]) for i, m in enumerate(arcs.dom)}
+    return None
+
+
 def _taken(alg, plan, allowed):
     """The values each position takes in some coherent valuation within
     ``allowed``."""
@@ -1402,7 +1411,7 @@ class TestArcConsistency:
                                                rng.randint(1, len(every))))
                        for i in range(len(plan)) if rng.random() < 0.4}
             taken = _taken(alg, plan, allowed)
-            doms = _arc_consistent(alg, plan, allowed)
+            doms = _narrowed(alg, plan, allowed)
             if doms is None:
                 assert not taken[0]
                 emptied += 1
@@ -1429,7 +1438,7 @@ class TestArcConsistency:
             allowed = {i: frozenset(rng.sample(every, rng.randint(1, 2)))
                        for i in range(len(plan)) if rng.random() < 0.75}
             taken = _taken(alg, plan, allowed)
-            doms = _arc_consistent(alg, plan, allowed)
+            doms = _narrowed(alg, plan, allowed)
             if not taken[0]:
                 assert doms is None
                 emptied += 1
@@ -1445,13 +1454,14 @@ class TestArcConsistency:
             ("a", "a"): {"a"}, ("b", "b"): {"a"},
             ("a", "b"): {"b"}, ("b", "a"): {"b"}}})
         _, _, plan = _compile(swap, [App("k", (p, p))])
-        assert _arc_consistent(swap, plan, {1: frozenset({1})}) is None
-        assert _arc_consistent(swap, plan, {1: frozenset({0})}) == \
+        assert _narrowed(swap, plan, {1: frozenset({1})}) is None
+        assert _narrowed(swap, plan, {1: frozenset({0})}) == \
             {0: frozenset({0, 1}), 1: frozenset({0})}
 
     def test_mac_search_meets_the_first_valuation(self):
         # the MAC search goes in _valuations' order and narrowing skips
-        # only branches that hold no coherent valuation
+        # only branches that hold no coherent valuation; a few allowed sets
+        # are empty, some on a variable that no compound watches
         rng = random.Random(1994)
         sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
         tried = none = 0
@@ -1464,13 +1474,30 @@ class TestArcConsistency:
                 continue
             every = range(len(alg.values))
             allowed = {i: frozenset(rng.sample(every,
-                                               rng.randint(1, len(every) - 1)))
+                                               rng.randint(1, len(every) - 1)
+                                               * (rng.random() < 0.97)))
                        for i in range(len(plan)) if rng.random() < 0.75}
             want = next(_valuations(alg, plan, allowed), None)
             assert _mac_search(alg, plan, allowed) == want
             tried += 1
             none += want is None
         assert 250 <= none <= 750
+
+    def test_an_empty_domain_no_compound_watches_is_valid(self, m5, b5,
+                                                          monkeypatch):
+        # p on both sides may take no value, and as a bare variable no
+        # compound's constraint watches it; q, r and s come first, so the
+        # plain phase runs out of budget before it reaches p
+        f = f5("or(q,or(r,s))")
+        statements = (Statement1D({f, p}, {p}), BStatement({f, p}, {p}))
+        searched = []
+        monkeypatch.setattr(semantics, "_mac_search",
+                            lambda *a: searched.append(a) or _mac_search(*a))
+        got = [entails_1d(m5, statements[0]), b_entails(b5, statements[1])]
+        assert got == [Verdict(True)] * 2 and len(searched) == 2
+        monkeypatch.setattr(semantics, "_PLAIN_PUSHES", -10 ** 9)
+        assert [entails_1d(m5, statements[0]),
+                b_entails(b5, statements[1])] == got
 
     def test_mac_search_is_linear_in_a_chain(self):
         # the domains are undone by a trail: copying them at every node
