@@ -7,11 +7,12 @@ inline JSON; statements, trees, and theta sets from inline JSON or
 ``@file``.  Exit codes: 0 for valid/proved/pass, 1 for the checked
 property failing (countermodel or open label printed), 2 for usage or
 input errors and for any unexpected failure, reported as a one-line
-diagnostic.
+diagnostic; 141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import wraps
 
@@ -131,12 +132,18 @@ def _guarded(fn):
 
     Any other exception (say, a RecursionError on a JSON tree nested too
     deep) is reported the same way, naming its type: a crash is never a
-    verdict, so it must not exit 1."""
+    verdict, so it must not exit 1.  A reader that closes stdout early
+    ends the command quietly with 141 (128 + SIGPIPE), as a shell reports
+    a writer killed by the signal; stdout then points at devnull, so the
+    flush at exit does not fail again."""
 
     @wraps(fn)
     def run(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(141)
         except Exception as e:
             message = str(e)
             if not isinstance(e, (CliInputError, NdlogicError)):

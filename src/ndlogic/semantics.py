@@ -4,12 +4,10 @@ An NdAlgebra interprets every connective as a set-valued table over a finite
 value set; an NdMatrix adds one distinguished (designated) set, a BMatrix
 adds two (designated and antidesignated).  Consequence is decided by
 enumerating coherent valuations of a statement's subformula closure in one
-fixed order, checking each position's sides as it is assigned; cut branches
-hold no countermodel, so the first countermodel found is reproducible.  A
-search that has not answered after a few steps beyond the closure's size
-starts over in the same order, keeping arc consistency after every
-assignment (MAC) and undoing it by a trail; narrowing removes no value of
-any countermodel.
+fixed order, within each position's sides, keeping arc consistency after
+every assignment (MAC) and undoing it by a trail; narrowing removes no
+value of any countermodel, so the first countermodel found is the first of
+the full enumeration.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -26,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, count, product
 from operator import and_, or_
-from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 from weakref import ref
 
 from .errors import NonTotalAlgebraError, SemanticsError
@@ -277,44 +275,25 @@ def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
     return tuple(doms), pos, plan
 
 
-def _valuations(alg: NdAlgebra, plan: list[tuple],
-                allowed: Mapping[int, Container[int]], pushes: int = -1,
-                ) -> Iterator[list[int] | bool]:
-    """Yield, as a reused list of value indices, every coherent assignment
-    that keeps each position of ``allowed`` in its set, in declared value
-    order with earlier positions varying slowest.  Sets are checked as
-    positions are assigned; candidates wait on a stack, not in recursion.
-    With ``pushes`` >= 0, it yields False and stops where it would push
-    more positions than that."""
-    vals = [0] * len(plan)
-    tables = alg._tables
-    every = range(len(alg.values))
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
-    def candidates(i: int) -> Iterable[int]:
-        conn, info = plan[i]
-        out = every if conn is None else \
-            tables[conn][tuple(map(vals.__getitem__, info))]
-        return filter(allowed[i].__contains__, out) if i in allowed else out
 
-    last = len(plan) - 1
-    if last < 0:
-        yield vals
-        return
-    stack = [iter(candidates(0))]
-    while stack:
-        i = len(stack) - 1
-        for v in stack[i]:
-            vals[i] = v
-            if i < last:
-                if not pushes:
-                    yield False
-                    return
-                pushes -= 1
-                stack.append(iter(candidates(i + 1)))
-                break
-            yield vals
-        else:
-            stack.pop()
+class _Bits(dict):
+    """``_bits(mask)`` per mask, filled as masks are met and shared by
+    every search; a list is read, never changed."""
+
+    def __missing__(self, mask: int) -> list[int]:
+        got = self[mask] = _bits(mask)
+        return got
+
+
+_BITS = _Bits()
 
 
 class _Arcs:
@@ -327,12 +306,9 @@ class _Arcs:
     exact.  Every shrunk domain goes on ``trail`` as (position, old mask)."""
 
     def __init__(self, alg: NdAlgebra, plan: list[tuple],
-                 allowed: Mapping[int, Container[int]]):
-        nv = len(alg.values)
-        self.bits = [_bits(m) for m in range(1 << nv)]
-        self.dom = [sum(1 << v for v in range(nv) if v in allowed[i])
-                    if i in allowed else (1 << nv) - 1
-                    for i in range(len(plan))]
+                 allowed: Mapping[int, int]):
+        every = (1 << len(alg.values)) - 1
+        self.dom = [allowed.get(i, every) for i in range(len(plan))]
         self.trail: list[tuple[int, int]] = []
         self.cons: list[tuple | None] = []  # (distinct args, columns, holds)
         self.watch: list[list[int]] = [[] for _ in plan]  # constraints on i
@@ -341,13 +317,14 @@ class _Arcs:
                 self.cons.append(None)
                 continue
             holds, cols = alg._rows[conn]
-            scope = tuple(dict.fromkeys(args))
-            if len(scope) < len(args):
+            if len(set(args)) < len(args):
+                scope = tuple(dict.fromkeys(args))
                 cols = [[reduce(and_, rows) for rows in zip(*(
                     col for col, a in zip(cols, args) if a == x))]
                     for x in scope]
-            self.cons.append((scope, cols, holds))
-            for x in (i, *scope):
+                args = scope
+            self.cons.append((args, cols, holds))
+            for x in (i, *args):
                 self.watch[x].append(i)
 
     def narrow(self, todo: list[int]) -> bool:
@@ -357,7 +334,7 @@ class _Arcs:
         argument domains whose cell meets the compound's domain, so it
         removes no value of a coherent valuation within the domains."""
         dom, trail, cons, watch, bits = \
-            self.dom, self.trail, self.cons, self.watch, self.bits
+            self.dom, self.trail, self.cons, self.watch, _BITS
         queued = set(todo)
         while todo:
             i = todo.pop()
@@ -376,19 +353,19 @@ class _Arcs:
                     met |= rows & holds[w]
             if not out:
                 return False
-            shrunk = [(i, out)]
+            shrunk = [(i, out)] if out != dom[i] else []
             if met != rows:  # some argument value may have lost its rows
-                shrunk += [(a, sum(1 << v for v in bits[dom[a]]
-                                   if met & col[v]))
-                           for a, col in zip(scope, cols)]
+                for a, col in zip(scope, cols):
+                    keep = sum(1 << v for v in bits[dom[a]] if met & col[v])
+                    if keep != dom[a]:
+                        shrunk.append((a, keep))
             for x, mask in shrunk:
-                if dom[x] & ~mask:
-                    trail.append((x, dom[x]))
-                    dom[x] &= mask
-                    for c in watch[x]:
-                        if c not in queued and c != i:
-                            queued.add(c)
-                            todo.append(c)
+                trail.append((x, dom[x]))
+                dom[x] = mask
+                for c in watch[x]:
+                    if c not in queued and c != i:
+                        queued.add(c)
+                        todo.append(c)
         return True
 
     def root(self) -> bool:
@@ -413,31 +390,35 @@ class _Arcs:
             dom[x] = old
 
 
-def _mac_search(alg: NdAlgebra, plan: list[tuple],
-                allowed: Mapping[int, Container[int]]) -> list[int] | None:
-    """The first assignment ``_valuations`` yields within ``allowed``, or
-    None, by maintaining arc consistency (MAC).  Positions go in plan
-    order, each taking the lowest value left in its domain; a value that
-    fails is taken out, and the search backtracks from an empty domain.
-    Domains are narrowed at the root and after each step, which removes
-    only values of no coherent valuation within them: so the search meets
-    the same valuations in the same order."""
+def _valuations(alg: NdAlgebra, plan: list[tuple],
+                allowed: Mapping[int, int]) -> Iterator[list[int]]:
+    """Yield, as a list of value indices, every coherent assignment that
+    keeps each position of ``allowed`` within its value mask, in declared
+    value order with earlier positions varying slowest.  The search
+    maintains arc consistency (MAC): positions go in plan order, each
+    taking the lowest value left in its domain; after a yield, or when a
+    value fails, the value is taken out, and the search backtracks from an
+    empty domain.  Domains are narrowed at the root and after each step,
+    which removes only values of no coherent valuation within them: so
+    the search meets the valuations in the order of the full product."""
     arcs = _Arcs(alg, plan, allowed)
     if not arcs.root():
-        return None
+        return
     dom, marks = arcs.dom, []  # the trail's length before each assignment
-    while len(marks) < len(plan):
-        i = len(marks)
-        marks.append(len(arcs.trail))
-        if not arcs.fix(i, dom[i] & -dom[i]):
-            while True:
-                i = len(marks) - 1
-                arcs.undo(marks.pop())
-                if arcs.fix(i, dom[i] & (dom[i] - 1)):
-                    break
-                if not marks:
-                    return None
-    return [d.bit_length() - 1 for d in dom]
+    while True:
+        if len(marks) == len(plan):
+            yield [d.bit_length() - 1 for d in dom]
+            ok = False
+        else:
+            i = len(marks)
+            marks.append(len(arcs.trail))
+            ok = arcs.fix(i, dom[i] & -dom[i])
+        while not ok:
+            if not marks:
+                return
+            i = len(marks) - 1
+            arcs.undo(marks.pop())
+            ok = arcs.fix(i, dom[i] & (dom[i] - 1))
 
 
 def _to_valuation(alg: NdAlgebra, doms: tuple[Formula, ...],
@@ -469,7 +450,7 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
         if x not in index:
             raise SemanticsError(f"unknown value {x!r}")
     doms, pos, plan = _compile(alg, [f])
-    pins = {pos[Var(v)]: (index[x],) for v, x in zip(vs, inputs)}
+    pins = {pos[Var(v)]: 1 << index[x] for v, x in zip(vs, inputs)}
     out = {vals[-1] for vals in _valuations(alg, plan, pins)}
     return frozenset(alg.values[i] for i in out)
 
@@ -477,45 +458,26 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
 # ---------------------------------------------------------------------------
 # entailment
 
-# Positions the plain search pushes beyond the closure's size before
-# _entails switches to the MAC search; a search that never backtracks
-# pushes fewer than the closure's size.  64 buys the median, which most
-# operations pay, at some cost in the tail.  On the benchmark's check-mix
-# inputs, seed 1, 5,000 operations in-process, medians of ten runs on a
-# 2-core VM, budgets 0, 16 and 64 read p50 0.158, 0.156 and 0.149 ms,
-# p99.9 0.55, 0.57 and 0.69 ms, and 5,815, 5,731 and 5,561 ops/s.  An
-# earlier six-run set put 256 at p50 0.149 ms against 0.139 at 64, p99.9
-# 0.88 ms; the plain search alone had a p99.9 of 18.1 ms.
-_PLAIN_PUSHES = 64
-
-
 def _entails(alg: NdAlgebra, des: Iterable[str], anti: Iterable[str],
              *sides: Iterable[Formula]) -> Verdict:
     """The one entailment search over the ``sides`` acc, nacc, rej and
     nrej (trailing ones optional): valid iff no coherent valuation puts acc
     inside ``des``, nacc outside it, rej inside ``anti`` and nrej outside
-    it.  Those sets, intersected for a formula on several sides, are each
-    position's allowed values.  The search runs in two phases in one
-    order, so the first countermodel is the same either way.  The plain
-    ``_valuations`` checks the sets as it assigns; a cut branch holds no
-    countermodel, so its first yield is the first countermodel.  If it has
-    not answered after ``_PLAIN_PUSHES`` positions pushed beyond the
-    closure's size, ``_mac_search`` starts over, keeping arc consistency
-    after every assignment and undoing it by a trail.  The closure is built
-    from each side sorted, in turn."""
+    it.  Those sets, as value masks intersected for a formula on several
+    sides, are each position's allowed values.  ``_valuations`` keeps arc
+    consistency within them, and narrowing removes no countermodel's
+    value, so its first yield is the first countermodel of the full
+    enumeration.  The closure is built from each side sorted, in turn."""
     _require_total(alg)
-    d, a = (frozenset(map(alg._index.__getitem__, x)) for x in (des, anti))
-    every = frozenset(range(len(alg.values)))
-    oks = (d, every - d, a, every - a)
+    d, a = (sum(1 << alg._index[v] for v in x) for x in (des, anti))
+    every = (1 << len(alg.values)) - 1
+    oks = (d, every & ~d, a, every & ~a)
     fs = [(f, ok) for side, ok in zip(sides, oks) for f in _sorted(side)]
     doms, pos, plan = _compile(alg, [f for f, _ in fs])
-    allowed: dict[int, frozenset[int]] = {}
+    allowed: dict[int, int] = {}
     for f, ok in fs:
         allowed[pos[f]] = allowed.get(pos[f], ok) & ok
-    vals = next(_valuations(alg, plan, allowed, len(plan) + _PLAIN_PUSHES),
-                None)
-    if vals is False:
-        vals = _mac_search(alg, plan, allowed)
+    vals = next(_valuations(alg, plan, allowed), None)
     return Verdict(True) if vals is None else \
         Verdict(False, _to_valuation(alg, doms, vals))
 
@@ -611,15 +573,6 @@ class FormulaLimit:
 
     depth: int
     max_formulas: int
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def _intern(items: list, ids: dict, item) -> int:

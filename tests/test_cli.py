@@ -57,6 +57,21 @@ class TestCheck:
             assert res.output == "invalid; countermodel:\n" \
                 "  (empty valuation)\n"
 
+    def test_closed_stdout_ends_quietly_with_141(self):
+        # the reader is gone before the first line, as after `| head -n 0`
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "ndlogic.cli", "check", "--matrix",
+                 "builtin:mci5", "--statement", PARACONSISTENCY],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (res.returncode, res.stderr) == (141, b"")
+
     def test_bstatement_gap(self, runner):
         res = invoke(runner, "check", "--matrix", "builtin:mci-b",
                      "--statement", '{"nacc":["p"],"nrej":["p"]}')

@@ -22,7 +22,7 @@ from ndlogic.errors import NonTotalAlgebraError, SemanticsError
 from ndlogic.language import (App, Signature, Var, _pool_levels,
                               enumerate_unary_formulas, parse_formula,
                               subformula_sequence, subformulas, variables)
-from ndlogic.logics import example1, example2
+from ndlogic.logics import example1, example2, mk_matrix
 from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                NdAlgebra, NdMatrix, PairSeparation,
                                Statement1D, Valuation, Verdict,
@@ -33,7 +33,7 @@ from ndlogic.semantics import (BMatrix, BStatement, FormulaLimit,
                                separator_for_pair, strong_hom_report,
                                validate_rule, ExpressivenessReport,
                                _Arcs, _SeparatorScan,
-                               _certificate, _compile, _mac_search,
+                               _bits, _certificate, _compile,
                                _separator_search, _simulation,
                                _valuations)
 
@@ -1056,15 +1056,19 @@ def _random_statement(rng, sig, most):
     return Statement1D(*_random_sides(rng, sig, 2, most))
 
 
-def _rows(alg, closure, pins=()):
+def _rows(alg, closure, pins=(), masks=None):
     """Every row of ``itertools.product`` over the closure whose compounds
     take a value of their cell and whose pinned variables take their
-    pin, in product order."""
+    pin, in product order; a position in ``masks`` ranges over the values
+    of its mask only."""
     pos = {f: i for i, f in enumerate(closure)}
     cells = [(i, alg.interpretation[f.conn], [pos[a] for a in f.args])
              for i, f in enumerate(closure) if not isinstance(f, Var)]
     pinned = [(pos[v], x) for v, x in pins]
-    for row in product(alg.values, repeat=len(closure)):
+    masks = masks or {}
+    for row in product(*([x for j, x in enumerate(alg.values)
+                          if masks.get(i, -1) >> j & 1]
+                         for i in range(len(closure)))):
         if all(row[i] == x for i, x in pinned) and \
                 all(row[i] in cell[tuple(row[j] for j in args)]
                     for i, cell, args in cells):
@@ -1376,22 +1380,24 @@ def _random_total_algebra(rng, sig):
 
 
 def _narrowed(alg, plan, allowed):
-    """The values each position keeps after the MAC search's root step, or
-    None once one keeps none."""
+    """Each position's value mask after the search's root step, or None
+    once one keeps none."""
     arcs = _Arcs(alg, plan, allowed)
-    if arcs.root():
-        return {i: frozenset(arcs.bits[m]) for i, m in enumerate(arcs.dom)}
-    return None
+    return dict(enumerate(arcs.dom)) if arcs.root() else None
 
 
 def _taken(alg, plan, allowed):
-    """The values each position takes in some coherent valuation within
-    ``allowed``."""
-    taken = [set() for _ in plan]
+    """The mask of the values each position takes in some coherent
+    valuation within the masks ``allowed``."""
+    taken = [0] * len(plan)
     for vals in _valuations(alg, plan, allowed):
-        for seen, v in zip(taken, vals):
-            seen.add(v)
+        for i, v in enumerate(vals):
+            taken[i] |= 1 << v
     return taken
+
+
+def _mask(values):
+    return sum(1 << v for v in values)
 
 
 class TestArcConsistency:
@@ -1406,9 +1412,8 @@ class TestArcConsistency:
             _, _, plan = _compile(alg, fs)
             if len(plan) > 8:
                 continue
-            every = frozenset(range(len(alg.values)))
-            allowed = {i: frozenset(rng.sample(sorted(every),
-                                               rng.randint(1, len(every))))
+            every = range(len(alg.values))
+            allowed = {i: _mask(rng.sample(every, rng.randint(1, len(every))))
                        for i in range(len(plan)) if rng.random() < 0.4}
             taken = _taken(alg, plan, allowed)
             doms = _narrowed(alg, plan, allowed)
@@ -1417,8 +1422,10 @@ class TestArcConsistency:
                 emptied += 1
                 continue
             for i, seen in enumerate(taken):
-                assert seen <= doms[i] <= allowed.get(i, every) and doms[i]
-                removed += doms[i] < allowed.get(i, every)
+                within = allowed.get(i, _mask(every))
+                assert not seen & ~doms[i] and not doms[i] & ~within
+                assert doms[i]
+                removed += doms[i] != within
         assert removed >= 200 and emptied >= 25
 
     def test_revision_of_one_compound_is_exact(self):
@@ -1435,7 +1442,7 @@ class TestArcConsistency:
                          for _ in range(sig.connectives[conn]))
             _, _, plan = _compile(alg, [App(conn, args)])
             every = range(len(alg.values))
-            allowed = {i: frozenset(rng.sample(every, rng.randint(1, 2)))
+            allowed = {i: _mask(rng.sample(every, rng.randint(1, 2)))
                        for i in range(len(plan)) if rng.random() < 0.75}
             taken = _taken(alg, plan, allowed)
             doms = _narrowed(alg, plan, allowed)
@@ -1443,8 +1450,8 @@ class TestArcConsistency:
                 assert doms is None
                 emptied += 1
             else:
-                assert doms == dict(enumerate(map(frozenset, taken)))
-                narrowed += any(len(d) < len(allowed.get(i, every))
+                assert doms == dict(enumerate(taken))
+                narrowed += any(d != allowed.get(i, _mask(every))
                                 for i, d in doms.items())
             repeated += len(set(args)) < len(args)
         assert repeated >= 100 and narrowed >= 100 and emptied >= 5
@@ -1454,14 +1461,14 @@ class TestArcConsistency:
             ("a", "a"): {"a"}, ("b", "b"): {"a"},
             ("a", "b"): {"b"}, ("b", "a"): {"b"}}})
         _, _, plan = _compile(swap, [App("k", (p, p))])
-        assert _narrowed(swap, plan, {1: frozenset({1})}) is None
-        assert _narrowed(swap, plan, {1: frozenset({0})}) == \
-            {0: frozenset({0, 1}), 1: frozenset({0})}
+        assert _narrowed(swap, plan, {1: 0b10}) is None
+        assert _narrowed(swap, plan, {1: 0b01}) == {0: 0b11, 1: 0b01}
 
     def test_mac_search_meets_the_first_valuation(self):
-        # the MAC search goes in _valuations' order and narrowing skips
-        # only branches that hold no coherent valuation; a few allowed sets
-        # are empty, some on a variable that no compound watches
+        # the search goes in the product's order and narrowing skips only
+        # branches that hold no coherent valuation, so it yields exactly
+        # the brute-force rows within the allowed masks; a few masks are
+        # empty, some on a variable that no compound watches
         rng = random.Random(1994)
         sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
         tried = none = 0
@@ -1469,35 +1476,42 @@ class TestArcConsistency:
             alg = _random_total_algebra(rng, sig)
             fs = [_repeating_formula(rng, sig, 3)
                   for _ in range(rng.randint(1, 3))]
-            _, _, plan = _compile(alg, fs)
+            doms, _, plan = _compile(alg, fs)
             if len(plan) > 10:
                 continue
             every = range(len(alg.values))
-            allowed = {i: frozenset(rng.sample(every,
-                                               rng.randint(1, len(every) - 1)
-                                               * (rng.random() < 0.97)))
+            allowed = {i: _mask(rng.sample(every,
+                                           rng.randint(1, len(every) - 1)
+                                           * (rng.random() < 0.97)))
                        for i in range(len(plan)) if rng.random() < 0.75}
-            want = next(_valuations(alg, plan, allowed), None)
-            assert _mac_search(alg, plan, allowed) == want
+            want = [tuple(map(alg._index.get, row))
+                    for row in _rows(alg, doms, masks=allowed)]
+            got = _valuations(alg, plan, allowed)
+            assert next(got, None) == (list(want[0]) if want else None)
+            assert [tuple(vals) for vals in got] == want[1:]
             tried += 1
-            none += want is None
+            none += not want
         assert 250 <= none <= 750
 
-    def test_an_empty_domain_no_compound_watches_is_valid(self, m5, b5,
-                                                          monkeypatch):
+    def test_an_empty_domain_no_compound_watches_is_valid(self, m5, b5):
         # p on both sides may take no value, and as a bare variable no
-        # compound's constraint watches it; q, r and s come first, so the
-        # plain phase runs out of budget before it reaches p
+        # compound's constraint watches it; q, r and s come first
         f = f5("or(q,or(r,s))")
-        statements = (Statement1D({f, p}, {p}), BStatement({f, p}, {p}))
-        searched = []
-        monkeypatch.setattr(semantics, "_mac_search",
-                            lambda *a: searched.append(a) or _mac_search(*a))
-        got = [entails_1d(m5, statements[0]), b_entails(b5, statements[1])]
-        assert got == [Verdict(True)] * 2 and len(searched) == 2
-        monkeypatch.setattr(semantics, "_PLAIN_PUSHES", -10 ** 9)
-        assert [entails_1d(m5, statements[0]),
-                b_entails(b5, statements[1])] == got
+        assert entails_1d(m5, Statement1D({f, p}, {p})).valid
+        assert b_entails(b5, BStatement({f, p}, {p})).valid
+
+    def test_bit_lists_are_built_per_mask_met(self, monkeypatch):
+        # mk:8 has 18 values; building the bit list of every one of the
+        # 2 ** 18 masks on each search took seconds and hundreds of MB
+        m = mk_matrix(8)
+        s = Statement1D({p, q, Var("r")}, {parse_formula(
+            "and(p,and(q,r))", m.algebra.signature)})
+        built = []
+        monkeypatch.setattr(semantics, "_BITS", semantics._Bits())
+        monkeypatch.setattr(semantics, "_bits",
+                            lambda mask: built.append(mask) or _bits(mask))
+        assert entails_1d(m, s).valid
+        assert 0 < len(built) < 2 ** 10
 
     def test_mac_search_is_linear_in_a_chain(self):
         # the domains are undone by a trail: copying them at every node
@@ -1506,9 +1520,9 @@ class TestArcConsistency:
         code = ("import time\n"
                 "from ndlogic import App, Var\n"
                 "from ndlogic.logics import mci_artifacts\n"
-                "from ndlogic.semantics import _compile, _mac_search\n"
+                "from ndlogic.semantics import _compile, _valuations\n"
                 "m5 = mci_artifacts().m5\n"
-                "des = frozenset(map(m5.algebra._index.get, m5.designated))\n"
+                "des = sum(1 << m5.algebra._index[v] for v in m5.designated)\n"
                 "def cost(n):\n"
                 "    f = Var('p')\n"
                 "    for _ in range(n):\n"
@@ -1517,7 +1531,7 @@ class TestArcConsistency:
                 "    times = []\n"
                 "    for _ in range(3):\n"
                 "        t = time.perf_counter()\n"
-                "        got = _mac_search(m5.algebra, plan, {n: des})\n"
+                "        got = next(_valuations(m5.algebra, plan, {n: des}))\n"
                 "        times.append(time.perf_counter() - t)\n"
                 "    assert len(got) == n + 1\n"
                 "    return min(times)\n"
@@ -1528,50 +1542,3 @@ class TestArcConsistency:
                              capture_output=True, check=True, text=True,
                              timeout=120).stdout
         assert float(out) < 8
-
-    def test_chains_answer_in_the_plain_phase(self, m5, monkeypatch):
-        # a search that never backtracks pushes fewer positions than its
-        # closure holds, so the plain phase's budget, counted beyond the
-        # closure's size, lets it finish without the MAC search
-        calls = []
-        monkeypatch.setattr(semantics, "_mac_search",
-                            lambda *a: calls.append(a))
-        for conn, succedent in (("neg", set()), ("cons", {p})):
-            s = Statement1D({_chain(conn, TestDeepFormulas.DEPTH)}, succedent)
-            assert not entails_1d(m5, s).valid
-        assert not calls
-
-    def test_plain_and_two_phase_search_agree(self, m5, b5, monkeypatch):
-        # closures of 10-14 positions: some statements finish within the
-        # plain phase's budget, the others go to the MAC search
-        rng = random.Random(2026)
-        statements = []
-        while len(statements) < 80:
-            sides = [frozenset(_random_formula(rng, SIG5, 3)
-                               for _ in range(rng.randint(0, 2)))
-                     for _ in range(4)]
-            if 10 <= len(_closure([f for x in sides for f in x])) <= 14:
-                statements.append(sides)
-
-        def verdicts():
-            out = []
-            for acc, nacc, rej, nrej in statements:
-                s = Statement1D(acc, nacc)
-                out += [entails_1d(m5, s), aspect_entails(b5, "t", s),
-                        aspect_entails(b5, "f", s),
-                        b_entails(b5, BStatement(acc, nacc, rej, nrej)),
-                        validate_rule(m5, RuleSchema("r", 1, acc, nacc)),
-                        validate_rule(b5, RuleSchema("r", 2, acc, nacc,
-                                                     rej, nrej))]
-            return out
-
-        searched = []
-        monkeypatch.setattr(semantics, "_mac_search",
-                            lambda *a: searched.append(a) or _mac_search(*a))
-        two_phase = verdicts()
-        assert 50 < len(searched) < len(two_phase) - 50
-        assert 50 < sum(v.valid for v in two_phase) < len(two_phase) - 50
-        # the plain search alone; then switches at about the closure's size
-        for pushes in (-10 ** 9, -1, 0):
-            monkeypatch.setattr(semantics, "_PLAIN_PUSHES", pushes)
-            assert verdicts() == two_phase
