@@ -50,11 +50,13 @@ class NdAlgebra:
     interpretation: Interpretation
     # derived lookup tables, not part of the algebra's identity
     _index: Mapping[str, int] = field(init=False, compare=False, repr=False)
-    _tables: Mapping[str, Mapping[tuple[int, ...], tuple[int, ...]]] = \
+    # per connective, its cells as value masks by row code: the arguments'
+    # value indices as digits in base |values|, the first lowest
+    _cells: Mapping[str, tuple[int, ...]] = \
         field(init=False, compare=False, repr=False)
-    # _tables' rows numbered in order, as bit masks of row numbers: per
-    # value, the rows whose cell holds it; per column and value, the rows
-    # with that value there
+    # the rows numbered in order of their value indices, as bit masks of
+    # row numbers: per value, the rows whose cell holds it; per column and
+    # value, the rows with that value there
     _rows: Mapping[str, tuple[list[int], list[list[int]]]] = \
         field(init=False, compare=False, repr=False)
     _total: bool = field(init=False, compare=False, repr=False)
@@ -63,9 +65,9 @@ class NdAlgebra:
         values = tuple(self.values)
         if len(set(values)) != len(values) or not values:
             raise SemanticsError("values must be non-empty and distinct")
-        index = {v: i for i, v in enumerate(values)}
+        index, nv = {v: i for i, v in enumerate(values)}, len(values)
         interp: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-        tables: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        cells_of: dict[str, tuple[int, ...]] = {}
         rows_of: dict[str, tuple[list[int], list[list[int]]]] = {}
         for conn, arity in self.signature.connectives.items():
             cells = self.interpretation.get(conn)
@@ -85,25 +87,24 @@ class NdAlgebra:
                 if not out <= index.keys():
                     raise SemanticsError(f"cell {conn}{args} not within values")
                 rows[tuple(map(index.__getitem__, args))] = args, out
-            interp[conn], tables[conn] = {}, {}
-            holds = [0] * len(values)
-            cols = [[0] * len(values) for _ in range(arity)]
+            interp[conn], masks, holds = {}, [0] * want, [0] * nv
+            cols = [[0] * nv for _ in range(arity)]
             for row, (ik, (args, out)) in enumerate(sorted(rows.items())):
                 interp[conn][args] = out
-                tables[conn][ik] = tuple(i for i, v in enumerate(values)
-                                         if v in out)
-                for w in tables[conn][ik]:
+                code = sum(v * nv ** i for i, v in enumerate(ik))
+                for w in map(index.__getitem__, out):
+                    masks[code] |= 1 << w
                     holds[w] |= 1 << row
                 for col, v in zip(cols, ik):
                     col[v] |= 1 << row
-            rows_of[conn] = holds, cols
+            cells_of[conn], rows_of[conn] = tuple(masks), (holds, cols)
         extra = set(self.interpretation) - set(self.signature.connectives)
         if extra:
             raise SemanticsError(f"interpretation for undeclared {sorted(extra)}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "interpretation", interp)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_cells", cells_of)
         object.__setattr__(self, "_rows", rows_of)
         object.__setattr__(self, "_total", all(
             out for cells in interp.values() for out in cells.values()))
@@ -609,11 +610,11 @@ class _SeparatorScan:
     vector v's first formula as a node ``(conn, arg ids)``.
 
     A node's vector is read off its argument relation: the rows of values
-    its arguments take together at each value of p, as masks of row codes
-    (digits in base |values|, the first column lowest).  Each node keeps
-    the mask of the compounds in its closure that can take several values
-    at some value of p; an argument tuple's shared set S is the union of
-    the pairwise intersections of those masks.  Closures are
+    its arguments take together at each value of p, as masks of row codes,
+    which index ``alg._cells``; the vector is the union of the cells at
+    them.  Each node keeps the mask of the compounds in its closure that can
+    take several values at some value of p; an argument tuple's shared set S
+    is the union of the pairwise intersections of those masks.  Closures are
     subformula-closed and every other shared node has one value at each
     value of p, so coherent valuations of the arguments' closures combine
     iff they agree on S.  The relation is thus the join on S of the
@@ -621,8 +622,8 @@ class _SeparatorScan:
     argument), read off the joint relation of S and the argument, or the
     vector if S is empty.  A level is kept as nodes when more formulas fit
     the budget, because they are the next level's arguments; the last level
-    built keeps only the first node of each new vector.  The algebra must
-    be total, which ``_simulation`` relies on too."""
+    built keeps only the first node of each new vector.  The algebra must be
+    total, which ``_simulation`` relies on too."""
 
     def __init__(self, alg: NdAlgebra, max_depth: int,
                  max_formulas: int = 10 ** 6):
@@ -631,10 +632,8 @@ class _SeparatorScan:
         if max_formulas < 1:
             raise SemanticsError("max_formulas must be >= 1")
         self.nv = nv = len(alg.values)
-        self.cells = {c: {sum(v * nv ** i for i, v in enumerate(args)):
-                          sum(1 << w for w in out) for args, out in t.items()}
-                      for c, t in alg._tables.items()}  # by row code
-        self.cells[None] = {v: 1 << v for v in range(nv)}  # copies a column
+        self.cells = {**alg._cells,  # None copies a column
+                      None: tuple(1 << v for v in range(nv))}
         self.levels = _pool_levels(alg.signature, max_depth)
         self.total, self.limit = 0, None
         for d, (*_, n) in enumerate(_pool_levels(alg.signature, max_depth)):
@@ -742,10 +741,10 @@ class _SeparatorScan:
         of its cells at the rows; a new one's first node is (conn, ids)."""
         vec = self.by_relation.get((conn, rel))
         if vec is None:
-            at = tuple(range(len(ids)))
+            cells = self.cells[conn]
             vec = self.by_relation[conn, rel] = tuple(
                 1 << x if conn is None
-                else self.expansions[rows, len(at), (), at, conn]
+                else reduce(or_, map(cells.__getitem__, _bits(rows)))
                 for x, rows in enumerate(self.relations[rel]))
         got = _intern(self.vectors, self.vector_ids, vec)
         if got == len(self.firsts):
@@ -803,35 +802,45 @@ def _simulation(alg: NdAlgebra, dist: Sequence[int], total: int) -> list[int]:
     the distinguished masks ``dist`` and simulates every cell.  R starts as
     the pairs of equal membership in every mask; it loses each non-identity
     pair of any tuple of pairs where the left cell has an output with no
-    R-partner in the right cell, until none is lost.  So x R y proves
-    ⟨x,y⟩ inseparable: bottom-up, a coherent valuation with p = x has a
-    partner with p = y, R-related at each formula, and each value of x's
-    non-empty set has one of its membership in y's.  R is sound, not
-    greatest; it is the identity unless its work bound, the candidates
-    times Σ |R|^arity, is below the ``total`` formulas of a whole scan."""
-    nv = len(alg.values)
-    rel = [sum(1 << y for y in range(nv)
-               if all(d >> x & 1 == d >> y & 1 for d in dist))
+    R-partner in the right cell, until none is lost or R is the identity.
+    So x R y proves ⟨x,y⟩ inseparable: bottom-up, a coherent valuation with
+    p = x has a partner with p = y, R-related at each formula, and each
+    value of x's non-empty set has one of its membership in y's.  R is
+    sound, not greatest; it is the identity unless its work bound, the
+    candidates times Σ |R|^arity, is below a whole scan's ``total``."""
+    nv, every = len(alg.values), (1 << len(alg.values)) - 1
+    rel = [reduce(and_, [d if d >> x & 1 else every & ~d for d in dist], every)
            for x in range(nv)]
-    size = sum(map(int.bit_count, rel))
-    arities = [k for k in alg.signature.connectives.values() if k]
+    size, sig = sum(map(int.bit_count, rel)), alg.signature.connectives
+    arities = [k for k in sig.values() if k]
     if (size - nv) * sum(size ** k for k in arities) >= total:
         return [1 << x for x in range(nv)]
-    conns = sorted(({xs: sum(1 << w for w in out) for xs, out in t.items()}
-                    for t in alg._tables.values() if next(iter(t))),
-                   key=len)
+    conns = [(sig[c], alg._cells[c]) for c in sorted(sig, key=sig.get)
+             if sig[c]]
+    masks = set().union(*(cells for _, cells in conns))
     at = clean = 0  # the connective checked next; clean checks in a row
-    while clean < len(conns):
-        cells, rows, drop = conns[at], list(map(_bits, rel)), [0] * nv
-        partners = {m: sum(1 << z for z in range(nv) if rel[z] & m)
-                    for m in set(cells.values())}
-        for xs, out in cells.items():
-            for ys in product(*map(rows.__getitem__, xs)):
-                if out & ~partners[cells[ys]]:
-                    for x, y in zip(xs, ys):
-                        drop[x] |= (x != y) << y
+    while clean < len(conns) and size > nv:
+        if not clean:  # R is new: per mask, the z R-related to none of it
+            lonely = {m: sum((not r & m) << z for z, r in enumerate(rel))
+                      for m in masks}
+            related = {}  # per arity and row code, the R-related codes
+        k, cells = conns[at]
+        if k not in related:
+            related[k] = [1]
+            for j in range(k):
+                related[k] = [reduce(or_, [n << y * nv ** j for y in _BITS[r]])
+                              for r in rel for n in related[k]]
+        bad = {out: sum(1 << c for c, m in enumerate(cells) if out & lonely[m])
+               for out in set(cells)}  # the right codes each out fails at
+        drop = [0] * nv
+        for code, (out, near) in enumerate(zip(cells, related[k])):
+            for right in _bits(bad[out] & near):
+                for j in range(k):
+                    x, y = code // nv ** j % nv, right // nv ** j % nv
+                    drop[x] |= (x != y) << y
         if any(drop):
             rel, clean = [r & ~d for r, d in zip(rel, drop)], 0
+            size = sum(map(int.bit_count, rel))
         else:
             at, clean = (at + 1) % len(conns), clean + 1
     return rel

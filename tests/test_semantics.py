@@ -106,7 +106,19 @@ class TestAlgebra:
             NdAlgebra(SIG5, ("f", "F", "I", "T", "f"), INTERP5)
 
     def test_derived_tables_are_not_parameters(self, alg5):
-        assert alg5._index["f"] == 0 and alg5._tables["neg"][(0,)] == (2, 4)
+        # neg(f) = {I, t}: row code 0, values 2 and 4
+        assert alg5._index["f"] == 0 and alg5._cells["neg"][0] == 0b10100
+        rng = random.Random(29)
+        algs = [m.algebra for _, m in matrices()] + \
+            [_random_algebra(rng, arity) for arity in (1, 2, 3) * 3]
+        for alg in algs:
+            nv, index = len(alg.values), alg._index
+            for conn, cells in alg.interpretation.items():
+                assert len(alg._cells[conn]) == len(cells)
+                for args, out in cells.items():
+                    code = sum(index[a] * nv ** i for i, a in enumerate(args))
+                    assert alg._cells[conn][code] == \
+                        sum(1 << index[v] for v in out)
         with pytest.raises(TypeError):
             NdAlgebra(SIG5, V5, INTERP5, _index={})
         with pytest.raises(TypeError):
@@ -894,17 +906,34 @@ class TestSimulationCertificate:
         assert _simulation(m5.algebra, _dist(m5),
                            _SeparatorScan(m5.algebra, 3, 44166).total) \
             != identity
+        # the bound itself still gives the identity; one more formula
+        # lets R relate <F,f> and <T,t>
+        assert _simulation(m5.algebra, _dist(m5), 4264) == identity
+        assert _simulation(m5.algebra, _dist(m5), 4265) == [1, 3, 4, 24, 16]
 
     def test_every_distinguished_set_over_the_mci_algebra(self, m5):
         alg, values = m5.algebra, m5.algebra.values
         sets = [[v for i, v in enumerate(values) if mask >> i & 1]
                 for mask in range(1 << len(values))]
         scan = _full_scan(m5, 3)
-        certified = 0
-        for target in [NdMatrix(alg, d) for d in sets] + \
-                [BMatrix(alg, m5.designated, a) for a in sets]:
-            certified += len(_assert_certificate_sound(target, 3, scan))
-        assert certified >= 60
+        certified = [_assert_certificate_sound(target, 3, scan) for target in
+                     [NdMatrix(alg, d) for d in sets] +
+                     [BMatrix(alg, m5.designated, a) for a in sets]]
+        assert sum(map(len, certified)) >= 60
+
+        # R is sound, not greatest, and the order in which pairs are
+        # dropped decides which R it is: the pairs are pinned, by target
+        # (a matrix's designated mask, then 32 + the antidesignated mask
+        # of a B-matrix with mci5's designated set)
+        def within(*blocks):
+            return {(x, y) for b in blocks for x in b for y in b if x != y}
+
+        mci = {("F", "f"), ("T", "t")}  # one way only, as in mci5
+        pinned = {0: within("fFITt"), 31: within("fFITt"),
+                  10: within("FT", "fIt"), 21: within("FT", "fIt"),
+                  3: mci, 7: mci, 24: mci, 28: mci}
+        pinned.update({32 + a: mci for a in (0, 3, 4, 7, 24, 27, 28, 31)})
+        assert certified == [pinned.get(i, set()) for i in range(64)]
 
     def test_random_algebras(self):
         rng = random.Random(22)
