@@ -22,16 +22,19 @@ instance left is a sound "not provable within the fence" witness.  For
 theta-analytic calculi that equals non-provability; in general it is only
 relative to the fence.
 
-The fence is numbered: its formulas ordered by size, then printed form,
-formula i standing for the bit ``1 << i``.  The fence-bounded instances
-are found by one-way matching of each rule's schema formulas against the
-fence, in a plan stored with the rule, so no instance that leaves the
-fence is built.  This is complete because every schema variable occurs in
+The fence is built in one bottom-up pass over the closure of the
+statement's sides, each formula with its size and printed form, and
+numbered: its formulas ordered by size, then printed form, formula i
+standing for the bit ``1 << i``.  The fence-bounded instances are found
+by one-way matching of each rule's schema formulas against the fence, in
+a plan stored with the rule, so no instance that leaves the fence is
+built.  This is complete because every schema variable occurs in
 some schema formula and every instantiated formula must lie in the fence.
 Matching walks the fence formulas themselves: formulas are interned, so
 a variable's binding is the fence position of its image, and a schema
-formula that several rules share is one object, matched once per fence;
-the image of one whose variables are already bound is looked up by their
+formula that several rules share is one object, matched once per fence,
+and the rules whose plans start with it walk its matches together; the
+image of one whose variables are already bound is looked up by their
 values among its matches.  Each instance is a row of fence positions: its
 substitution, and its four sets as masks packed into one int.  The
 instances are ordered by fewest branches, then rule order, then the fence
@@ -40,7 +43,8 @@ fence, tuple by tuple, would visit them in.
 
 The search keeps each label as one mask, so applicability is a bitwise
 test against each row, and runs on an explicit stack; Labels and Nodes
-are built only for the tree it returns.  Rendering and checking walk
+are built only for the tree it returns, a child's label from its
+parent's checked sides and one fence formula.  Rendering and checking walk
 trees on explicit stacks too, so no tree depth hits the recursion limit.
 """
 
@@ -52,7 +56,7 @@ from operator import indexOf
 from typing import Iterable, Union
 
 from .errors import CalculiError
-from .language import (App, Formula, Substitution, Var, gen_subformulas,
+from .language import (App, Formula, Substitution, Var, _gen_measured,
                        size, substitute, theta_set, variables)
 from .semantics import BStatement, Statement1D, _bits, _fset, _Memo
 
@@ -153,6 +157,11 @@ class Calculus:
     dimension: int
     rules: tuple[RuleSchema, ...]
     theta: frozenset[Formula] | None = None
+    # the rules by the schema formula their plan starts with (None for a
+    # rule with none), in rule order: that formula -> [(rule index, the
+    # formula's attitudes), ...]
+    _groups: dict[Formula | None, list[tuple[int, int]]] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.dimension) is not int or self.dimension not in (1, 2):
@@ -168,6 +177,10 @@ class Calculus:
                     f"calculus {self.name!r}: rule {r.name!r} has dimension "
                     f"{r.dimension}, calculus has {self.dimension}")
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_groups", {})
+        for ri, r in enumerate(rules):
+            _, pat, _, atts = r._steps[0] if r._steps else (0, None, 0, 0)
+            self._groups.setdefault(pat, []).append((ri, atts))
         if self.theta is not None:
             object.__setattr__(self, "theta", theta_set(self.theta))
 
@@ -225,6 +238,14 @@ class Label:
     def __post_init__(self):
         object.__setattr__(self, "acc", _fset(self.acc))
         object.__setattr__(self, "rej", _fset(self.rej))
+
+    @classmethod
+    def _of(cls, acc: frozenset[Formula], rej: frozenset[Formula]) -> Label:
+        """The Label of two sides already known to be frozensets of
+        formulas, built without ``__post_init__``'s check."""
+        label = object.__new__(cls)
+        label.__dict__.update(acc=acc, rej=rej)
+        return label
 
     def contains(self, other: "Label") -> bool:
         return other.acc <= self.acc and other.rej <= self.rej
@@ -333,16 +354,22 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 
 class _Fence:
     """A fence, ordered and numbered for matching.  The fence formulas
-    come by size, then printed form; a formula's index in ``formulas`` is
-    its fence position, ``pos`` maps it back, and position i stands for
-    the bit ``1 << i`` of a mask.  ``by_head`` lists the positions of the
-    applications of each connective.  Each schema formula's matches are
-    found once, however many rules share it."""
+    come by size, then printed form, then first occurrence; a formula's
+    index in ``formulas`` is its fence position, ``pos`` maps it back, and
+    position i stands for the bit ``1 << i`` of a mask.  ``by_head``
+    lists the positions of the applications of each connective.  Each
+    schema formula's matches are found once, however many rules share it.
 
-    def __init__(self, fence: Iterable[Formula]):
-        text = {f: str(f) for f in fence}
-        self.formulas = sorted(text, key=lambda f: (size(f), text[f]))
-        self.texts = list(map(text.__getitem__, self.formulas))
+    The fence is given as formulas, or, as ``prove`` builds it with
+    ``language._gen_measured``, as a dict from each formula to its size
+    and printed form."""
+
+    def __init__(self, fence: Iterable[Formula]
+                 | dict[Formula, tuple[int, str]]):
+        if not isinstance(fence, dict):
+            fence = {f: (size(f), str(f)) for f in fence}
+        self.formulas = sorted(fence, key=fence.__getitem__)
+        self.texts = [fence[f][1] for f in self.formulas]
         n = len(self.formulas)
         self.pos = {f: i for i, f in enumerate(self.formulas)}
         self.by_head: dict[str, list[int]] = {}
@@ -441,35 +468,43 @@ def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
     matched one way against the fence, the images of the others are read
     (see ``RuleSchema``).  Every variable occurs in some schema formula,
     so this finds exactly the substitutions a product over the fence
-    would keep.  A partial match is (rule index, next step, bound
-    variables, key bits so far).
+    would keep.  The rules that start with one schema formula share its
+    matches (``Calculus._groups``); each match of it is followed in place
+    through the steps that read an image, and only a later ``match`` step
+    pushes its partial matches, as (next step, bound variables, key bits
+    so far), onto a stack that is emptied before the next first match.
     """
-    n, spread = len(fence.formulas), fence.spread
-    stack: list[tuple[int, int, dict, int]] = [
-        (ri, 0, {}, 0) for ri in range(len(c.rules))]
-    rows = []
-    while stack:
-        ri, i, bind, key = stack.pop()
-        steps = c.rules[ri]._steps
-        while i < len(steps):
-            kind, pat, data, atts = steps[i]
-            i += 1
-            if kind == "match":
-                for at, binds in fence.matches(pat):
-                    if i == 1:  # nothing bound yet: no check, no copy
-                        stack.append((ri, 1, binds, spread[atts] << at))
-                    elif all(bind.get(v, b) == b for v, b in binds.items()):
-                        stack.append((ri, i, {**bind, **binds},
-                                      key | spread[atts] << at))
-                break
-            at = bind[data] if kind == "var" else fence.find(pat, data, bind)
-            if at is None:
-                break
-            key |= spread[atts] << at
-        else:
-            rows.append(((key >> 2 * n).bit_count(), ri,
-                         tuple(map(bind.__getitem__, c.rules[ri]._vars)),
-                         key))
+    n, spread, rules = len(fence.formulas), fence.spread, c.rules
+    rows, stack = [], []
+    for pat, group in c._groups.items():
+        found = fence.matches(pat) if pat is not None else [(0, {})]
+        for ri, atts in group:
+            steps, names = rules[ri]._steps, rules[ri]._vars
+            for at, bind in found:
+                i, key = 1, spread[atts] << at
+                while True:
+                    while i < len(steps):
+                        kind, pat_i, data, atts_i = steps[i]
+                        i += 1
+                        if kind == "match":
+                            stack += [(i, {**bind, **binds},
+                                       key | spread[atts_i] << at_i)
+                                      for at_i, binds in fence.matches(pat_i)
+                                      if all(bind.get(v, b) == b
+                                             for v, b in binds.items())]
+                            break
+                        at_i = (bind[data] if kind == "var"
+                                else fence.find(pat_i, data, bind))
+                        if at_i is None:
+                            break
+                        key |= spread[atts_i] << at_i
+                    else:
+                        rows.append(((key >> 2 * n).bit_count(), ri,
+                                     tuple(map(bind.__getitem__, names)),
+                                     key))
+                    if not stack:
+                        break
+                    i, bind, key = stack.pop()
     rows.sort()
     seen: set[tuple[int, int]] = set()
     pool = []
@@ -651,8 +686,8 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     if max_depth is not None and max_depth < 0:
         raise CalculiError("max_depth must be >= 0")
     ant, suc = _statement_pairs(c, s)
-    theta = theta_set(theta)
-    fence = _Fence(gen_subformulas(theta, s.formulas()))
+    fence = _Fence(_gen_measured(theta_set(theta),
+                                 ant.acc | ant.rej | suc.acc | suc.rej))
     pool = _instance_pool(c, fence)
     n = len(fence.formulas)
     twice = 2 * n
@@ -708,8 +743,9 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
 def _tree(c: Calculus, fence: _Fence, pool: list[tuple],
           visited: list) -> Node:
     """The Node tree of a search's preorder ``visited`` list.  Labels are
-    made parent first, a child's from its parent's by the one formula it
-    adds, so a side a child leaves alone is the parent's frozenset.  Then,
+    made parent first, a child's from its parent's by the one fence
+    formula it adds, so a side a child leaves alone is the parent's
+    frozenset, and neither side is checked again (``Label._of``).  Then,
     walked backwards, every node comes after its children, which are on
     top of ``built`` in order."""
     n = len(fence.formulas)
@@ -725,8 +761,8 @@ def _tree(c: Calculus, fence: _Fence, pool: list[tuple],
             continue
         up = labels[parent]
         f = (x ^ visited[parent][0]).bit_length() - 1
-        labels.append(Label(up.acc | {formulas[f]}, up.rej) if f < n else
-                      Label(up.acc, up.rej | {formulas[f - n]}))
+        labels.append(Label._of(up.acc | {formulas[f]}, up.rej) if f < n
+                      else Label._of(up.acc, up.rej | {formulas[f - n]}))
     substs: dict[int, tuple] = {}
     built: list[Node] = []
     for entry, label in zip(reversed(visited), reversed(labels)):

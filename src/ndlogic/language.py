@@ -10,15 +10,20 @@ is the whole parser: one loop over the token list with an explicit stack of
 open applications and infix groups, so nesting depth is not limited by
 recursion.  Formulas are interned (hash-consed): one live object per
 structure, so equal formulas are the same object and compare by identity.
+The intern table is a plain dict of weak references, each removing its
+entry when its formula dies, so a lookup and an insertion run in C.
+``gen_subformulas`` builds the generalized subformulas in one bottom-up
+pass, which also gives each its size and printed form for a fence.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Iterable, Iterator, Mapping
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .errors import LanguageError, ParseError
 
@@ -30,8 +35,10 @@ class Formula:
     """Base class; concrete formulas are Var or App.  Formulas are
     hash-consed: the constructors return the one live object for their
     structure, so syntactic equality is identity, and a formula hashes by
-    identity too.  The table holding them is weak, so a formula nothing
-    else refers to goes away.  A copy of a formula is itself."""
+    identity too.  The table holding them maps a structure to a weak
+    reference, so a formula nothing else refers to goes away, and the
+    reference's callback then drops the entry.  A copy of a formula is
+    itself."""
 
     __slots__ = ("__weakref__",)
 
@@ -42,9 +49,16 @@ class Formula:
         return self
 
 
-# the live formulas: a variable under its name, an application under
-# ``(conn, args)``
-_interned: WeakValueDictionary = WeakValueDictionary()
+# the live formulas, as weak references: a variable under its name, an
+# application under ``(conn, args)``
+_interned: dict[object, ref] = {}
+
+
+def _forget(table: dict, key, dead: ref) -> None:
+    """Drop ``table[key]`` if it is still ``dead``, whose formula died.
+    ``table`` is bound in: at exit the module's globals may be gone."""
+    if table.get(key) is dead:
+        del table[key]
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
@@ -54,11 +68,12 @@ class Var(Formula):
     name: str
 
     def __new__(cls, name: str):
-        self = _interned.get(name)
+        entry = _interned.get(name)
+        self = entry and entry()
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "name", name)
-            _interned[name] = self
+            _interned[name] = ref(self, partial(_forget, _interned, name))
         return self
 
     def __reduce__(self):
@@ -81,12 +96,13 @@ class App(Formula):
 
     def __new__(cls, conn: str, args: tuple[Formula, ...] = ()):
         key = (conn, args)
-        self = _interned.get(key)
+        entry = _interned.get(key)
+        self = entry and entry()
         if self is None:
             self = object.__new__(cls)
             object.__setattr__(self, "conn", conn)
             object.__setattr__(self, "args", args)
-            _interned[key] = self
+            _interned[key] = ref(self, partial(_forget, _interned, key))
         return self
 
     def __reduce__(self):
@@ -400,17 +416,47 @@ def gen_subformulas(theta: Iterable[Formula],
     """Generalized subformulas: every theta member instantiated at every
     plain subformula of every formula in ``fs``.  With theta = {p} this is
     exactly the plain subformula set."""
+    return frozenset(_gen_measured(theta, fs))
+
+
+def _gen_measured(theta: Iterable[Formula], fs: Iterable[Formula],
+                  ) -> dict[Formula, tuple[int, str]]:
+    """The generalized subformulas of ``gen_subformulas``, each mapped to
+    its size and printed form, in the order first built.  One bottom-up
+    pass: a theta member is instantiated at a plain subformula g by
+    replacing its first variable with g along the member's own subformula
+    sequence, and every formula built is measured from its arguments."""
+    measure: dict[Formula, tuple[int, str]] = {}
     subs = subformula_sequence(fs)
-    out: set[Formula] = set()
+    for g in subs:
+        measure[g] = _measure(g, measure)
+    out: dict[Formula, tuple[int, str]] = {}
     for th in theta:
-        vs = variables(th)
-        if not vs:
-            out.add(th)
-            continue
-        v = vs[0]
-        for g in subs:
-            out.add(substitute(th, {v: g}))
-    return frozenset(out)
+        seq = subformula_sequence((th,))
+        v = next((h for h in seq if h.__class__ is Var), None)
+        # a ground member is its own one instance
+        for g in subs if v is not None else (th,):
+            image = {v: g}
+            for h in seq:
+                if h not in image:
+                    f = image[h] = h if h.__class__ is Var else App(
+                        h.conn, tuple(map(image.__getitem__, h.args)))
+                    if f not in measure:
+                        measure[f] = _measure(f, measure)
+            f = image[th]
+            out[f] = measure[f]
+    return out
+
+
+def _measure(f: Formula, measure: Mapping[Formula, tuple[int, str]],
+             ) -> tuple[int, str]:
+    """The size and printed form of ``f`` from its arguments' in
+    ``measure``."""
+    if f.__class__ is Var or not f.args:
+        return 1, str(f)
+    parts = [measure[a] for a in f.args]
+    return (1 + sum([n for n, _ in parts]),
+            f"{f.conn}({','.join([text for _, text in parts])})")
 
 
 def _pool_levels(sig: Signature, max_depth: int,

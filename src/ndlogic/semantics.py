@@ -652,6 +652,8 @@ class _SeparatorScan:
         self.by_relation: dict[tuple[str | None, int], tuple] = {}
         self.meets = _Memo(self._meet)  # profiles at one value of p -> rows
         self.joints, self.expansions = _Memo(self._joint), _Memo(self._expand)
+        # node -> its formula, built once however many pairs it separates
+        self.formula = _Memo(self._formula).__getitem__
 
     def grow(self) -> bool:
         """Build the next level of the pool; False once it holds the
@@ -751,7 +753,7 @@ class _SeparatorScan:
             self.firsts.append((conn, ids))
         return got
 
-    def formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
+    def _formula(self, node: tuple[str | None, tuple[int, ...]]) -> Formula:
         """The formula of ``node``.  Argument ids lie below their node's,
         so the closure's ids ascending list it for ``_rebuild``, which
         builds it without recursion."""

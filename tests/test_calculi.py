@@ -16,9 +16,9 @@ from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
                              lift_calculus, prove, render_tree_dot,
                              render_tree_text)
 from ndlogic.errors import CalculiError, LanguageError
-from ndlogic.language import (App, Signature, Var, gen_subformulas,
-                              parse_formula, size, subformulas, substitute,
-                              theta_set)
+from ndlogic.language import (App, Signature, Var, _gen_measured,
+                              gen_subformulas, parse_formula, size,
+                              subformulas, substitute, theta_set)
 from ndlogic.logics import (_hmci2d_rules, cpl_pos, example1_rules, example2,
                             hmci_axioms, mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
@@ -261,6 +261,39 @@ def random_fence(c, rng, cap):
     if fence and rng.random() < 0.2:
         fence += rng.sample(fence, 1)
     return fence
+
+
+class TestFence:
+    def test_order_on_random_fences_with_repeats(self):
+        for name, c in sorted(POOL_CALCULI.items()):
+            rng = random.Random(f"fence-{name}")
+            for _ in range(25):
+                fence = random_fence(c, rng, 40)
+                fence += rng.sample(fence, min(3, len(fence)))
+                got = _Fence(fence)
+                assert got.formulas == fence_order(fence)
+                assert got.texts == list(map(str, got.formulas))
+
+    def test_tie_keeps_the_input_order(self):
+        # a variable and a constant of one name print alike at one size
+        var, const = Var("bot"), App("bot", ())
+        for fence in ([var, const], [const, var], [q, const, p, var, const],
+                      [var, App("neg", (p,)), const, var, p]):
+            assert _Fence(fence).formulas == fence_order(fence)
+        assert _Fence([var, const, var]).formulas == [var, const]
+        assert _Fence([const, var, const]).formulas == [const, var]
+
+    def test_measured_fence_equals_plain(self):
+        # prove's fence, sizes and printed forms built with the formulas
+        c = mci_artifacts().hmci2d
+        rng = random.Random("measured-fence")
+        for _ in range(25):
+            fence = random_fence(c, rng, 10 ** 6)
+            for theta in (c.theta, {p}, {p, App("neg", (App("cons", (p,)),))}):
+                measured = _Fence(_gen_measured(theta, fence))
+                plain = _Fence(gen_subformulas(theta, fence))
+                assert measured.formulas == plain.formulas
+                assert measured.texts == plain.texts
 
 
 class TestInstancePool:

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,36 @@ class TestInterning:
         gc.collect()
         assert len(language._interned) == before
 
+    def test_rebuilt_formula_is_live_with_one_entry(self):
+        x = Var("_rebuilt")
+        key = ("neg", (x,))
+        gc.collect()
+        before = len(language._interned)
+        f = neg(x)
+        dead = language._interned[key]
+        del f
+        gc.collect()
+        assert dead() is None and len(language._interned) == before
+        f = neg(x)
+        entry = language._interned[key]
+        assert entry is not dead and entry() is f
+        assert len(language._interned) == before + 1
+        assert [k for k, w in language._interned.items() if w() is f] == [key]
+        # a late callback of the dead reference leaves the new entry
+        language._forget(language._interned, key, dead)
+        assert language._interned[key] is entry and neg(x) is f
+
+    def test_exit_with_live_formulas_is_silent(self):
+        # the removal callbacks run while the interpreter tears its
+        # modules down, and must not report "Exception ignored"
+        code = ("from ndlogic import App, Var; "
+                "held = [App('neg', (Var(f'_x{i}'),)) for i in range(100_000)]")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ndlogic.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, check=True, timeout=60)
+        assert run.stderr == b"" and run.stdout == b""
+
     def test_deep_formula_repr_and_deepcopy_without_recursion(self):
         f = p
         for _ in range(10_000):
@@ -415,6 +446,34 @@ class TestGenSubformulas:
         bot = App("bottom", ())
         got = gen_subformulas(frozenset({p, bot}), [q])
         assert got == {q, bot}
+
+    def test_equals_the_definition(self):
+        # theta members whose first leaf is a constant, with a repeated
+        # variable, nested, ground, and seeded random ones over p
+        bot = App("bot", ())
+        special = [conj(bot, p), conj(p, p), neg(cons(p)), neg(bot)]
+        conns = [("neg", 1), ("cons", 1), ("and", 2), ("or", 2), ("bot", 0)]
+        rng = random.Random("gen-subformulas")
+
+        def formula(depth, leaves):
+            if depth == 0 or rng.random() < 0.3:
+                return Var(rng.choice(leaves))
+            name, k = rng.choice(conns)
+            return App(name, tuple(formula(depth - 1, leaves)
+                                   for _ in range(k)))
+
+        for _ in range(60):
+            theta = {p, *rng.sample(special, rng.randint(0, 4)),
+                     *(formula(2, "p") for _ in range(rng.randint(0, 2)))}
+            fs = [formula(3, "pqr") for _ in range(rng.randint(0, 3))]
+            want = set()
+            for th in theta:
+                vs = variables(th)
+                want |= ({substitute(th, {vs[0]: g})
+                          for g in subformula_sequence(fs)} if vs else {th})
+            assert gen_subformulas(theta, fs) == want
+            assert language._gen_measured(theta, fs) == {
+                f: (size(f), str(f)) for f in want}
 
 
 class TestEnumerate:
