@@ -25,20 +25,20 @@ relative to the fence.
 The fence is built in one bottom-up pass over the closure of the
 statement's sides, each formula with its size and printed form, and
 numbered: its formulas ordered by size, then printed form, formula i
-standing for the bit ``1 << i``.  The fence-bounded instances are found
-by one-way matching of each rule's schema formulas against the fence, in
-a plan stored with the rule, so no instance that leaves the fence is
-built.  This is complete because every schema variable occurs in
-some schema formula and every instantiated formula must lie in the fence.
-Matching walks the fence formulas themselves: formulas are interned, so
-a variable's binding is the fence position of its image, and a schema
-formula that several rules share is one object, matched once per fence,
-and the rules whose plans start with it walk its matches together; the
-image of one whose variables are already bound is looked up by their
-values among its matches.  Each instance is a row of fence positions: its
+standing for the bit ``1 << i``, then every other subformula of a fence
+formula, each with a node: its connective and argument numbers.  The
+fence-bounded instances are found by one-way matching of each rule's
+schema formulas against the nodes, in a plan stored with the rule and
+compiled once per calculus, so no instance that leaves the fence is
+built.  This is complete because every schema variable occurs in some
+schema formula and every instantiated formula must lie in the fence.
+Variables bind fence numbers only; the image of a schema formula whose
+variables are bound is read off the binding, or looked up in an index
+from nodes to numbers; and the rules whose plans start alike share their
+first matches.  Each instance is a row of fence numbers: its
 substitution, and its four sets as masks packed into one int.  The
 instances are ordered by fewest branches, then rule order, then the fence
-positions of the substitution's values: the order a product over the
+numbers of the substitution's values: the order a product over the
 fence, tuple by tuple, would visit them in.
 
 The search keeps each label as one mask, so applicability is a bitwise
@@ -57,7 +57,8 @@ from typing import Iterable, Union
 
 from .errors import CalculiError
 from .language import (App, Formula, Substitution, Var, _gen_measured,
-                       size, substitute, theta_set, variables)
+                       size, subformula_sequence, substitute, theta_set,
+                       variables)
 from .semantics import BStatement, Statement1D, _bits, _fset, _Memo
 
 
@@ -80,10 +81,10 @@ class RuleSchema:
     # schema formula, data, attitudes).  A "match" step binds fresh
     # variables (data) by matching against the fence.  The image of a
     # formula whose variables are bound is read: as the variable's value
-    # ("var", data the name), or from the fence formulas the schema
-    # formula matches, by the values of its variables ("find", data the
-    # variables).  The attitudes are a 4-bit set in the order acc, rej,
-    # nacc, nrej.  ``_vars`` are the sorted schema variables.
+    # ("var", data the name), or looked up from their values ("find",
+    # data the variables).  The attitudes are a 4-bit set in the order
+    # acc, rej, nacc, nrej.  ``_vars`` are the sorted schema variables.
+    # ``Calculus`` compiles the plan to steps on fence ids (``_id_steps``).
     _steps: tuple[tuple[str, Formula, object, int], ...] = field(
         init=False, compare=False, repr=False)
     _vars: tuple[str, ...] = field(init=False, compare=False, repr=False)
@@ -157,10 +158,10 @@ class Calculus:
     dimension: int
     rules: tuple[RuleSchema, ...]
     theta: frozenset[Formula] | None = None
-    # the rules by the schema formula their plan starts with (None for a
-    # rule with none), in rule order: that formula -> [(rule index, the
-    # formula's attitudes), ...]
-    _groups: dict[Formula | None, list[tuple[int, int]]] = field(
+    # the rules by their first compiled step (``_id_steps``), in rule
+    # order: (its matcher, the empty binding), or None for a rule with no
+    # step -> [(rule index, the step's attitudes, the later steps), ...]
+    _groups: dict[tuple | None, list[tuple[int, int, tuple]]] = field(
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -179,8 +180,9 @@ class Calculus:
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_groups", {})
         for ri, r in enumerate(rules):
-            _, pat, _, atts = r._steps[0] if r._steps else (0, None, 0, 0)
-            self._groups.setdefault(pat, []).append((ri, atts))
+            (_, first, atts), *steps = _id_steps(r) or [(0, None, 0)]
+            key = first and (first, (None,) * len(r._vars))
+            self._groups.setdefault(key, []).append((ri, atts, tuple(steps)))
         if self.theta is not None:
             object.__setattr__(self, "theta", theta_set(self.theta))
 
@@ -355,10 +357,11 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 class _Fence:
     """A fence, ordered and numbered for matching.  The fence formulas
     come by size, then printed form, then first occurrence; a formula's
-    index in ``formulas`` is its fence position, ``pos`` maps it back, and
-    position i stands for the bit ``1 << i`` of a mask.  ``by_head``
-    lists the positions of the applications of each connective.  Each
-    schema formula's matches are found once, however many rules share it.
+    index in ``formulas`` is its id, ``pos`` maps it back, and id i stands
+    for the bit ``1 << i`` of a mask.  Other subformulas of fence formulas
+    get ids from ``n`` on.  ``nodes`` holds each id's ``(conn, argument
+    ids)`` (conn None for a variable), ``index`` maps nodes back to ids,
+    and ``heads`` lists the fence ids of each ``(conn, arity)``.
 
     The fence is given as formulas, or, as ``prove`` builds it with
     ``language._gen_measured``, as a dict from each formula to its size
@@ -370,19 +373,25 @@ class _Fence:
             fence = {f: (size(f), str(f)) for f in fence}
         self.formulas = sorted(fence, key=fence.__getitem__)
         self.texts = [fence[f][1] for f in self.formulas]
-        n = len(self.formulas)
+        n = self.n = len(self.formulas)
         self.pos = {f: i for i, f in enumerate(self.formulas)}
-        self.by_head: dict[str, list[int]] = {}
-        for i, g in enumerate(self.formulas):
-            if isinstance(g, App):
-                self.by_head.setdefault(g.conn, []).append(i)
+        ids = dict(self.pos)
+        args = [a for g in self.formulas if g.__class__ is App for a in g.args]
+        for g in subformula_sequence([a for a in args if a not in ids]):
+            ids.setdefault(g, len(ids))
+        self.nodes = [(None, ()) if g.__class__ is Var else
+                      (g.conn, tuple(map(ids.__getitem__, g.args)))
+                      for g in ids]
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        self.heads: dict[tuple[str, int], list[int]] = {}
+        for i, (conn, args) in enumerate(self.nodes[:n]):
+            if conn is not None:
+                self.heads.setdefault((conn, len(args)), []).append(i)
         # a plan step's attitude set -> its bits in an instance key, where
         # attitude a takes the bits from a * n (see ``_instance_pool``)
         self.spread = [0]
         for a in range(4):
             self.spread += [bits | 1 << a * n for bits in self.spread]
-        self._matches: dict[Formula, list[tuple[int, dict[str, int]]]] = {}
-        self._index: dict[Formula, dict[tuple[int, ...], int]] = {}
 
     def mask(self, fs: Iterable[Formula]) -> int:
         """The bits of the members of ``fs`` that lie in the fence."""
@@ -403,116 +412,128 @@ class _Fence:
         return Label(self.set_of(x & (1 << n) - 1), self.set_of(x >> n))
 
     def by_text(self, mask: int) -> list[int]:
-        """The positions of the bits of ``mask``, ordered by the printed
-        forms of their formulas."""
+        """The ids of the bits of ``mask``, ordered by the printed forms
+        of their formulas."""
         return sorted(_bits(mask), key=self.texts.__getitem__)
 
-    def matches(self, pat: Formula) -> list[tuple[int, dict[str, int]]]:
-        """(position, variable -> position) for each fence formula that
-        ``pat`` matches with every variable bound inside the fence."""
-        found = self._matches.get(pat)
-        if found is not None:
-            return found
-        if isinstance(pat, Var):
-            found = [(i, {pat.name: i}) for i in range(len(self.formulas))]
-        else:
-            found = []
-            pos = self.pos
-            for i in self.by_head.get(pat.conn, ()):
-                bind: dict[str, int] = {}
-                stack = [(pat, self.formulas[i])]
-                while stack:
-                    p, g = stack.pop()
-                    if isinstance(p, Var):
-                        j = pos.get(g)
-                        if j is None or bind.setdefault(p.name, j) != j:
-                            break
-                    elif (g.__class__ is not App or g.conn != p.conn
-                          or len(g.args) != len(p.args)):
-                        break
-                    else:
-                        stack += zip(p.args, g.args)
-                else:
-                    found.append((i, bind))
-        self._matches[pat] = found
-        return found
 
-    def find(self, pat: Formula, names: tuple[str, ...],
-             bind: dict[str, int]) -> int | None:
-        """The position of ``pat`` under ``bind``, whose variables
-        ``names`` are bound, or None when that formula is not in the
-        fence."""
-        index = self._index.get(pat)
-        if index is None:
-            index = self._index[pat] = {
-                tuple(map(binds.__getitem__, names)): i
-                for i, binds in self.matches(pat)}
-        return index.get(tuple(map(bind.__getitem__, names)))
+def _id_steps(r: RuleSchema) -> list[tuple[str, object, int]]:
+    """``r``'s plan as ``(kind, data, attitudes)`` steps on fence ids that
+    fill a binding, ids in ``_vars`` order (None where unbound): "var"
+    data is a slot; "find" data is a ``(conn, refs)`` lookup in
+    ``_Fence.index`` per compound, bottom up, a ref being a slot or
+    ``len(_vars)`` plus an earlier lookup's number.  The first step and
+    any that binds is a "match"; its data, ``_match``'s matcher, is the
+    root's ``(conn, arity)`` (None for a variable), ``(k, conn, arity)``
+    per nested compound and ``(k, slot)`` per variable, k a place in the
+    ids of the root, its arguments, then each nested compound's in turn."""
+    slot = {Var(v): k for k, v in enumerate(r._vars)}
+    out: list[tuple[str, object, int]] = []
+    for kind, pat, _, atts in r._steps:
+        if kind == "var":
+            out.append((kind, slot[pat], atts))
+        elif kind == "find" and out:
+            ref, data = dict(slot), []
+            for g in subformula_sequence((pat,)):
+                if g.__class__ is App:
+                    ref[g] = len(ref)
+                    data.append((g.conn, tuple([ref[a] for a in g.args])))
+            out.append((kind, tuple(data), atts))
+        else:
+            tree, descend = [pat], []
+            for k, g in enumerate(tree):  # grows by each compound's args
+                if g.__class__ is App:
+                    descend.append((k, g.conn, len(g.args)))
+                    tree += g.args
+            head = descend.pop(0)[1:] if pat.__class__ is App else None
+            leaves = tuple((k, slot[g]) for k, g in enumerate(tree)
+                           if g.__class__ is Var)
+            out.append(("match", (head, tuple(descend), leaves), atts))
+    return out
+
+
+def _match(fence: _Fence, matcher: tuple, bind: tuple) -> list[tuple]:
+    """``(id, binding)`` per fence formula that ``matcher`` (``_id_steps``)
+    matches, extending ``bind``; nested compounds are read off
+    ``fence.nodes``, also outside the fence, but variables bind fence ids."""
+    head, descend, leaves = matcher
+    n, nodes = fence.n, fence.nodes
+    out = []
+    for at in fence.heads.get(head, ()) if head else range(n):
+        ids = [at, *nodes[at][1]]
+        for k, conn, arity in descend:
+            c, args = nodes[ids[k]]
+            if c != conn or len(args) != arity:
+                break
+            ids += args
+        else:
+            b = [*bind]
+            for k, v in leaves:  # unbound: take a fence id; bound: agree
+                if b[v] is None and ids[k] < n:
+                    b[v] = ids[k]
+                elif b[v] != ids[k]:
+                    break
+            else:
+                out.append((at, tuple(b)))
+    return out
 
 
 def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
     """Every fence-bounded instance of every rule, as a row ``(branches,
-    rule index, substitution, key)``.  The substitution is the positions
-    of the values of ``schema_variables()``.  The key holds the four
-    instantiated sets as masks of fence positions: with ``n`` the fence
-    size, acc in bits 0 to n - 1, then rej, nacc and nrej n bits each, so
-    its low ``2n`` bits are the antecedent and the rest the succedent.
-    Rows are deduplicated and ordered by branch count (closing instances
-    have zero), then rule order, then substitution: the order in which
+    rule index, substitution, key)``.  The substitution is the ids of the
+    values of ``schema_variables()``.  The key holds the four
+    instantiated sets as masks of fence ids: with ``n`` the fence size,
+    acc in bits 0 to n - 1, then rej, nacc and nrej n bits each, so its
+    low ``2n`` bits are the antecedent and the rest the succedent.  Rows
+    are deduplicated and ordered by branch count (closing instances have
+    zero), then rule order, then substitution: the order in which
     ``itertools.product`` over the fence would visit the values of
     ``schema_variables()``, keeping the first of equal instances.
     Computed once per fence and filtered per label.
 
-    Each rule's plan is followed from the fence formulas its schema
-    formulas match, largest first: formulas with fresh variables are
-    matched one way against the fence, the images of the others are read
-    (see ``RuleSchema``).  Every variable occurs in some schema formula,
+    Each rule's steps (``_id_steps``) are followed on fence ids, largest
+    schema formula first; every variable occurs in some schema formula,
     so this finds exactly the substitutions a product over the fence
-    would keep.  The rules that start with one schema formula share its
-    matches (``Calculus._groups``); each match of it is followed in place
-    through the steps that read an image, and only a later ``match`` step
-    pushes its partial matches, as (next step, bound variables, key bits
-    so far), onto a stack that is emptied before the next first match.
+    would keep.  The rules whose first steps are one matcher share its
+    matches (``Calculus._groups``); only a later "match" step pushes
+    partial matches, as (next step, binding, key bits so far), onto a
+    stack emptied before the next first match.
     """
-    n, spread, rules = len(fence.formulas), fence.spread, c.rules
+    n, spread, index = fence.n, fence.spread, fence.index
     rows, stack = [], []
-    for pat, group in c._groups.items():
-        found = fence.matches(pat) if pat is not None else [(0, {})]
-        for ri, atts in group:
-            steps, names = rules[ri]._steps, rules[ri]._vars
+    for first, group in c._groups.items():
+        found = _match(fence, *first) if first else [(0, ())]
+        for ri, atts, steps in group:
             for at, bind in found:
-                i, key = 1, spread[atts] << at
+                i, key = 0, spread[atts] << at
                 while True:
                     while i < len(steps):
-                        kind, pat_i, data, atts_i = steps[i]
+                        kind, data, atts_i = steps[i]
                         i += 1
-                        if kind == "match":
-                            stack += [(i, {**bind, **binds},
-                                       key | spread[atts_i] << at_i)
-                                      for at_i, binds in fence.matches(pat_i)
-                                      if all(bind.get(v, b) == b
-                                             for v, b in binds.items())]
-                            break
-                        at_i = (bind[data] if kind == "var"
-                                else fence.find(pat_i, data, bind))
-                        if at_i is None:
+                        if kind == "var":
+                            at_i = bind[data]
+                        elif kind == "find":
+                            ids = [*bind]  # a missed lookup gives -1
+                            for conn, refs in data:
+                                ids.append(index.get(
+                                    (conn, tuple([ids[r] for r in refs])), -1))
+                            if not 0 <= (at_i := ids[-1]) < n:
+                                break
+                        else:
+                            stack += [(i, b, key | spread[atts_i] << at_i)
+                                      for at_i, b in _match(fence, data, bind)]
                             break
                         key |= spread[atts_i] << at_i
                     else:
-                        rows.append(((key >> 2 * n).bit_count(), ri,
-                                     tuple(map(bind.__getitem__, names)),
-                                     key))
+                        rows.append(((key >> 2 * n).bit_count(), ri, bind, key))
                     if not stack:
                         break
                     i, bind, key = stack.pop()
     rows.sort()
-    seen: set[tuple[int, int]] = set()
-    pool = []
+    firsts: dict[tuple[int, int], tuple] = {}
     for row in rows:
-        if (row[1], row[3]) not in seen:
-            seen.add((row[1], row[3]))
-            pool.append(row)
-    return pool
+        firsts.setdefault((row[1], row[3]), row)
+    return list(firsts.values())
 
 
 def _blocked(x: int, twice: int) -> int:

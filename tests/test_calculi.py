@@ -371,6 +371,88 @@ class TestInstancePool:
             (frozenset({gg(q)}), frozenset({k(q, p)})),
             (frozenset({gg(q)}), frozenset({k(q, q)}))}
 
+    @pytest.mark.parametrize("name", ["hmci2d", "hmci:2", "mixed"])
+    def test_equals_brute_force_on_prove_fences(self, name):
+        # prove's own fence: under {p, neg(cons(p))} the intermediate
+        # cons(g) of each neg(cons(g)) may lie outside it
+        c = POOL_CALCULI[name]
+        most = max(len(r.schema_variables()) for r in c.rules)
+        cap = {0: 40, 1: 40, 2: 20}.get(most, 12)
+        rng = random.Random(f"prove-fence-{name}")
+        outside = 0
+        for theta in (c.theta or {p}, {p, App("neg", (App("cons", (p,)),))}):
+            theta = theta_set(theta)
+            checked = 0
+            while checked < 12:
+                fs = random_statement(c, rng, 1).formulas()
+                measured = _gen_measured(theta, fs)
+                if len(measured) > cap:
+                    continue
+                outside += any(g not in measured for f in measured
+                               for g in subformulas(f))
+                assert instance_pool(c, measured) == reference_pool(
+                    c, gen_subformulas(theta, fs)), [str(f) for f in fs]
+                checked += 1
+        assert outside > 0
+
+    def test_only_variables_must_lie_in_the_fence(self):
+        # imp(q,p) is not in the fence, yet a1 matches imp(p,imp(q,p))
+        a1 = parse_formula("imp(p,imp(q,p))")
+        insts = applicable_instances(hmci_axioms(2), Label(), [p, q, a1])
+        assert [(inst.rule, inst.subst, inst.nacc) for inst in insts] == [
+            ("a1", (("p", p), ("q", q)), frozenset({a1}))]
+
+    def test_nested_match_needs_its_variables_in_the_fence(self):
+        # cons(imp(p,q)) matches imp5's schema, but imp(p,q) is missing
+        c = mci_artifacts().hmci2d
+        fence = [p, q, parse_formula("cons(imp(p,q))")]
+        pool = instance_pool(c, fence)
+        assert pool == reference_pool(c, fence)
+        assert "imp5" not in {inst.rule for inst in pool}
+
+
+def k(a, b):
+    return App("k", (a, b))
+
+
+# first schema formulas whose variables come out of sorted order, repeat,
+# or sit under a constant-bearing pattern; later match steps on a bare
+# variable and on a formula with one variable bound
+LAYOUT = Calculus("layout", 2, (
+    RuleSchema("swap", 2, acc={k(q, p)}, nacc={p}),
+    RuleSchema("twice", 2, acc={k(p, p)}, nrej={p}),
+    RuleSchema("nest", 2, acc={App("g", (k(BOT, p),))}, nacc={q}),
+    RuleSchema("nest2", 2, rej={App("g", (k(q, BOT),)), k(p, q)}),
+))
+
+
+class TestBindingLayout:
+    def test_rows_follow_the_sorted_variables(self):
+        assert [r.schema_variables() for r in LAYOUT.rules] == [
+            ("p", "q"), ("p",), ("p", "q"), ("p", "q")]
+        fence = [p, q, BOT, k(p, q), k(q, q), k(BOT, q), k(q, BOT),
+                 App("g", (k(BOT, q),)), App("g", (k(q, BOT),))]
+        pool = instance_pool(LAYOUT, fence)
+        assert pool == reference_pool(LAYOUT, fence)
+        got = {(inst.rule, inst.subst) for inst in pool}
+        assert ("swap", (("p", q), ("q", p))) in got
+        assert ("twice", (("p", q),)) in got
+        assert ("twice", (("p", p),)) not in got
+        assert [inst.subst for inst in pool if inst.rule == "nest"] == [
+            (("p", q), ("q", f)) for f in fence_order(fence)]
+        assert [inst.subst for inst in pool if inst.rule == "nest2"] == [
+            (("p", f), ("q", q)) for f in (BOT, p, q)]
+
+    def test_equals_brute_force(self):
+        rng = random.Random("pool-layout")
+        kept = 0
+        for _ in range(25):
+            fence = random_fence(LAYOUT, rng, 20)
+            got = instance_pool(LAYOUT, fence)
+            assert got == reference_pool(LAYOUT, fence), list(map(str, fence))
+            kept += len(got)
+        assert kept > 0
+
 
 def reference_prove(c, s, theta, max_nodes=10 ** 6, max_depth=None):
     """Greedy saturation written out directly: the brute-force pool,
