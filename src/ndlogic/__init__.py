@@ -19,7 +19,7 @@ from .calculi import (Calculus, Label, LimitExceeded, Node, Proved,
 from .errors import (CalculiError, LanguageError, LogicsError, NdlogicError,
                      NonTotalAlgebraError, ParseError, SemanticsError,
                      SerializeError)
-from .language import (App, Formula, Signature, Var, compose, depth,
+from .language import (App, Formula, Signature, Var, depth,
                        enumerate_unary_formulas, gen_subformulas,
                        parse_formula, size, subformula_sequence, subformulas,
                        substitute, theta_set, variables)
@@ -47,7 +47,7 @@ __all__ = [
     "Statement1D", "SuiteItem", "SuiteReport", "Valuation", "Var", "Verdict",
     "applicable_instances", "aspect_entails", "b_entails", "b_product",
     "check_derivation", "check_proof", "check_total", "coherent_valuations",
-    "compose", "cpl_pos", "depth", "entails_1d", "enumerate_unary_formulas",
+    "cpl_pos", "depth", "entails_1d", "enumerate_unary_formulas",
     "example1", "example1_rules", "example2", "example2_repair",
     "expressiveness_report", "gen_subformulas", "hmci_axioms",
     "induced_multifunction", "instantiate_rule", "iter_neg_formula",

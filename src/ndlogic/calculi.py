@@ -22,20 +22,21 @@ instance left is a sound "not provable within the fence" witness.  For
 theta-analytic calculi that equals non-provability; in general it is only
 relative to the fence.
 
-The fence is built in one bottom-up pass over the closure of the
-statement's sides, each formula with its size and printed form, and
-numbered: its formulas ordered by size, then printed form, formula i
-standing for the bit ``1 << i``, then every other subformula of a fence
-formula, each with a node: its connective and argument numbers.  The
-fence-bounded instances are found by one-way matching of each rule's
-schema formulas against the nodes, in a plan stored with the rule and
-compiled once per calculus, so no instance that leaves the fence is
-built.  This is complete because every schema variable occurs in some
-schema formula and every instantiated formula must lie in the fence.
-Variables bind fence numbers only; the image of a schema formula whose
-variables are bound is read off the binding, or looked up in an index
-from nodes to numbers; and the rules whose plans start alike share their
-first matches.  Each instance is a row of fence numbers: its
+The fence and its closure under taking subformulas come from one
+bottom-up pass over the statement's sides; along the closure each
+formula is measured from its arguments, its size and printed form, and
+numbered: the fence formulas ordered by size, then printed form, formula
+i standing for the bit ``1 << i``, then the rest of the closure, each
+with a node: its connective and argument numbers.  The fence-bounded
+instances are found by one-way matching of each rule's schema formulas
+against the nodes, in a plan compiled from the schema once per
+calculus, so no instance that leaves the fence is built.  This is
+complete because every schema variable occurs in some schema formula
+and every instantiated formula must lie in the fence.  Variables bind
+fence numbers only; the image of a schema formula whose variables are
+bound is read off the binding, or looked up in an index from nodes to
+numbers; and the rules whose plans start alike share their first
+matches.  Each instance is a row of fence numbers: its
 substitution, and its four sets as masks packed into one int.  The
 instances are ordered by fewest branches, then rule order, then the fence
 numbers of the substitution's values: the order a product over the
@@ -56,9 +57,8 @@ from operator import indexOf
 from typing import Iterable, Union
 
 from .errors import CalculiError
-from .language import (App, Formula, Substitution, Var, _gen_measured,
-                       size, subformula_sequence, substitute, theta_set,
-                       variables)
+from .language import (App, Formula, Substitution, Var, _gen_closure, size,
+                       subformula_sequence, substitute, theta_set, variables)
 from .semantics import BStatement, Statement1D, _bits, _fset, _Memo
 
 
@@ -77,16 +77,7 @@ class RuleSchema:
     nacc: frozenset[Formula] = frozenset()
     rej: frozenset[Formula] = frozenset()
     nrej: frozenset[Formula] = frozenset()
-    # the match plan, one step per schema formula, largest first: (kind,
-    # schema formula, data, attitudes).  A "match" step binds fresh
-    # variables (data) by matching against the fence.  The image of a
-    # formula whose variables are bound is read: as the variable's value
-    # ("var", data the name), or looked up from their values ("find",
-    # data the variables).  The attitudes are a 4-bit set in the order
-    # acc, rej, nacc, nrej.  ``_vars`` are the sorted schema variables.
-    # ``Calculus`` compiles the plan to steps on fence ids (``_id_steps``).
-    _steps: tuple[tuple[str, Formula, object, int], ...] = field(
-        init=False, compare=False, repr=False)
+    # the schema variables, sorted
     _vars: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -98,23 +89,9 @@ class RuleSchema:
             raise CalculiError(
                 f"rule {self.name!r}: one-dimensional rules must leave the "
                 f"rej-side empty")
-        steps, bound = [], {}
-        for pat in sorted(self.acc | self.nacc | self.rej | self.nrej,
-                          key=lambda f: (-size(f), str(f))):
-            names = variables(pat)
-            fresh = tuple(v for v in names if v not in bound)
-            bound.update(dict.fromkeys(fresh))
-            if fresh:
-                kind, data = "match", fresh
-            elif isinstance(pat, Var):
-                kind, data = "var", pat.name
-            else:
-                kind, data = "find", names
-            atts = sum(1 << a for a, fs in enumerate(
-                (self.acc, self.rej, self.nacc, self.nrej)) if pat in fs)
-            steps.append((kind, pat, data, atts))
-        object.__setattr__(self, "_steps", tuple(steps))
-        object.__setattr__(self, "_vars", tuple(sorted(bound)))
+        object.__setattr__(self, "_vars", tuple(sorted({
+            v for f in self.acc | self.nacc | self.rej | self.nrej
+            for v in variables(f)})))
 
     @property
     def antecedent(self) -> frozenset[Formula]:
@@ -355,29 +332,27 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
 # instance generation
 
 class _Fence:
-    """A fence, ordered and numbered for matching.  The fence formulas
-    come by size, then printed form, then first occurrence; a formula's
-    index in ``formulas`` is its id, ``pos`` maps it back, and id i stands
-    for the bit ``1 << i`` of a mask.  Other subformulas of fence formulas
-    get ids from ``n`` on.  ``nodes`` holds each id's ``(conn, argument
+    """A fence, ordered and numbered for matching.  ``closure`` holds the
+    fence formulas and all their subformulas, each after its arguments,
+    as ``language._gen_closure`` builds them; each is measured from its
+    arguments (``_measure``).  The fence formulas come by size, then
+    printed form, then first occurrence in ``fence``; a formula's index in
+    ``formulas`` is its id, ``pos`` maps it back, and id i stands for the
+    bit ``1 << i`` of a mask.  The rest of the closure gets ids from ``n``
+    on, in closure order.  ``nodes`` holds each id's ``(conn, argument
     ids)`` (conn None for a variable), ``index`` maps nodes back to ids,
-    and ``heads`` lists the fence ids of each ``(conn, arity)``.
+    and ``heads`` lists the fence ids of each ``(conn, arity)``."""
 
-    The fence is given as formulas, or, as ``prove`` builds it with
-    ``language._gen_measured``, as a dict from each formula to its size
-    and printed form."""
-
-    def __init__(self, fence: Iterable[Formula]
-                 | dict[Formula, tuple[int, str]]):
-        if not isinstance(fence, dict):
-            fence = {f: (size(f), str(f)) for f in fence}
-        self.formulas = sorted(fence, key=fence.__getitem__)
-        self.texts = [fence[f][1] for f in self.formulas]
+    def __init__(self, closure: Iterable[Formula], fence: Iterable[Formula]):
+        measure: dict[Formula, tuple[int, str]] = {}
+        for f in closure:
+            measure[f] = _measure(f, measure)
+        self.formulas = sorted(dict.fromkeys(fence), key=measure.__getitem__)
+        self.texts = [measure[f][1] for f in self.formulas]
         n = self.n = len(self.formulas)
         self.pos = {f: i for i, f in enumerate(self.formulas)}
         ids = dict(self.pos)
-        args = [a for g in self.formulas if g.__class__ is App for a in g.args]
-        for g in subformula_sequence([a for a in args if a not in ids]):
+        for g in measure:
             ids.setdefault(g, len(ids))
         self.nodes = [(None, ()) if g.__class__ is Var else
                       (g.conn, tuple(map(ids.__getitem__, g.args)))
@@ -417,29 +392,41 @@ class _Fence:
         return sorted(_bits(mask), key=self.texts.__getitem__)
 
 
+def _measure(f: Formula, measure: dict[Formula, tuple[int, str]],
+             ) -> tuple[int, str]:
+    """The size and printed form of ``f`` from its arguments' in
+    ``measure``."""
+    if f.__class__ is Var or not f.args:
+        return 1, str(f)
+    parts = [measure[a] for a in f.args]
+    return (1 + sum([n for n, _ in parts]),
+            f"{f.conn}({','.join([text for _, text in parts])})")
+
+
 def _id_steps(r: RuleSchema) -> list[tuple[str, object, int]]:
-    """``r``'s plan as ``(kind, data, attitudes)`` steps on fence ids that
-    fill a binding, ids in ``_vars`` order (None where unbound): "var"
-    data is a slot; "find" data is a ``(conn, refs)`` lookup in
+    """``r``'s plan: a ``(kind, data, attitudes)`` step per schema formula,
+    largest first (by size, then printed form), on fence ids that fill a
+    binding, ids in ``_vars`` order (None where unbound).  The attitudes
+    are a 4-bit set in the order acc, rej, nacc, nrej.  The first step,
+    and any whose formula has a variable no earlier step binds, is a
+    "match"; its data, ``_match``'s matcher, is the root's ``(conn,
+    arity)`` (None for a variable), ``(k, conn, arity)`` per nested
+    compound and ``(k, slot)`` per variable, k a place in the ids of the
+    root, its arguments, then each nested compound's in turn.  Any other
+    step reads its formula's image off the binding: "var" data is a slot,
+    for a bare variable; "find" data is a ``(conn, refs)`` lookup in
     ``_Fence.index`` per compound, bottom up, a ref being a slot or
-    ``len(_vars)`` plus an earlier lookup's number.  The first step and
-    any that binds is a "match"; its data, ``_match``'s matcher, is the
-    root's ``(conn, arity)`` (None for a variable), ``(k, conn, arity)``
-    per nested compound and ``(k, slot)`` per variable, k a place in the
-    ids of the root, its arguments, then each nested compound's in turn."""
+    ``len(_vars)`` plus an earlier lookup's number."""
     slot = {Var(v): k for k, v in enumerate(r._vars)}
+    sides = (r.acc, r.rej, r.nacc, r.nrej)
+    bound: set[str] = set()
     out: list[tuple[str, object, int]] = []
-    for kind, pat, _, atts in r._steps:
-        if kind == "var":
-            out.append((kind, slot[pat], atts))
-        elif kind == "find" and out:
-            ref, data = dict(slot), []
-            for g in subformula_sequence((pat,)):
-                if g.__class__ is App:
-                    ref[g] = len(ref)
-                    data.append((g.conn, tuple([ref[a] for a in g.args])))
-            out.append((kind, tuple(data), atts))
-        else:
+    for pat in sorted(r.acc | r.nacc | r.rej | r.nrej,
+                      key=lambda f: (-size(f), str(f))):
+        atts = sum(1 << a for a, fs in enumerate(sides) if pat in fs)
+        names = variables(pat)
+        if not out or not bound.issuperset(names):
+            bound.update(names)
             tree, descend = [pat], []
             for k, g in enumerate(tree):  # grows by each compound's args
                 if g.__class__ is App:
@@ -449,6 +436,15 @@ def _id_steps(r: RuleSchema) -> list[tuple[str, object, int]]:
             leaves = tuple((k, slot[g]) for k, g in enumerate(tree)
                            if g.__class__ is Var)
             out.append(("match", (head, tuple(descend), leaves), atts))
+        elif pat.__class__ is Var:
+            out.append(("var", slot[pat], atts))
+        else:
+            ref, data = dict(slot), []
+            for g in subformula_sequence((pat,)):
+                if g.__class__ is App:
+                    ref[g] = len(ref)
+                    data.append((g.conn, tuple([ref[a] for a in g.args])))
+            out.append(("find", tuple(data), atts))
     return out
 
 
@@ -560,7 +556,8 @@ def applicable_instances(c: Calculus, label: Label,
     candidates are built from the fence formulas that one-way matching
     finds for the schema formulas (see ``_instance_pool``).
     """
-    fence = _Fence(fence)
+    fs = list(fence)
+    fence = _Fence(subformula_sequence(fs), fs)
     n = len(fence.formulas)
     blocked = _blocked(fence.mask(label.acc) | fence.mask(label.rej) << n,
                        2 * n)
@@ -707,8 +704,9 @@ def prove(c: Calculus, s, theta: Iterable[Formula],
     if max_depth is not None and max_depth < 0:
         raise CalculiError("max_depth must be >= 0")
     ant, suc = _statement_pairs(c, s)
-    fence = _Fence(_gen_measured(theta_set(theta),
-                                 ant.acc | ant.rej | suc.acc | suc.rej))
+    gen, closure = _gen_closure(theta_set(theta),
+                                ant.acc | ant.rej | suc.acc | suc.rej)
+    fence = _Fence(closure, gen)
     pool = _instance_pool(c, fence)
     n = len(fence.formulas)
     twice = 2 * n

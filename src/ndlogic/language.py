@@ -13,7 +13,7 @@ structure, so equal formulas are the same object and compare by identity.
 The intern table is a plain dict of weak references, each removing its
 entry when its formula dies, so a lookup and an insertion run in C.
 ``gen_subformulas`` builds the generalized subformulas in one bottom-up
-pass, which also gives each its size and printed form for a fence.
+pass, which also lists their subformula closure for a proof fence.
 """
 
 from __future__ import annotations
@@ -327,14 +327,6 @@ def substitute(f: Formula, s: Substitution) -> Formula:
     return memo[f]
 
 
-def compose(s2: Substitution, s1: Substitution) -> dict[str, Formula]:
-    """The substitution equivalent to applying s1 first, then s2."""
-    out = {v: substitute(g, s2) for v, g in s1.items()}
-    for v, g in s2.items():
-        out.setdefault(v, g)
-    return out
-
-
 def variables(f: Formula) -> tuple[str, ...]:
     """Distinct variable names in first-occurrence (leftmost) order."""
     return tuple(g.name for g in subformula_sequence((f,))
@@ -416,21 +408,20 @@ def gen_subformulas(theta: Iterable[Formula],
     """Generalized subformulas: every theta member instantiated at every
     plain subformula of every formula in ``fs``.  With theta = {p} this is
     exactly the plain subformula set."""
-    return frozenset(_gen_measured(theta, fs))
+    return frozenset(_gen_closure(theta, fs)[0])
 
 
-def _gen_measured(theta: Iterable[Formula], fs: Iterable[Formula],
-                  ) -> dict[Formula, tuple[int, str]]:
-    """The generalized subformulas of ``gen_subformulas``, each mapped to
-    its size and printed form, in the order first built.  One bottom-up
-    pass: a theta member is instantiated at a plain subformula g by
-    replacing its first variable with g along the member's own subformula
-    sequence, and every formula built is measured from its arguments."""
-    measure: dict[Formula, tuple[int, str]] = {}
+def _gen_closure(theta: Iterable[Formula], fs: Iterable[Formula],
+                 ) -> tuple[list[Formula], list[Formula]]:
+    """The generalized subformulas of ``gen_subformulas`` in the order
+    first built, and their closure under taking subformulas, without
+    repeats, each formula after its arguments.  One bottom-up pass: a
+    theta member is instantiated at a plain subformula g by replacing its
+    first variable with g along the member's own subformula sequence, so
+    the closure is the plain subformulas and every formula built."""
     subs = subformula_sequence(fs)
-    for g in subs:
-        measure[g] = _measure(g, measure)
-    out: dict[Formula, tuple[int, str]] = {}
+    closure = dict.fromkeys(subs)
+    out: dict[Formula, None] = {}
     for th in theta:
         seq = subformula_sequence((th,))
         v = next((h for h in seq if h.__class__ is Var), None)
@@ -441,22 +432,9 @@ def _gen_measured(theta: Iterable[Formula], fs: Iterable[Formula],
                 if h not in image:
                     f = image[h] = h if h.__class__ is Var else App(
                         h.conn, tuple(map(image.__getitem__, h.args)))
-                    if f not in measure:
-                        measure[f] = _measure(f, measure)
-            f = image[th]
-            out[f] = measure[f]
-    return out
-
-
-def _measure(f: Formula, measure: Mapping[Formula, tuple[int, str]],
-             ) -> tuple[int, str]:
-    """The size and printed form of ``f`` from its arguments' in
-    ``measure``."""
-    if f.__class__ is Var or not f.args:
-        return 1, str(f)
-    parts = [measure[a] for a in f.args]
-    return (1 + sum([n for n, _ in parts]),
-            f"{f.conn}({','.join([text for _, text in parts])})")
+                    closure.setdefault(f)
+            out.setdefault(image[th])
+    return list(out), list(closure)
 
 
 def _pool_levels(sig: Signature, max_depth: int,

@@ -54,9 +54,9 @@ class NdAlgebra:
     # value indices as digits in base |values|, the first lowest
     _cells: Mapping[str, tuple[int, ...]] = \
         field(init=False, compare=False, repr=False)
-    # the rows numbered in order of their value indices, as bit masks of
-    # row numbers: per value, the rows whose cell holds it; per column and
-    # value, the rows with that value there
+    # the rows as bit masks of their row codes (as in ``_cells``): per
+    # value, the rows whose cell holds it; per column and value, the rows
+    # with that value there
     _rows: Mapping[str, tuple[list[int], list[list[int]]]] = \
         field(init=False, compare=False, repr=False)
     _total: bool = field(init=False, compare=False, repr=False)
@@ -89,14 +89,14 @@ class NdAlgebra:
                 rows[tuple(map(index.__getitem__, args))] = args, out
             interp[conn], masks, holds = {}, [0] * want, [0] * nv
             cols = [[0] * nv for _ in range(arity)]
-            for row, (ik, (args, out)) in enumerate(sorted(rows.items())):
+            for ik, (args, out) in sorted(rows.items()):
                 interp[conn][args] = out
                 code = sum(v * nv ** i for i, v in enumerate(ik))
                 for w in map(index.__getitem__, out):
                     masks[code] |= 1 << w
-                    holds[w] |= 1 << row
+                    holds[w] |= 1 << code
                 for col, v in zip(cols, ik):
-                    col[v] |= 1 << row
+                    col[v] |= 1 << code
             cells_of[conn], rows_of[conn] = tuple(masks), (holds, cols)
         extra = set(self.interpretation) - set(self.signature.connectives)
         if extra:

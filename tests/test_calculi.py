@@ -11,14 +11,15 @@ import pytest
 
 from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
                              Proved, RuleSchema, Saturated, _Fence,
-                             _instance_pool, applicable_instances,
+                             _id_steps, _instance_pool, applicable_instances,
                              check_derivation, check_proof, instantiate_rule,
                              lift_calculus, prove, render_tree_dot,
                              render_tree_text)
 from ndlogic.errors import CalculiError, LanguageError
-from ndlogic.language import (App, Signature, Var, _gen_measured,
+from ndlogic.language import (App, Signature, Var, _gen_closure,
                               gen_subformulas, parse_formula, size,
-                              subformulas, substitute, theta_set)
+                              subformula_sequence, subformulas, substitute,
+                              theta_set)
 from ndlogic.logics import (_hmci2d_rules, cpl_pos, example1_rules, example2,
                             hmci_axioms, mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
@@ -116,10 +117,11 @@ class TestSchemas:
 
     def test_lifted_rules_get_their_own_plans(self):
         for r, lifted in zip(HILBERT.rules, lift_calculus(HILBERT).rules):
-            assert lifted is not r and lifted._steps == r._steps
+            assert lifted is not r and _id_steps(lifted) == _id_steps(r)
             assert lifted.schema_variables() == r.schema_variables()
-        assert MP._steps == (("match", fi("(p -> q)"), ("p", "q"), 0b1),
-                             ("var", p, "p", 0b1), ("var", q, "q", 0b100))
+        assert _id_steps(MP) == [
+            ("match", (("imp", 2), (), ((1, 0), (2, 1))), 0b1),
+            ("var", 0, 0b1), ("var", 1, 0b100)]
 
     def test_match_plan_leaves_equality_alone(self):
         pairs = list(zip(_hmci2d_rules(), _hmci2d_rules()))
@@ -127,7 +129,7 @@ class TestSchemas:
                                      nrej={Var("p")})))
         for a, b in pairs:
             assert a is not b and a == b and hash(a) == hash(b)
-            assert repr(a) == repr(b) and "_steps" not in repr(a)
+            assert repr(a) == repr(b) and "_vars" not in repr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +167,17 @@ def fence_order(fence):
     return sorted(dict.fromkeys(fence), key=lambda f: (size(f), str(f)))
 
 
-def instance_pool(c, fence):
+def fence_of(fence):
+    """The ``_Fence`` of ``fence`` over its subformula closure, as
+    ``applicable_instances`` builds it."""
+    return _Fence(subformula_sequence(fence), fence)
+
+
+def instance_pool(c, fence, closure=None):
     """The pool's rows as RuleInstances; each row's key must hold the fence
-    masks of its instance's acc, rej, nacc and nrej, n bits each."""
-    fence = _Fence(fence)
+    masks of its instance's acc, rej, nacc and nrej, n bits each.  The
+    closure defaults to the fence's subformulas."""
+    fence = _Fence(closure or subformula_sequence(fence), fence)
     n = len(fence.formulas)
     out = []
     for _, ri, subst, key in _instance_pool(c, fence):
@@ -270,7 +279,7 @@ class TestFence:
             for _ in range(25):
                 fence = random_fence(c, rng, 40)
                 fence += rng.sample(fence, min(3, len(fence)))
-                got = _Fence(fence)
+                got = fence_of(fence)
                 assert got.formulas == fence_order(fence)
                 assert got.texts == list(map(str, got.formulas))
 
@@ -279,21 +288,23 @@ class TestFence:
         var, const = Var("bot"), App("bot", ())
         for fence in ([var, const], [const, var], [q, const, p, var, const],
                       [var, App("neg", (p,)), const, var, p]):
-            assert _Fence(fence).formulas == fence_order(fence)
-        assert _Fence([var, const, var]).formulas == [var, const]
-        assert _Fence([const, var, const]).formulas == [const, var]
+            assert fence_of(fence).formulas == fence_order(fence)
+        assert fence_of([var, const, var]).formulas == [var, const]
+        assert fence_of([const, var, const]).formulas == [const, var]
 
     def test_measured_fence_equals_plain(self):
-        # prove's fence, sizes and printed forms built with the formulas
+        # prove's fence, measured along the closure built with the formulas
         c = mci_artifacts().hmci2d
         rng = random.Random("measured-fence")
         for _ in range(25):
             fence = random_fence(c, rng, 10 ** 6)
             for theta in (c.theta, {p}, {p, App("neg", (App("cons", (p,)),))}):
-                measured = _Fence(_gen_measured(theta, fence))
-                plain = _Fence(gen_subformulas(theta, fence))
+                gen, closure = _gen_closure(theta, fence)
+                measured = _Fence(closure, gen)
+                plain = fence_of(gen)
                 assert measured.formulas == plain.formulas
                 assert measured.texts == plain.texts
+                assert _instance_pool(c, measured) == _instance_pool(c, plain)
 
 
 class TestInstancePool:
@@ -343,7 +354,8 @@ class TestInstancePool:
 
     def test_closed_formula_planned_first_keeps_its_image(self):
         efq = MIXED.rule_named("efq")
-        assert [step[0] for step in efq._steps] == ["find", "match"]
+        assert _id_steps(efq) == [("match", (("bot", 0), (), ()), 0b1),
+                                  ("match", (None, (), ((0, 0),)), 0b100)]
         c = Calculus("efq", 2, (efq,))
         nbot = App("neg", (BOT,))
         insts = applicable_instances(c, Label({BOT}), [p, q, BOT, nbot])
@@ -385,12 +397,11 @@ class TestInstancePool:
             checked = 0
             while checked < 12:
                 fs = random_statement(c, rng, 1).formulas()
-                measured = _gen_measured(theta, fs)
-                if len(measured) > cap:
+                fence, closure = _gen_closure(theta, fs)
+                if len(fence) > cap:
                     continue
-                outside += any(g not in measured for f in measured
-                               for g in subformulas(f))
-                assert instance_pool(c, measured) == reference_pool(
+                outside += len(closure) > len(fence)
+                assert instance_pool(c, fence, closure) == reference_pool(
                     c, gen_subformulas(theta, fs)), [str(f) for f in fs]
                 checked += 1
         assert outside > 0

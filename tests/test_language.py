@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ndlogic
-from ndlogic import (App, LanguageError, ParseError, Signature, Var,
-                     compose, depth, enumerate_unary_formulas, gen_subformulas,
-                     parse_formula, size, subformula_sequence, subformulas,
-                     substitute, theta_set, variables)
+from ndlogic import (App, LanguageError, ParseError, Signature, Var, depth,
+                     enumerate_unary_formulas, gen_subformulas, parse_formula,
+                     size, subformula_sequence, subformulas, substitute,
+                     theta_set, variables)
 from ndlogic import language
 from ndlogic.language import _pool_levels
 
@@ -472,8 +472,14 @@ class TestGenSubformulas:
                 want |= ({substitute(th, {vs[0]: g})
                           for g in subformula_sequence(fs)} if vs else {th})
             assert gen_subformulas(theta, fs) == want
-            assert language._gen_measured(theta, fs) == {
-                f: (size(f), str(f)) for f in want}
+            # the closure: no repeats, each formula after its arguments,
+            # and exactly the subformulas of the generalized ones
+            gen, closure = language._gen_closure(theta, fs)
+            at = {f: i for i, f in enumerate(closure)}
+            assert len(at) == len(closure) and all(
+                at[a] < i for i, f in enumerate(closure)
+                for a in getattr(f, "args", ())) and \
+                at.keys() == {g for f in gen for g in subformulas(f)}
 
 
 class TestEnumerate:
@@ -539,12 +545,6 @@ subst_st = st.dictionaries(st.sampled_from(["p", "q", "r"]), formula_st,
 @given(formula_st)
 def test_print_parse_round_trip(f):
     assert parse_formula(str(f), SIG) == f
-
-
-@settings(max_examples=100, derandomize=True)
-@given(formula_st, subst_st, subst_st)
-def test_substitution_composition(f, s1, s2):
-    assert substitute(substitute(f, s1), s2) == substitute(f, compose(s2, s1))
 
 
 @settings(max_examples=100, derandomize=True)
