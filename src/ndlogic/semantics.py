@@ -7,7 +7,11 @@ enumerating coherent valuations of a statement's subformula closure in one
 fixed order, within each position's sides, keeping arc consistency after
 every assignment (MAC) and undoing it by a trail; narrowing removes no
 value of any countermodel, so the first countermodel found is the first of
-the full enumeration.
+the full enumeration.  At the root, a bottom-up sweep cuts each compound to
+the image of its arguments, and propagation runs only from the compounds
+whose sides cut that image.  Each constraint reads a template that its
+algebra builds once per connective and pattern of equal arguments.  A
+countermodel prints each formula from its arguments' printed forms.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -20,8 +24,9 @@ inseparable at every depth.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, count, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -54,10 +59,12 @@ class NdAlgebra:
     # value indices as digits in base |values|, the first lowest
     _cells: Mapping[str, tuple[int, ...]] = \
         field(init=False, compare=False, repr=False)
+    # per connective and argument-equality pattern, the constraint
+    # template of ``_Arcs`` (see ``_template``), built when first met from
     # the rows as bit masks of their row codes (as in ``_cells``): per
     # value, the rows whose cell holds it; per column and value, the rows
     # with that value there
-    _rows: Mapping[str, tuple[list[int], list[list[int]]]] = \
+    _templates: Mapping[tuple, tuple] = \
         field(init=False, compare=False, repr=False)
     _total: bool = field(init=False, compare=False, repr=False)
 
@@ -105,7 +112,8 @@ class NdAlgebra:
         object.__setattr__(self, "interpretation", interp)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_cells", cells_of)
-        object.__setattr__(self, "_rows", rows_of)
+        object.__setattr__(self, "_templates",
+                           _Lazy(partial(_template, rows_of)))
         object.__setattr__(self, "_total", all(
             out for cells in interp.values() for out in cells.values()))
 
@@ -218,7 +226,9 @@ class BStatement:
 
 
 def _sorted(fs: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(fs, key=str))
+    """``fs`` sorted by printed form; fewer than two are not printed."""
+    fs = tuple(fs)
+    return fs if len(fs) < 2 else tuple(sorted(fs, key=str))
 
 
 @dataclass(frozen=True)
@@ -232,11 +242,30 @@ class Valuation:
     def __call__(self, f: Formula) -> str:
         return self.assignment[f]
 
+    def _pairs(self) -> Iterator[tuple[str, str]]:
+        """(printed form, value) per domain formula.  A form is joined from
+        its arguments' forms when they come earlier in the domain, as in a
+        search's, so no formula is printed twice; otherwise it is printed
+        whole."""
+        done: dict[Formula, str] = {}
+        for f in self.domain:
+            if f.__class__ is Var or not f.args:
+                text = str(f)
+            else:
+                try:
+                    text = ",".join(map(done.__getitem__, f.args))
+                    text = f"{f.conn}({text})"
+                except KeyError:  # an argument not earlier in the domain
+                    text = str(f)
+            done[f] = text
+            yield text, self.assignment[f]
+
     def lines(self) -> list[str]:
-        return [f"v({f}) = {self.assignment[f]}" for f in self.domain]
+        return [f"v({text}) = {value}" for text, value in self._pairs()]
 
     def __str__(self) -> str:
-        return ", ".join(f"v({f})={self.assignment[f]}" for f in self.domain)
+        return ", ".join(f"v({text})={value}"
+                         for text, value in self._pairs())
 
 
 @dataclass(frozen=True)
@@ -257,23 +286,27 @@ class Verdict:
 def _compile(alg: NdAlgebra, fs: Sequence[Formula]):
     """Number the subformula closure (variables first, then compounds
     bottom-up) and compile one plan entry per position: (None, var_name)
-    for a variable, (conn, arg_positions) otherwise."""
-    seq = subformula_sequence(fs)
-    doms = [f for f in seq if isinstance(f, Var)] + \
-           [f for f in seq if not isinstance(f, Var)]
-    pos = {f: i for i, f in enumerate(doms)}
-    plan: list[tuple] = []
+    for a variable, (conn, arg_positions) otherwise.  One pass over the
+    closure numbers the variables and checks the compounds, which are
+    numbered after them."""
     conns = alg.signature.connectives
-    for f in doms:
-        if isinstance(f, Var):
+    pos: dict[Formula, int] = {}
+    plan: list[tuple] = []
+    compounds = []
+    for f in subformula_sequence(fs):
+        if f.__class__ is Var:
+            pos[f] = len(plan)
             plan.append((None, f.name))
+        elif conns.get(f.conn) == len(f.args):
+            compounds.append(f)
+        elif f.conn in conns:
+            raise SemanticsError(f"arity mismatch for {f.conn!r} in {f}")
         else:
-            if f.conn not in conns:
-                raise SemanticsError(f"connective {f.conn!r} not interpreted")
-            if conns[f.conn] != len(f.args):
-                raise SemanticsError(f"arity mismatch for {f.conn!r} in {f}")
-            plan.append((f.conn, tuple(pos[a] for a in f.args)))
-    return tuple(doms), pos, plan
+            raise SemanticsError(f"connective {f.conn!r} not interpreted")
+    for f in compounds:
+        pos[f] = len(plan)
+        plan.append((f.conn, tuple([pos[a] for a in f.args])))
+    return (*pos,), pos, plan
 
 
 def _bits(mask: int) -> list[int]:
@@ -285,16 +318,49 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-class _Bits(dict):
-    """``_bits(mask)`` per mask, filled as masks are met and shared by
-    every search; a list is read, never changed."""
+class _Lazy(dict):
+    """A dict that fills a missing key with ``make(key)``."""
 
-    def __missing__(self, mask: int) -> list[int]:
-        got = self[mask] = _bits(mask)
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
         return got
 
 
-_BITS = _Bits()
+# ``_bits(mask)`` per mask, filled as masks are met and shared by every
+# search; a list is read, never changed
+_BITS = _Lazy(_bits)
+
+
+def _union(parts: Sequence[int], mask: int) -> int:
+    """The union of ``parts[v]`` over the set bits v of ``mask``."""
+    return reduce(or_, map(parts.__getitem__, _BITS[mask]), 0)
+
+
+def _image(holds: Sequence[int], rows: int) -> int:
+    """The mask of the values w whose rows ``holds[w]`` meet ``rows``."""
+    return sum(1 << w for w, h in enumerate(holds) if rows & h)
+
+
+def _template(rows_of: Mapping[str, tuple[list[int], list[list[int]]]],
+              key: tuple[str, tuple[int, ...] | None]) -> tuple:
+    """The constraint template of ``_Arcs`` for ``key``, (conn, pattern):
+    the pattern numbers each argument by the first argument equal to it,
+    or is None when they are distinct.  It holds the columns of
+    ``rows_of`` for the distinct arguments (a repeated argument's merged,
+    so its rows agree); per column, the union of its rows over a domain;
+    the image of a mask of rows; and the rows whose cells hold some value
+    of a domain.  The last three are filled per mask as met."""
+    conn, pattern = key
+    holds, cols = rows_of[conn]
+    if pattern:
+        cols = [[reduce(and_, rows) for rows in zip(*(
+            col for col, y in zip(cols, pattern) if y == x))]
+            for x in dict.fromkeys(pattern)]
+    return (cols, [_Lazy(partial(_union, col)) for col in cols],
+            _Lazy(partial(_image, holds)), _Lazy(partial(_union, holds)))
 
 
 class _Arcs:
@@ -303,28 +369,27 @@ class _Arcs:
     ``dom`` holds each position's values as a bit mask, from ``allowed``.
     Each compound's cell, v(i) in conn(v(a1), ..., v(ak)), is one
     constraint on i and its distinct arguments, read off the algebra's
-    ``_rows``; a repeated argument's columns must agree, so a revision is
-    exact.  Every shrunk domain goes on ``trail`` as (position, old mask)."""
+    template for the pattern of its arguments; a repeated argument's
+    columns must agree, so a revision is exact.  Every shrunk domain goes
+    on ``trail`` as (position, old mask)."""
 
     def __init__(self, alg: NdAlgebra, plan: list[tuple],
                  allowed: Mapping[int, int]):
         every = (1 << len(alg.values)) - 1
         self.dom = [allowed.get(i, every) for i in range(len(plan))]
         self.trail: list[tuple[int, int]] = []
-        self.cons: list[tuple | None] = []  # (distinct args, columns, holds)
+        self.cons: list[tuple | None] = []  # (distinct args, template)
         self.watch: list[list[int]] = [[] for _ in plan]  # constraints on i
+        templates = alg._templates
         for i, (conn, args) in enumerate(plan):
             if conn is None:
                 self.cons.append(None)
                 continue
-            holds, cols = alg._rows[conn]
+            pattern = None
             if len(set(args)) < len(args):
                 scope = tuple(dict.fromkeys(args))
-                cols = [[reduce(and_, rows) for rows in zip(*(
-                    col for col, a in zip(cols, args) if a == x))]
-                    for x in scope]
-                args = scope
-            self.cons.append((args, cols, holds))
+                pattern, args = tuple(map(scope.index, args)), scope
+            self.cons.append((args, templates[conn, pattern]))
             for x in (i, *args):
                 self.watch[x].append(i)
 
@@ -340,21 +405,15 @@ class _Arcs:
         while todo:
             i = todo.pop()
             queued.discard(i)
-            scope, cols, holds = cons[i]
+            scope, (cols, unions, image, reach) = cons[i]
             rows = -1
-            for a, col in zip(scope, cols):
-                within = 0
-                for v in bits[dom[a]]:
-                    within |= col[v]
-                rows &= within
-            out = met = 0
-            for w in bits[dom[i]]:
-                if rows & holds[w]:
-                    out |= 1 << w
-                    met |= rows & holds[w]
+            for a, union in zip(scope, unions):
+                rows &= union[dom[a]]
+            out = dom[i] & image[rows]
             if not out:
                 return False
             shrunk = [(i, out)] if out != dom[i] else []
+            met = rows & reach[out]
             if met != rows:  # some argument value may have lost its rows
                 for a, col in zip(scope, cols):
                     keep = sum(1 << v for v in bits[dom[a]] if met & col[v])
@@ -370,10 +429,33 @@ class _Arcs:
         return True
 
     def root(self) -> bool:
-        """Narrow from every constraint; False if a domain is or becomes
-        empty."""
-        return all(self.dom) and \
-            self.narrow([i for i, c in enumerate(self.cons) if c])
+        """Narrow every domain to the arc-consistent closure; False if one
+        is or becomes empty.  A sweep in plan order, arguments first, cuts
+        each compound's domain to the image of its arguments' domains.  In
+        a total algebra every row's cell lies within that image, so each
+        constraint is then arc consistent but those whose own domain cut
+        the image, and AC-3 runs from these.  The closure is the largest
+        arc-consistent one within the domains, whatever the schedule, so
+        it is the one narrowing from every constraint reaches."""
+        dom = self.dom
+        if not all(dom):
+            return False
+        cut = []
+        for i, con in enumerate(self.cons):
+            if con:
+                scope, (_, unions, image, _) = con
+                rows = -1
+                for a, union in zip(scope, unions):
+                    rows &= union[dom[a]]
+                held = image[rows]
+                if held & ~dom[i]:
+                    dom[i] &= held
+                    if not dom[i]:
+                        return False
+                    cut.append(i)
+                else:
+                    dom[i] = held
+        return not cut or self.narrow(cut)
 
     def fix(self, i: int, mask: int) -> bool:
         """Narrow position i to ``mask``, within its domain, and propagate;
@@ -440,7 +522,11 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
 def induced_multifunction(alg: NdAlgebra, f: Formula,
                           inputs: Sequence[str]) -> frozenset[str]:
     """The value set a formula can take when its distinct variables (in
-    first-occurrence order) are fixed to ``inputs``."""
+    first-occurrence order) are fixed to ``inputs``.  The pins make each
+    variable one value, so when no compound is an argument twice in the
+    closure, the arguments' values combine freely and the root image of
+    the formula is the answer; otherwise each value left in it is kept if
+    a valuation takes it."""
     _require_total(alg)
     vs = variables(f)
     if len(vs) != len(inputs):
@@ -452,8 +538,14 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
             raise SemanticsError(f"unknown value {x!r}")
     doms, pos, plan = _compile(alg, [f])
     pins = {pos[Var(v)]: 1 << index[x] for v, x in zip(vs, inputs)}
-    out = {vals[-1] for vals in _valuations(alg, plan, pins)}
-    return frozenset(alg.values[i] for i in out)
+    arcs, top = _Arcs(alg, plan, pins), len(plan) - 1
+    arcs.root()  # a total algebra's images are never empty
+    out = _bits(arcs.dom[top])
+    uses = Counter(a for _, args in plan[len(vs):] for a in args)
+    if any(n > 1 for a, n in uses.items() if a >= len(vs)):
+        out = [w for w in out if next(_valuations(
+            alg, plan, {**pins, top: 1 << w}), None) is not None]
+    return frozenset(alg.values[w] for w in out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -194,6 +195,41 @@ class TestInducedMultifunction:
             induced_multifunction(alg5, f5("and(p,q)"), ["f"])
         with pytest.raises(SemanticsError):
             induced_multifunction(alg5, p, ["zz"])
+
+    def test_root_image_and_searches_equal_every_valuation(self):
+        # a formula in which no compound is an argument twice is answered
+        # by its root image, any other by one search per value left; both
+        # must give the values it takes over the valuations with its
+        # variables pinned, also when a constant is used twice
+        rng = random.Random(33)
+        paths = Counter()
+        for _ in range(40):
+            alg = _random_algebra(rng, rng.randint(1, 3))
+            sig = alg.signature
+            fs = [_random_formula(rng, sig, 3) for _ in range(3)] + \
+                [_repeating_formula(rng, sig, 3) for _ in range(3)] + \
+                [parse_formula(("g(k(c))", "k(c,g(c))", "k(c,g(c),p)")[
+                    sig.connectives["k"] - 1], sig)]
+            for f in fs:
+                _, pos, plan = _compile(alg, [f])
+                names = variables(f)
+                for inputs in product(range(3), repeat=len(names)):
+                    pins = {pos[Var(v)]: 1 << x
+                            for v, x in zip(names, inputs)}
+                    want = {alg.values[vals[-1]]
+                            for vals in _valuations(alg, plan, pins)}
+                    assert induced_multifunction(
+                        alg, f, [alg.values[x] for x in inputs]) == want, f
+                paths[_shares_a_compound(f)] += 1
+        assert paths[True] >= 40 and paths[False] >= 200
+
+
+def _shares_a_compound(f):
+    """Whether some compound is an argument of two compounds of the
+    closure of ``f``, or twice of one."""
+    uses = Counter(a for g in subformula_sequence([f]) if isinstance(g, App)
+                   for a in g.args if isinstance(a, App))
+    return any(n > 1 for n in uses.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1331,6 +1367,75 @@ class TestDeepFormulas:
                    for v in vs)
 
 
+def _printed_whole(v):
+    """``v.lines()`` and ``str(v)`` with every formula printed by ``str``."""
+    pairs = [(str(f), v(f)) for f in v.domain]
+    return ([f"v({text}) = {x}" for text, x in pairs],
+            ", ".join(f"v({text})={x}" for text, x in pairs))
+
+
+class TestValuationText:
+    def test_golden_countermodels(self, monkeypatch):
+        # every countermodel and valuation list of the golden groups
+        import test_check_golden as golden
+        seen = []
+
+        def keep(verdict):
+            seen.append(verdict.countermodel)
+            return ""
+
+        def listed(alg, fs):
+            seen.extend(coherent_valuations(alg, fs))
+            return []
+
+        monkeypatch.setattr(golden, "_render_check", keep)
+        monkeypatch.setattr(golden, "_render_rule", lambda _, v: keep(v))
+        monkeypatch.setattr(golden, "coherent_valuations", listed)
+        for _ in golden.groups():
+            pass
+        seen = [v for v in seen if v is not None]
+        assert len(seen) > 1000
+        for v in seen:
+            assert (v.lines(), str(v)) == _printed_whole(v)
+
+    def test_domain_neither_closed_nor_ordered(self):
+        c, r = App("c", ()), Var("r")
+        both = App("and", (p, q))
+        domain = (App("neg", (both,)), both, q, c, App("imp", (c, r)), p,
+                  App("or", (App("neg", (both,)), c)), App("cons", (r,)))
+        v = Valuation(domain, {f: str(i) for i, f in enumerate(domain)})
+        assert (v.lines(), str(v)) == _printed_whole(v)
+        assert v.lines()[:3] == ["v(neg(and(p,q))) = 0",
+                                 "v(and(p,q)) = 1", "v(q) = 2"]
+
+    def test_deep_chains(self, m5):
+        # past the recursion limit, a search's countermodel joins each
+        # form from its argument's; a countermodel of the whole 10,000-deep
+        # chain prints ~250 MB, so that chain is sampled every 500 levels,
+        # a domain in which each formula is printed whole
+        v = entails_1d(m5, Statement1D({_chain("neg", 1500)}, set()))
+        assert (v.countermodel.lines(), str(v.countermodel)) == \
+            _printed_whole(v.countermodel)
+        chain = [p]
+        for _ in range(10_000):
+            chain.append(App("neg", (chain[-1],)))
+        domain = tuple(chain[::-500])
+        v = Valuation(domain, dict.fromkeys(domain, "I"))
+        assert (v.lines(), str(v)) == _printed_whole(v)
+
+    def test_readme_quick_tour(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Quick tour")[1].split("```python\n")[1]
+        block = block.split("```")[0]
+        exec(block, {})
+        printed = capsys.readouterr().out.splitlines()
+        comments = [line.split("# ")[1] for line in block.splitlines()
+                    if line.startswith("print(")]
+        assert printed == ["False", "v(p)=I, v(q)=f, v(neg(p))=I"]
+        assert comments == ["False: a contradiction does not explode",
+                            printed[1]]
+
+
 def _family(n):
     """and(p_i,neg(p_i)) for i < n; every p_i = I designates each."""
     return {App("and", (Var(f"p{i}"), App("neg", (Var(f"p{i}"),))))
@@ -1429,6 +1534,16 @@ def _mask(values):
     return sum(1 << v for v in values)
 
 
+def _narrowed_from_every_constraint(alg, plan, allowed):
+    """The root step as AC-3 from every constraint, the reference for
+    ``_Arcs.root``: each position's value mask, or None once one keeps
+    none."""
+    arcs = _Arcs(alg, plan, allowed)
+    every = [i for i, con in enumerate(arcs.cons) if con]
+    return dict(enumerate(arcs.dom)) \
+        if all(arcs.dom) and arcs.narrow(every) else None
+
+
 class TestArcConsistency:
     def test_removes_no_value_of_a_coherent_valuation(self):
         rng = random.Random(26)
@@ -1456,6 +1571,36 @@ class TestArcConsistency:
                 assert doms[i]
                 removed += doms[i] != within
         assert removed >= 200 and emptied >= 25
+
+    def test_root_sweep_reaches_the_closure_of_every_constraint(self):
+        # the arc-consistent closure is unique, so the sweep and AC-3 from
+        # the compounds whose domain cut their image give the domains that
+        # narrowing from every constraint gives; some masks are empty, and
+        # r, a bare variable, is watched by no compound
+        rng = random.Random(33)
+        sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
+        r = Var("r")
+        seen = Counter()
+        for _ in range(1500):
+            alg = _random_total_algebra(rng, sig)
+            fs = [_repeating_formula(rng, sig, 3)
+                  for _ in range(rng.randint(1, 3))] + [r]
+            _, pos, plan = _compile(alg, fs)
+            every = range(len(alg.values))
+            allowed = {i: _mask(rng.sample(every,
+                                           rng.randint(1, len(every))
+                                           * (rng.random() < 0.95)))
+                       for i in range(len(plan)) if rng.random() < 0.5}
+            if rng.random() < 0.1:
+                allowed[pos[r]] = 0
+            got = _narrowed(alg, plan, allowed)
+            assert got == _narrowed_from_every_constraint(alg, plan, allowed)
+            seen["unwatched"] += allowed.get(pos[r]) == 0
+            seen["emptied"] += got is None
+            seen["narrowed"] += got is not None and any(
+                d != allowed.get(i, _mask(every)) for i, d in got.items())
+        assert seen["unwatched"] >= 100 and seen["emptied"] >= 300 and \
+            seen["narrowed"] >= 500, seen
 
     def test_revision_of_one_compound_is_exact(self):
         # one compound over variables is one constraint, so arc
@@ -1536,9 +1681,8 @@ class TestArcConsistency:
         s = Statement1D({p, q, Var("r")}, {parse_formula(
             "and(p,and(q,r))", m.algebra.signature)})
         built = []
-        monkeypatch.setattr(semantics, "_BITS", semantics._Bits())
-        monkeypatch.setattr(semantics, "_bits",
-                            lambda mask: built.append(mask) or _bits(mask))
+        monkeypatch.setattr(semantics, "_BITS", semantics._Lazy(
+            lambda mask: built.append(mask) or _bits(mask)))
         assert entails_1d(m, s).valid
         assert 0 < len(built) < 2 ** 10
 
