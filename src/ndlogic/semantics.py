@@ -10,8 +10,7 @@ value of any countermodel, so the first countermodel found is the first of
 the full enumeration.  At the root, a bottom-up sweep cuts each compound to
 the image of its arguments, and propagation runs only from the compounds
 whose sides cut that image.  Each constraint reads a template that its
-algebra builds once per connective and pattern of equal arguments.  A
-countermodel prints each formula from its arguments' printed forms.
+algebra builds once per connective and pattern of equal arguments.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -24,7 +23,6 @@ inseparable at every depth.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import combinations, count, product
@@ -242,30 +240,11 @@ class Valuation:
     def __call__(self, f: Formula) -> str:
         return self.assignment[f]
 
-    def _pairs(self) -> Iterator[tuple[str, str]]:
-        """(printed form, value) per domain formula.  A form is joined from
-        its arguments' forms when they come earlier in the domain, as in a
-        search's, so no formula is printed twice; otherwise it is printed
-        whole."""
-        done: dict[Formula, str] = {}
-        for f in self.domain:
-            if f.__class__ is Var or not f.args:
-                text = str(f)
-            else:
-                try:
-                    text = ",".join(map(done.__getitem__, f.args))
-                    text = f"{f.conn}({text})"
-                except KeyError:  # an argument not earlier in the domain
-                    text = str(f)
-            done[f] = text
-            yield text, self.assignment[f]
-
     def lines(self) -> list[str]:
-        return [f"v({text}) = {value}" for text, value in self._pairs()]
+        return [f"v({f}) = {self.assignment[f]}" for f in self.domain]
 
     def __str__(self) -> str:
-        return ", ".join(f"v({text})={value}"
-                         for text, value in self._pairs())
+        return ", ".join(f"v({f})={self.assignment[f]}" for f in self.domain)
 
 
 @dataclass(frozen=True)
@@ -522,11 +501,8 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
 def induced_multifunction(alg: NdAlgebra, f: Formula,
                           inputs: Sequence[str]) -> frozenset[str]:
     """The value set a formula can take when its distinct variables (in
-    first-occurrence order) are fixed to ``inputs``.  The pins make each
-    variable one value, so when no compound is an argument twice in the
-    closure, the arguments' values combine freely and the root image of
-    the formula is the answer; otherwise each value left in it is kept if
-    a valuation takes it."""
+    first-occurrence order) are fixed to ``inputs``: each value left in
+    the formula's root domain that some valuation takes."""
     _require_total(alg)
     vs = variables(f)
     if len(vs) != len(inputs):
@@ -540,12 +516,9 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
     pins = {pos[Var(v)]: 1 << index[x] for v, x in zip(vs, inputs)}
     arcs, top = _Arcs(alg, plan, pins), len(plan) - 1
     arcs.root()  # a total algebra's images are never empty
-    out = _bits(arcs.dom[top])
-    uses = Counter(a for _, args in plan[len(vs):] for a in args)
-    if any(n > 1 for a, n in uses.items() if a >= len(vs)):
-        out = [w for w in out if next(_valuations(
-            alg, plan, {**pins, top: 1 << w}), None) is not None]
-    return frozenset(alg.values[w] for w in out)
+    return frozenset(alg.values[w] for w in _bits(arcs.dom[top])
+                     if next(_valuations(alg, plan, {**pins, top: 1 << w}),
+                             None) is not None)
 
 
 # ---------------------------------------------------------------------------
