@@ -59,7 +59,7 @@ from typing import Iterable, Union
 from .errors import CalculiError
 from .language import (App, Formula, Substitution, Var, _gen_closure, size,
                        subformula_sequence, substitute, theta_set, variables)
-from .semantics import BStatement, Statement1D, _bits, _fset, _Memo
+from .semantics import BStatement, Statement1D, _bits, _fset, _Lazy
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class Label:
         return other.acc <= self.acc and other.rej <= self.rej
 
     def render(self, dim: int = 2) -> str:
-        return _Texts(dim).label(self)
+        return _texts(dim)[0](self)
 
 
 @dataclass(frozen=True)
@@ -251,36 +251,22 @@ class Node:
         return self.label is STAR
 
 
-class _Texts:
-    """Printed forms memoized for one rendering: each formula, each label
-    side (a frozenset) and each substitution is printed once."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.formula = _Memo(self._formula)
-        self.side = _Memo(self._side)
-        self.subst = _Memo(self._subst)
-
-    def _formula(self, f: Formula) -> str:
-        return str(f)
-
-    def _side(self, fs: frozenset[Formula]) -> str:
-        return ", ".join(sorted(map(self.formula.__getitem__, fs)))
-
-    def _subst(self, subst: tuple[tuple[str, Formula], ...]) -> str:
-        return "{" + ", ".join(
-            f"{v} := {self.formula[f]}" for v, f in subst) + "}"
-
-    def label(self, label: Label) -> str:
-        if self.dim == 1:
-            return "{" + self.side[label.acc] + "}"
-        return ("acc{" + self.side[label.acc] + "} | rej{"
-                + self.side[label.rej] + "}")
+def _texts(dim: int) -> tuple:
+    """The label and substitution printers of one rendering: each formula,
+    label side and substitution is printed once, with no owner object."""
+    formula = _Lazy(str)
+    side = _Lazy(lambda fs: ", ".join(sorted(map(formula.__getitem__, fs))))
+    subst = _Lazy(lambda s: "{" + ", ".join(
+        f"{v} := {formula[f]}" for v, f in s) + "}")
+    if dim == 1:
+        return (lambda label: "{" + side[label.acc] + "}"), subst.__getitem__
+    return (lambda label: "acc{" + side[label.acc] + "} | rej{"
+            + side[label.rej] + "}"), subst.__getitem__
 
 
 def render_tree_text(t: Node, dim: int = 2) -> str:
     """Deterministic indented rendering, one node per line."""
-    texts = _Texts(dim)
+    label, subst = _texts(dim)
     out: list[str] = []
     stack = [(t, "")]
     while stack:
@@ -288,10 +274,10 @@ def render_tree_text(t: Node, dim: int = 2) -> str:
         if n.is_star:
             out.append(indent + "*")
         elif n.rule is None:
-            out.append(indent + texts.label(n.label))
+            out.append(indent + label(n.label))
         else:
-            out.append(f"{indent}{texts.label(n.label)}  -- {n.rule} "
-                       f"{texts.subst[tuple(n.subst or ())]}")
+            out.append(f"{indent}{label(n.label)}  -- {n.rule} "
+                       f"{subst(tuple(n.subst or ()))}")
         if n.children:
             indent += "  "
             stack += [(ch, indent) for ch in reversed(n.children)]
@@ -302,7 +288,7 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
     """The same tree as a DOT digraph; star leaves drawn as boxes.  Nodes
     are numbered in preorder, and the edge to a child follows the child's
     subtree."""
-    texts = _Texts(dim)
+    label = _texts(dim)[0]
     lines = ["digraph proof {", '  node [fontname="monospace"];']
     counter = 0
     # (node, start and end of the edge line to it, or None and ""), or
@@ -320,7 +306,7 @@ def render_tree_dot(t: Node, dim: int = 2) -> str:
         if n.is_star:
             lines.append(f'  {me} [label="*", shape=box];')
         else:
-            text = texts.label(n.label).replace('"', '\\"')
+            text = label(n.label).replace('"', '\\"')
             lines.append(f'  {me} [label="{text}"];')
         end = f' [label="{n.rule}"];' if n.rule is not None else ";"
         stack += ((ch, f"  {me} -> ", end) for ch in reversed(n.children))

@@ -7,10 +7,10 @@ enumerating coherent valuations of a statement's subformula closure in one
 fixed order, within each position's sides, keeping arc consistency after
 every assignment (MAC) and undoing it by a trail; narrowing removes no
 value of any countermodel, so the first countermodel found is the first of
-the full enumeration.  At the root, a bottom-up sweep cuts each compound to
-the image of its arguments, and propagation runs only from the compounds
-whose sides cut that image.  Each constraint reads a template that its
-algebra builds once per connective and pattern of equal arguments.
+the full enumeration.  Each compound's domain is cut to its arguments'
+image as its constraint is built, so the root propagates only from the
+compounds whose sides cut that image.  Each constraint reads a template
+that its algebra builds once per connective and pattern of equal arguments.
 
 Semantic checking is restricted to total algebras: a coherent valuation on
 a subformula-closed set then always extends to the full language, which
@@ -345,22 +345,25 @@ def _template(rows_of: Mapping[str, tuple[list[int], list[list[int]]]],
 class _Arcs:
     """Generalised arc consistency over a plan's cells, undone by a trail.
 
-    ``dom`` holds each position's values as a bit mask, from ``allowed``.
-    Each compound's cell, v(i) in conn(v(a1), ..., v(ak)), is one
-    constraint on i and its distinct arguments, read off the algebra's
-    template for the pattern of its arguments; a repeated argument's
-    columns must agree, so a revision is exact.  Every shrunk domain goes
-    on ``trail`` as (position, old mask)."""
+    ``dom`` holds each position's values as a bit mask from ``allowed``, a
+    compound's cut to the image of its arguments' domains; ``cut`` lists the
+    compounds whose mask cut that image.  Each compound's cell, v(i) in
+    conn(v(a1), ..., v(ak)), is one constraint on i and its distinct arguments,
+    read off the algebra's template for the pattern of its arguments; a
+    repeated argument's columns must agree, so a revision is exact.  Every
+    shrunk domain goes on ``trail`` as (position, old mask)."""
 
     def __init__(self, alg: NdAlgebra, plan: list[tuple],
                  allowed: Mapping[int, int]):
         every = (1 << len(alg.values)) - 1
-        self.dom = [allowed.get(i, every) for i in range(len(plan))]
+        self.dom: list[int] = []
         self.trail: list[tuple[int, int]] = []
         self.cons: list[tuple | None] = []  # (distinct args, template)
         self.watch: list[list[int]] = [[] for _ in plan]  # constraints on i
-        templates = alg._templates
+        self.cut: list[int] = []
+        dom, cut, templates = self.dom, self.cut, alg._templates
         for i, (conn, args) in enumerate(plan):
+            dom.append(allowed.get(i, every))
             if conn is None:
                 self.cons.append(None)
                 continue
@@ -368,7 +371,16 @@ class _Arcs:
             if len(set(args)) < len(args):
                 scope = tuple(dict.fromkeys(args))
                 pattern, args = tuple(map(scope.index, args)), scope
-            self.cons.append((args, templates[conn, pattern]))
+            template = templates[conn, pattern]
+            self.cons.append((args, template))
+            _, unions, image, _ = template
+            rows = -1
+            for a, union in zip(args, unions):
+                rows &= union[dom[a]]
+            held = image[rows]
+            if held & ~dom[i]:
+                cut.append(i)
+            dom[i] &= held
             for x in (i, *args):
                 self.watch[x].append(i)
 
@@ -408,33 +420,11 @@ class _Arcs:
         return True
 
     def root(self) -> bool:
-        """Narrow every domain to the arc-consistent closure; False if one
-        is or becomes empty.  A sweep in plan order, arguments first, cuts
-        each compound's domain to the image of its arguments' domains.  In
-        a total algebra every row's cell lies within that image, so each
-        constraint is then arc consistent but those whose own domain cut
-        the image, and AC-3 runs from these.  The closure is the largest
-        arc-consistent one within the domains, whatever the schedule, so
-        it is the one narrowing from every constraint reaches."""
-        dom = self.dom
-        if not all(dom):
-            return False
-        cut = []
-        for i, con in enumerate(self.cons):
-            if con:
-                scope, (_, unions, image, _) = con
-                rows = -1
-                for a, union in zip(scope, unions):
-                    rows &= union[dom[a]]
-                held = image[rows]
-                if held & ~dom[i]:
-                    dom[i] &= held
-                    if not dom[i]:
-                        return False
-                    cut.append(i)
-                else:
-                    dom[i] = held
-        return not cut or self.narrow(cut)
+        """Narrow every domain to the arc-consistent closure, the largest
+        one within the domains, whatever the schedule; False if one is or
+        becomes empty.  In a total algebra each constraint but those in
+        ``cut`` is arc consistent once built, so AC-3 runs from these."""
+        return all(self.dom) and self.narrow(self.cut)
 
     def fix(self, i: int, mask: int) -> bool:
         """Narrow position i to ``mask``, within its domain, and propagate;
@@ -501,8 +491,8 @@ def coherent_valuations(alg: NdAlgebra, fs: Iterable[Formula],
 def induced_multifunction(alg: NdAlgebra, f: Formula,
                           inputs: Sequence[str]) -> frozenset[str]:
     """The value set a formula can take when its distinct variables (in
-    first-occurrence order) are fixed to ``inputs``: each value left in
-    the formula's root domain that some valuation takes."""
+    first-occurrence order) are fixed to ``inputs``: each value of its
+    domain in ``_Arcs``, the image of the pins, that some valuation takes."""
     _require_total(alg)
     vs = variables(f)
     if len(vs) != len(inputs):
@@ -515,7 +505,6 @@ def induced_multifunction(alg: NdAlgebra, f: Formula,
     doms, pos, plan = _compile(alg, [f])
     pins = {pos[Var(v)]: 1 << index[x] for v, x in zip(vs, inputs)}
     arcs, top = _Arcs(alg, plan, pins), len(plan) - 1
-    arcs.root()  # a total algebra's images are never empty
     return frozenset(alg.values[w] for w in _bits(arcs.dom[top])
                      if next(_valuations(alg, plan, {**pins, top: 1 << w}),
                              None) is not None)

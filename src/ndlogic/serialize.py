@@ -2,7 +2,8 @@
 
 Formulas travel as grammar strings in the canonical prefix syntax.  Cell
 keys of an interpretation table are the argument values joined with
-commas, which is why value names must not contain commas themselves.
+commas, and a constant's key "" is the only one not split, so a value may
+be named ""; value names must not contain commas themselves.
 The *_to_data functions emit plain dict/list structures with all sets in
 a canonical order, so dumping them is deterministic; dumps() fixes the
 remaining presentation choices.
@@ -136,7 +137,8 @@ def matrix_from_data(data: Data) -> NdMatrix | BMatrix:
         for key, out in cells.items():
             if not isinstance(key, str):
                 raise SerializeError(f"bad cell key {key!r} for {conn!r}")
-            args = tuple(key.split(",")) if key else ()
+            args = tuple(key.split(",")) \
+                if key or sig.connectives.get(conn) else ()
             table[args] = frozenset(
                 _string_list(out, f"cell {conn}({key})"))
         interp[conn] = table

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from ndlogic import language
 from ndlogic.calculi import (STAR, Calculus, Label, LimitExceeded, Node,
                              Proved, RuleSchema, Saturated, _Fence,
                              _id_steps, _instance_pool, applicable_instances,
@@ -20,8 +21,9 @@ from ndlogic.language import (App, Signature, Var, _gen_closure,
                               gen_subformulas, parse_formula, size,
                               subformula_sequence, subformulas, substitute,
                               theta_set)
-from ndlogic.logics import (_hmci2d_rules, cpl_pos, example1_rules, example2,
-                            hmci_axioms, mci_artifacts)
+from ndlogic.logics import (SIGMA_MCI, _hmci2d_rules, cpl_pos,
+                            example1_rules, example2, hmci_axioms,
+                            mci_artifacts)
 from ndlogic.semantics import BStatement, Statement1D
 
 p = Var("p")
@@ -869,3 +871,34 @@ class TestRendering:
     def test_dim1_rendering_hides_rejection(self):
         t = Node(Label({p}))
         assert render_tree_text(t, dim=1) == "{p}"
+
+    def test_each_compound_formula_is_printed_once_per_rendering(
+            self, monkeypatch):
+        # README's prove example: its tree repeats formulas across labels
+        # and substitutions, and with theta {p, neg(cons(p))} it saturates
+        calc = mci_artifacts().hmci2d
+        s = BStatement(nacc={parse_formula("cons(neg(cons(p)))", SIGMA_MCI)})
+        tree = prove(calc, s, calc.theta).tree
+        theta = {parse_formula(t, SIGMA_MCI) for t in ("p", "neg(cons(p))")}
+        label = prove(calc, s, theta).label
+        printed = []
+        real = language._print
+        monkeypatch.setattr(language, "_print", lambda f, as_repr: (
+            printed.append(f), real(f, as_repr))[1])
+        in_labels, in_substs, stack = [], [], [tree]
+        while stack:
+            n = stack.pop()
+            stack += n.children
+            if not n.is_star:
+                in_labels += [*n.label.acc, *n.label.rej]
+            in_substs += [f for _, f in n.subst or ()]
+        assert len(in_labels) > len(set(in_labels))
+        for render, fs in (
+                (render_tree_text, in_labels + in_substs),
+                (render_tree_dot, in_labels),
+                (lambda _: label.render(), label.acc | label.rej)):
+            printed.clear()
+            render(tree)
+            compounds = {f for f in fs if isinstance(f, App)}
+            assert len(printed) == len(compounds) and \
+                set(printed) == compounds

@@ -1501,8 +1501,11 @@ def _mask(values):
 def _narrowed_from_every_constraint(alg, plan, allowed):
     """The root step as AC-3 from every constraint, the reference for
     ``_Arcs.root``: each position's value mask, or None once one keeps
-    none."""
+    none.  It starts from the allowed masks, not from the domains that
+    ``_Arcs`` cuts to images as it builds the constraints."""
     arcs = _Arcs(alg, plan, allowed)
+    full = (1 << len(alg.values)) - 1
+    arcs.dom = [allowed.get(i, full) for i in range(len(plan))]
     every = [i for i, con in enumerate(arcs.cons) if con]
     return dict(enumerate(arcs.dom)) \
         if all(arcs.dom) and arcs.narrow(every) else None
@@ -1537,10 +1540,11 @@ class TestArcConsistency:
         assert removed >= 200 and emptied >= 25
 
     def test_root_sweep_reaches_the_closure_of_every_constraint(self):
-        # the arc-consistent closure is unique, so the sweep and AC-3 from
-        # the compounds whose domain cut their image give the domains that
-        # narrowing from every constraint gives; some masks are empty, and
-        # r, a bare variable, is watched by no compound
+        # the arc-consistent closure is unique, so the images cut while the
+        # constraints are built and AC-3 from the compounds whose domain
+        # cut their image give the domains that narrowing from every
+        # constraint gives; some masks are empty, and r, a bare variable,
+        # is watched by no compound
         rng = random.Random(33)
         sig = Signature({"c": 0, "g": 1, "k": 2, "t": 3})
         r = Var("r")

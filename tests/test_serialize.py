@@ -3,7 +3,7 @@
 import pytest
 
 from ndlogic.calculi import STAR, Calculus, Label, Node, RuleSchema
-from ndlogic.errors import SerializeError
+from ndlogic.errors import SemanticsError, SerializeError
 from ndlogic.language import App, Signature, Var, parse_formula
 from ndlogic.logics import (SIGMA_MCI, cpl_pos, example2, mci_artifacts,
                             mci_worked_derivations, mk_matrix)
@@ -55,6 +55,24 @@ class TestMatrixRoundtrip:
 
     def test_dumps_deterministic(self, b5):
         assert dumps(matrix_to_data(b5)) == dumps(matrix_to_data(b5))
+
+    def test_value_named_empty_string(self):
+        # a unary cell at the value "" has the key "" that a constant has;
+        # it is split, a constant's is not, and a constant's must stay ""
+        values = ("", "a")
+        interp = {"c": {(): {""}},
+                  "g": {(x,): {x, "a"} for x in values},
+                  "k": {(x, y): {y} for x in values for y in values}}
+        m = NdMatrix(NdAlgebra(Signature({"c": 0, "g": 1, "k": 2}), values,
+                               interp), {""})
+        data = matrix_to_data(m)
+        assert data["interpretation"]["c"] == {"": [""]}
+        assert data["interpretation"]["g"][""] == ["", "a"]
+        assert data["interpretation"]["k"][","] == [""]
+        assert matrix_from_data(loads(dumps(data))) == m
+        data["interpretation"]["c"] = {"a": ["a"]}
+        with pytest.raises(SemanticsError):
+            matrix_from_data(data)
 
     def test_comma_value_rejected(self):
         data = {"signature": {"connectives": {}}, "values": ["a,b"],
