@@ -6,9 +6,10 @@ applied to the declared number of arguments.  Any identifier not declared in
 the signature at hand is a variable.  The canonical concrete syntax is prefix
 application ``name(arg, ...)``; infix sugar exists only for connectives given
 a notation alias, and always with mandatory parentheses.  ``parse_formula``
-is the whole parser: one loop over the token list with an explicit stack of
-open applications and infix groups, so nesting depth is not limited by
-recursion.  Formulas are interned (hash-consed): one live object per
+reads the tokens with one regular expression per set of aliases, compiled
+once, and loops over them with an explicit stack of open applications and
+infix groups, so nesting depth is not limited by recursion; only errors read
+text positions.  Formulas are interned (hash-consed): one live object per
 structure, so equal formulas are the same object and compare by identity.
 The intern table is a plain dict of weak references, each removing its
 entry when its formula dies, so a lookup and an insertion run in C.
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import islice, product
 from typing import Iterable, Iterator, Mapping
 from weakref import ref
 
@@ -203,39 +204,20 @@ class Signature:
 # ---------------------------------------------------------------------------
 # parsing / printing
 
-def _tokenize(text: str, infix_tokens: list[str]) -> list[tuple[str, str, int]]:
-    """The tokens of ``text`` as ``(kind, text, position)``, ending with
-    ``("eof", "", len(text))``.  The kind is ``"ident"``, ``"infix"`` or
-    the punctuation character itself."""
-    toks = []
-    i, n = 0, len(text)
-    # longest-match-first so "->" wins over a hypothetical "-"
-    infix_tokens = sorted(infix_tokens, key=len, reverse=True)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            toks.append(("ident", m.group(), i))
-            i = m.end()
-            continue
-        for tok in infix_tokens:
-            if text.startswith(tok, i):
-                toks.append(("infix", tok, i))
-                i += len(tok)
-                break
-        else:
-            hint = "" if infix_tokens else \
-                "; infix notation needs a signature that declares it"
-            raise ParseError(f"unknown token {text[i]!r}{hint}", i)
-    toks.append(("eof", "", n))
-    return toks
+@lru_cache(maxsize=16)
+def _grammar(aliases: tuple[str, ...]) -> re.Pattern:
+    """The tokens for these infix aliases: after any whitespace, group 1
+    holds an identifier, ``(``, ``)``, ``,`` or an alias, longest first so
+    that ``->`` wins over ``-``; any other character leaves it empty."""
+    longest = sorted(aliases, key=len, reverse=True)
+    return re.compile(r"\s*(?:(%s|[(),]%s)|\S)" % (
+        _IDENT_RE.pattern, "".join("|" + re.escape(a) for a in longest)))
+
+
+def _position(grammar: re.Pattern, text: str, k: int) -> int:
+    """The position in ``text`` of token number ``k``, or ``len(text)``."""
+    m = next(islice(grammar.finditer(text), k, None), None)
+    return len(text) if m is None else m.end() - len(m[1] or m[0][-1])
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
@@ -247,67 +229,76 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     mode): every applied identifier is a connective, every bare identifier
     is a variable, and no infix sugar is available.
 
-    One loop over the token list does recursive descent on an explicit
-    stack, so that nesting depth is not limited by recursion.  A frame is
-    ``[name, at, args]`` for an open application of ``name`` at position
-    ``at``, and ``[None, at, parts]`` for an open infix group, whose parts
-    become left operand, operator and right operand.
+    The tokens are the strings ``_grammar`` finds; an empty one is refused
+    as unknown, and ``""`` ends them.  One loop does recursive descent on an
+    explicit stack of frames: ``[name, k, args]`` for an application of
+    ``name`` at token number k, ``[None, k, parts]`` for an infix group of
+    left operand, operator and right operand.  Only errors read positions.
     """
     arity = sig.connectives if sig is not None else {}
     infix = sig.infix_aliases() if sig is not None else {}
-    toks = _tokenize(text, list(infix))
-    i = 0
+    grammar = _grammar(tuple(infix))
+    toks = grammar.findall(text)
+    if "" in toks:
+        at = _position(grammar, text, toks.index(""))
+        hint = "" if infix else \
+            "; infix notation needs a signature that declares it"
+        raise ParseError(f"unknown token {text[at]!r}{hint}", at)
+    toks.append("")
+
+    def error(message: str, k: int) -> ParseError:
+        return ParseError(message, _position(grammar, text, k))
+
+    i = -1
     stack: list[list] = []
     while True:
-        kind, name, at = toks[i]
         i += 1
-        if kind == "(":
-            stack.append([None, at, []])
+        name = toks[i]
+        if name == "(":
+            stack.append([None, i, []])
             continue
-        if kind != "ident":
-            raise ParseError(f"expected a formula, found {name!r}", at)
-        if toks[i][0] == "(":
+        if name in "()," or name in infix:
+            raise error(f"expected a formula, found {name!r}", i)
+        if toks[i + 1] == "(":
+            stack.append([name, i, []])
             i += 1
-            stack.append([name, at, []])
             continue
         if name not in arity:
             done = Var(name)
         elif arity[name]:
-            raise ParseError(f"connective {name!r} used without arguments", at)
+            raise error(f"connective {name!r} used without arguments", i)
         else:
             done = App(name, ())
         # hand the finished formula to the open frames
         while stack:
             name, at, args = stack[-1]
             args.append(done)
-            kind, tok, at2 = toks[i]
             i += 1
+            tok = toks[i]
             if name is None and len(args) == 1:
-                if kind != "infix":
-                    raise ParseError(
-                        f"expected an infix operator, found {tok!r}", at2)
+                if tok not in infix:
+                    raise error(
+                        f"expected an infix operator, found {tok!r}", i)
                 args.append(tok)
                 break
-            if name is not None and kind == ",":
+            if name is not None and tok == ",":
                 break
-            if kind != ")":
-                raise ParseError(f"expected ')', found {tok!r}", at2)
+            if tok != ")":
+                raise error(f"expected ')', found {tok!r}", i)
             stack.pop()
             if name is None:
                 done = App(infix[args[1]], (args[0], args[2]))
                 continue
             if sig is not None:
                 if name not in arity:
-                    raise ParseError(f"unknown connective {name!r}", at)
+                    raise error(f"unknown connective {name!r}", at)
                 if arity[name] != len(args):
-                    raise ParseError(f"connective {name!r} expects "
-                                     f"{arity[name]} arguments, got {len(args)}",
-                                     at)
+                    raise error(f"connective {name!r} expects {arity[name]} "
+                                f"arguments, got {len(args)}", at)
             done = App(name, tuple(args))
         else:
-            kind, tok, at = toks[i]
-            if kind != "eof":
-                raise ParseError(f"trailing input {tok!r}", at)
+            if toks[i + 1]:
+                raise error(f"trailing input {toks[i + 1]!r}", i + 1)
             return done
 
 
@@ -360,22 +351,18 @@ def subformula_sequence(fs: Iterable[Formula]) -> tuple[Formula, ...]:
 
 def depth(f: Formula) -> int:
     """Connective-nesting depth: 0 for variables."""
-    n, level = 0, [f]
-    while any(isinstance(g, App) for g in level):
-        n += 1
-        level = [a for g in level if isinstance(g, App) for a in g.args]
-    return n
+    d: dict[Formula, int] = {}
+    for g in subformula_sequence((f,)):
+        d[g] = 0 if type(g) is Var else 1 + max(map(d.get, g.args), default=0)
+    return d[f]
 
 
 def size(f: Formula) -> int:
-    """Node count."""
-    n, stack = 0, [f]
-    while stack:
-        n += 1
-        g = stack.pop()
-        if isinstance(g, App):
-            stack += g.args
-    return n
+    """Node count of the formula tree."""
+    n: dict[Formula, int] = {}
+    for g in subformula_sequence((f,)):
+        n[g] = 1 if type(g) is Var else 1 + sum(map(n.get, g.args))
+    return n[f]
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ def signature_from_data(data: Data) -> Signature:
     data = _expect_mapping(data, "signature")
     _expect_keys(data, "signature", {"connectives"}, {"notation"})
     conns = _expect_mapping(data["connectives"], "connectives")
-    return Signature(conns, data.get("notation", {}))
+    return Signature(conns, _expect_mapping(data.get("notation", {}),
+                                            "notation"))
 
 
 def _cell_key(args: tuple[str, ...]) -> str:
@@ -211,6 +212,8 @@ def calculus_to_data(c: Calculus) -> Data:
 def calculus_from_data(data: Data, sig: Signature | None = None) -> Calculus:
     data = _expect_mapping(data, "calculus")
     _expect_keys(data, "calculus", {"name", "dimension", "rules"}, {"theta"})
+    if not isinstance(data["name"], str):
+        raise SerializeError("calculus name must be a string")
     if type(data["dimension"]) is not int or data["dimension"] not in (1, 2):
         raise SerializeError("calculus dimension must be 1 or 2")
     if not isinstance(data["rules"], list):
@@ -220,7 +223,7 @@ def calculus_from_data(data: Data, sig: Signature | None = None) -> Calculus:
     theta = None
     if "theta" in data:
         theta = _formulas(data["theta"], "theta", sig)
-    return Calculus(str(data["name"]), data["dimension"], rules, theta)
+    return Calculus(data["name"], data["dimension"], rules, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,9 @@ def tree_from_data(data: Data, sig: Signature | None = None) -> Node:
     if not isinstance(data["rule"], str):
         raise SerializeError("rule name must be a string")
     subst_data = _expect_mapping(data.get("subst", {}), "subst")
+    for v, f in subst_data.items():
+        if not isinstance(f, str):
+            raise SerializeError(f"subst value for {v!r} must be a string")
     subst = tuple(sorted((v, parse_formula(f, sig))
                          for v, f in subst_data.items()))
     children = data.get("children", [])

@@ -6,6 +6,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,48 @@ def test_parse_error_messages(text, sig, message, position):
     assert e.value.position == position
 
 
+# no signature; connectives with three aliases and a constant; one alias;
+# aliases of which one is a prefix of another
+POSITION_SIGS = [None, SIG_BOT, Signature({"le": 2}, {"le": "<="}),
+                 Signature({"lt": 2, "le": 2, "imp": 2},
+                           {"lt": "<", "le": "<=", "imp": "=>"})]
+POSITION_PIECES = ["p", "q", "x_1", "neg", "and", "imp", "bot", "le", "lt",
+                   "box", "(", ")", ",", "&", "|", "->", "<=", "<", "=>",
+                   "-", "=", ">", " ", "  ", "\t", "\n", "%", "$", "1", "é",
+                   "and(p)", "neg(p,q)"]
+# a phrase of each ParseError message
+POSITION_KINDS = {"unknown token", "expected a formula", "expected an infix",
+                  "expected ')'", "unknown connective", "without arguments",
+                  "arguments, got", "trailing input"}
+
+
+def test_error_positions_point_at_what_the_message_names():
+    """On seeded random token strings, every ParseError's position is where
+    its message's token or connective starts, or the end for ``''``."""
+    rng = random.Random("parse-error-positions")
+    seen = set()
+    for _ in range(3_000):
+        text = "".join(rng.choice(POSITION_PIECES)
+                       for _ in range(rng.randint(0, 10)))
+        for sig in POSITION_SIGS:
+            try:
+                parse_formula(text, sig)
+            except ParseError as e:
+                message, pos = str(e), e.position
+                assert message.endswith(f" (at position {pos})")
+                # the token after "found", else the first quoted name
+                named = (re.search(r"found '([^']*)' \(at", message) or
+                         re.search(r"'([^']*)'", message))[1]
+                seen.update(k for k in POSITION_KINDS if k in message)
+                if message.startswith("unknown token"):
+                    assert text[pos] == named, message
+                elif named:
+                    assert text.startswith(named, pos), (text, message)
+                else:
+                    assert pos == len(text), (text, message)
+    assert seen == POSITION_KINDS
+
+
 class TestPrint:
     def test_prefix_canonical(self):
         assert str(imp(p, q)) == "imp(p,q)"
@@ -259,6 +302,14 @@ class TestStructure:
         assert size(f) == 15_001
         assert variables(f) == ("p", "x0", "x1", "x2")
         assert parse_formula(str(f), SIG) == f
+
+    def test_shared_subformulas_are_not_unfolded(self):
+        # 65 distinct subformulas spell a tree of 2^65 - 1 nodes
+        f = p
+        for _ in range(64):
+            f = conj(f, f)
+        assert depth(f) == 64
+        assert size(f) == 2 ** 65 - 1
 
     def test_deep_formula_prints_without_recursion(self):
         f = p

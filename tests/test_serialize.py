@@ -116,6 +116,15 @@ _COMMA_VALUE = NdMatrix(NdAlgebra(Signature({}), ("a,b",), {}), {"a,b"})
      "rule name must be a string"),
     (lambda: tree_from_data({"label": {}, "rule": "r", "children": {}}),
      "children must be a list"),
+    (lambda: signature_from_data({"connectives": {"imp": 2},
+                                  "notation": [["imp", "->"]]}),
+     "notation must be a JSON object"),
+    (lambda: signature_from_data({"connectives": {}, "notation": ["x"]}),
+     "notation must be a JSON object"),
+    (lambda: tree_from_data({"label": {}, "rule": "r", "subst": {"p": 1}}),
+     "subst value for 'p' must be a string"),
+    (lambda: calculus_from_data({"name": 7, "dimension": 2, "rules": []}),
+     "calculus name must be a string"),
 ])
 def test_refusal_message(call, message):
     with pytest.raises(SerializeError) as e:
