@@ -24,19 +24,19 @@ relative to the fence.
 
 The fence and its closure under taking subformulas come from one
 bottom-up pass over the statement's sides; along the closure each
-formula is measured from its arguments, its size and printed form, and
-numbered: the fence formulas ordered by size, then printed form, formula
-i standing for the bit ``1 << i``, then the rest of the closure, each
-with a node: its connective and argument numbers.  The fence-bounded
-instances are found by one-way matching of each rule's schema formulas
-against the nodes, in a plan compiled from the schema once per
+formula is measured from its arguments, its size and printed form.  The
+fence formulas alone are numbered, by size, then printed form, formula
+i standing for the bit ``1 << i``.  The fence-bounded instances are
+found by one-way matching of each rule's schema formulas against the
+fence formulas themselves, in a plan compiled from the schema once per
 calculus, so no instance that leaves the fence is built.  This is
 complete because every schema variable occurs in some schema formula
-and every instantiated formula must lie in the fence.  Variables bind
-fence numbers only; the image of a schema formula whose variables are
-bound is read off the binding, or looked up in an index from nodes to
-numbers; and the rules whose plans start alike share their first
-matches.  Each instance is a row of fence numbers: its
+and every instantiated formula must lie in the fence.  A nested pattern
+is followed through the formulas' own arguments, also outside the
+fence, but variables bind fence numbers only; the image of a bare
+variable already bound is read off the binding, and every other schema
+formula is matched; and the rules whose plans start alike share their
+first matches.  Each instance is a row of fence numbers: its
 substitution, and its four sets as masks packed into one int.  The
 instances are ordered by fewest branches, then rule order, then the fence
 numbers of the substitution's values: the order a product over the
@@ -324,10 +324,8 @@ class _Fence:
     arguments (``_measure``).  The fence formulas come by size, then
     printed form, then first occurrence in ``fence``; a formula's index in
     ``formulas`` is its id, ``pos`` maps it back, and id i stands for the
-    bit ``1 << i`` of a mask.  The rest of the closure gets ids from ``n``
-    on, in closure order.  ``nodes`` holds each id's ``(conn, argument
-    ids)`` (conn None for a variable), ``index`` maps nodes back to ids,
-    and ``heads`` lists the fence ids of each ``(conn, arity)``."""
+    bit ``1 << i`` of a mask.  No other formula gets an id.  ``heads``
+    lists the ids of the compound fence formulas by ``(conn, arity)``."""
 
     def __init__(self, closure: Iterable[Formula], fence: Iterable[Formula]):
         measure: dict[Formula, tuple[int, str]] = {}
@@ -337,17 +335,10 @@ class _Fence:
         self.texts = [measure[f][1] for f in self.formulas]
         n = self.n = len(self.formulas)
         self.pos = {f: i for i, f in enumerate(self.formulas)}
-        ids = dict(self.pos)
-        for g in measure:
-            ids.setdefault(g, len(ids))
-        self.nodes = [(None, ()) if g.__class__ is Var else
-                      (g.conn, tuple(map(ids.__getitem__, g.args)))
-                      for g in ids]
-        self.index = {node: i for i, node in enumerate(self.nodes)}
         self.heads: dict[tuple[str, int], list[int]] = {}
-        for i, (conn, args) in enumerate(self.nodes[:n]):
-            if conn is not None:
-                self.heads.setdefault((conn, len(args)), []).append(i)
+        for i, f in enumerate(self.formulas):
+            if f.__class__ is App:
+                self.heads.setdefault((f.conn, len(f.args)), []).append(i)
         # a plan step's attitude set -> its bits in an instance key, where
         # attitude a takes the bits from a * n (see ``_instance_pool``)
         self.spread = [0]
@@ -393,67 +384,60 @@ def _id_steps(r: RuleSchema) -> list[tuple[str, object, int]]:
     """``r``'s plan: a ``(kind, data, attitudes)`` step per schema formula,
     largest first (by size, then printed form), on fence ids that fill a
     binding, ids in ``_vars`` order (None where unbound).  The attitudes
-    are a 4-bit set in the order acc, rej, nacc, nrej.  The first step,
-    and any whose formula has a variable no earlier step binds, is a
-    "match"; its data, ``_match``'s matcher, is the root's ``(conn,
+    are a 4-bit set in the order acc, rej, nacc, nrej.  A bare variable
+    that an earlier step binds is a "var" step, its data the variable's
+    slot: its image is read off the binding.  Every other schema formula
+    is a "match"; its data, ``_match``'s matcher, is the root's ``(conn,
     arity)`` (None for a variable), ``(k, conn, arity)`` per nested
-    compound and ``(k, slot)`` per variable, k a place in the ids of the
-    root, its arguments, then each nested compound's in turn.  Any other
-    step reads its formula's image off the binding: "var" data is a slot,
-    for a bare variable; "find" data is a ``(conn, refs)`` lookup in
-    ``_Fence.index`` per compound, bottom up, a ref being a slot or
-    ``len(_vars)`` plus an earlier lookup's number."""
+    compound and ``(k, slot)`` per variable, k a place in the list of the
+    root, its arguments, then each nested compound's in turn."""
     slot = {Var(v): k for k, v in enumerate(r._vars)}
     sides = (r.acc, r.rej, r.nacc, r.nrej)
-    bound: set[str] = set()
+    bound: set[Formula] = set()
     out: list[tuple[str, object, int]] = []
     for pat in sorted(r.acc | r.nacc | r.rej | r.nrej,
                       key=lambda f: (-size(f), str(f))):
         atts = sum(1 << a for a, fs in enumerate(sides) if pat in fs)
-        names = variables(pat)
-        if not out or not bound.issuperset(names):
-            bound.update(names)
-            tree, descend = [pat], []
-            for k, g in enumerate(tree):  # grows by each compound's args
-                if g.__class__ is App:
-                    descend.append((k, g.conn, len(g.args)))
-                    tree += g.args
-            head = descend.pop(0)[1:] if pat.__class__ is App else None
-            leaves = tuple((k, slot[g]) for k, g in enumerate(tree)
-                           if g.__class__ is Var)
-            out.append(("match", (head, tuple(descend), leaves), atts))
-        elif pat.__class__ is Var:
+        if pat in bound:
             out.append(("var", slot[pat], atts))
-        else:
-            ref, data = dict(slot), []
-            for g in subformula_sequence((pat,)):
-                if g.__class__ is App:
-                    ref[g] = len(ref)
-                    data.append((g.conn, tuple([ref[a] for a in g.args])))
-            out.append(("find", tuple(data), atts))
+            continue
+        tree, descend = [pat], []
+        for k, g in enumerate(tree):  # grows by each compound's args
+            if g.__class__ is App:
+                descend.append((k, g.conn, len(g.args)))
+                tree += g.args
+        head = descend.pop(0)[1:] if pat.__class__ is App else None
+        leaves = tuple((k, slot[g]) for k, g in enumerate(tree)
+                       if g.__class__ is Var)
+        bound.update(tree[k] for k, _ in leaves)
+        out.append(("match", (head, tuple(descend), leaves), atts))
     return out
 
 
 def _match(fence: _Fence, matcher: tuple, bind: tuple) -> list[tuple]:
     """``(id, binding)`` per fence formula that ``matcher`` (``_id_steps``)
-    matches, extending ``bind``; nested compounds are read off
-    ``fence.nodes``, also outside the fence, but variables bind fence ids."""
+    matches, extending ``bind``.  Nested compounds are read off the
+    formulas' own arguments, also outside the fence, but variables bind
+    fence ids only: a formula outside the fence reads as id ``n``."""
     head, descend, leaves = matcher
-    n, nodes = fence.n, fence.nodes
+    n, pos, formulas = fence.n, fence.pos, fence.formulas
     out = []
     for at in fence.heads.get(head, ()) if head else range(n):
-        ids = [at, *nodes[at][1]]
+        f = formulas[at]
+        gs = [f, *f.args] if head else [f]
         for k, conn, arity in descend:
-            c, args = nodes[ids[k]]
-            if c != conn or len(args) != arity:
+            g = gs[k]
+            if (g.__class__ is not App or g.conn != conn
+                    or len(g.args) != arity):
                 break
-            ids += args
+            gs += g.args
         else:
             b = [*bind]
             for k, v in leaves:  # unbound: take a fence id; bound: agree
-                if b[v] is None and ids[k] < n:
-                    b[v] = ids[k]
-                elif b[v] != ids[k]:
+                i = pos.get(gs[k], n)
+                if b[v] is None and i < n:
+                    b[v] = i
+                elif b[v] != i:
                     break
             else:
                 out.append((at, tuple(b)))
@@ -477,11 +461,12 @@ def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
     schema formula first; every variable occurs in some schema formula,
     so this finds exactly the substitutions a product over the fence
     would keep.  The rules whose first steps are one matcher share its
-    matches (``Calculus._groups``); only a later "match" step pushes
-    partial matches, as (next step, binding, key bits so far), onto a
-    stack emptied before the next first match.
+    matches (``Calculus._groups``); a later "var" step adds its bound
+    image's bits, and a later "match" step pushes its matches, as (next
+    step, binding, key bits so far), onto a stack emptied before the next
+    first match.
     """
-    n, spread, index = fence.n, fence.spread, fence.index
+    n, spread = fence.n, fence.spread
     rows, stack = [], []
     for first, group in c._groups.items():
         found = _match(fence, *first) if first else [(0, ())]
@@ -492,20 +477,11 @@ def _instance_pool(c: Calculus, fence: _Fence) -> list[tuple]:
                     while i < len(steps):
                         kind, data, atts_i = steps[i]
                         i += 1
-                        if kind == "var":
-                            at_i = bind[data]
-                        elif kind == "find":
-                            ids = [*bind]  # a missed lookup gives -1
-                            for conn, refs in data:
-                                ids.append(index.get(
-                                    (conn, tuple([ids[r] for r in refs])), -1))
-                            if not 0 <= (at_i := ids[-1]) < n:
-                                break
-                        else:
+                        if kind != "var":
                             stack += [(i, b, key | spread[atts_i] << at_i)
                                       for at_i, b in _match(fence, data, bind)]
                             break
-                        key |= spread[atts_i] << at_i
+                        key |= spread[atts_i] << bind[data]
                     else:
                         rows.append(((key >> 2 * n).bit_count(), ri, bind, key))
                     if not stack:

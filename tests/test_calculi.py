@@ -5,6 +5,7 @@ proof search with frozen outcomes and renderings."""
 import copy
 import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from ndlogic.language import (App, Signature, Var, _gen_closure,
 from ndlogic.logics import (SIGMA_MCI, _hmci2d_rules, cpl_pos,
                             example1_rules, example2, hmci_axioms,
                             mci_artifacts)
-from ndlogic.semantics import BStatement, Statement1D
+from ndlogic.semantics import BStatement, Statement1D, b_entails
 
 p = Var("p")
 q = Var("q")
@@ -124,6 +125,23 @@ class TestSchemas:
         assert _id_steps(MP) == [
             ("match", (("imp", 2), (), ((1, 0), (2, 1))), 0b1),
             ("var", 0, 0b1), ("var", 1, 0b100)]
+
+    def test_plans_match_or_read_a_bound_variable(self):
+        # a compound whose variables are all bound is matched too
+        hmci2d = mci_artifacts().hmci2d
+        assert _id_steps(hmci2d.rule_named("imp5")) == [
+            ("match", (("cons", 1), ((1, "imp", 2),), ((2, 0), (3, 1))), 0b1),
+            ("match", (("imp", 2), (), ((1, 0), (2, 1))), 0b11)]
+        assert _id_steps(hmci2d.rule_named("neg2")) == [
+            ("match", (("cons", 1), (), ((1, 0),)), 0b1),
+            ("match", (("neg", 1), (), ((1, 0),)), 0b1),
+            ("var", 0, 0b1)]
+        bundled = [hmci2d, example2()[1], cpl_pos()]
+        bundled += [hmci_axioms(k) for k in range(4)]
+        bundled += [example1_rules(i) for i in range(4)]
+        kinds = {step[0] for c in bundled for r in c.rules
+                 for step in _id_steps(r)}
+        assert kinds == {"match", "var"}
 
     def test_match_plan_leaves_equality_alone(self):
         pairs = list(zip(_hmci2d_rules(), _hmci2d_rules()))
@@ -408,6 +426,37 @@ class TestInstancePool:
                 checked += 1
         assert outside > 0
 
+    def test_bound_compound_through_a_formula_outside_the_fence(self):
+        # "through" matches k(p,k(p,q)) first, then g(h(p)) with p bound,
+        # through h(p), which may lie in the closure but not in the fence;
+        # "miss" looks for a bound k(p,q), which a fence may lack
+        f = parse_formula
+        through = RuleSchema("through", 2, acc={f("k(p,k(p,q))")},
+                             nrej={f("g(h(p))")})
+        miss = RuleSchema("miss", 2, acc={k(p, q)}, nacc={f("h(k(q,p))")})
+        c = Calculus("through", 2, (through, miss))
+        theta = theta_set({p, f("g(h(p))")})
+        # sorted: a frozenset of formulas iterates in identity-hash order
+        schema = sorted((g for r in c.rules for g in r.acc | r.nacc | r.nrej),
+                        key=str)
+        values = [p, q, f("g(p)"), f("h(q)"), k(q, p), f("g(h(q))")]
+        rng = random.Random("pool-through")
+        kept = {r.name: 0 for r in c.rules}
+        outside = 0
+        for _ in range(25):
+            seeds = [substitute(rng.choice(schema),
+                                {v: rng.choice(values) for v in "pq"})
+                     for _ in range(rng.randint(1, 3))]
+            fence, closure = _gen_closure(theta, seeds)
+            got = instance_pool(c, fence, closure)
+            assert got == reference_pool(c, gen_subformulas(theta, seeds)), \
+                list(map(str, seeds))
+            for inst in got:
+                kept[inst.rule] += 1
+                image = App("h", (dict(inst.subst)["p"],))
+                outside += inst.rule == "through" and image not in fence
+        assert outside > 0 and all(kept.values()), kept
+
     def test_only_variables_must_lie_in_the_fence(self):
         # imp(q,p) is not in the fence, yet a1 matches imp(p,imp(q,p))
         a1 = parse_formula("imp(p,imp(q,p))")
@@ -518,16 +567,16 @@ def reference_prove(c, s, theta, max_nodes=10 ** 6, max_depth=None):
                              max_nodes, max_depth)
 
 
-def random_statement(c, rng, depth):
+def random_statement(c, rng, depth, letters="pq"):
     """A statement of the calculus's dimension with 0-2 random formulas,
-    over p and q and the rules' connectives, in each component."""
+    over ``letters`` and the rules' connectives, in each component."""
     schema = [f for r in c.rules for f in r.acc | r.nacc | r.rej | r.nrej]
     conns = sorted({(g.conn, len(g.args)) for f in schema
                     for g in subformulas(f) if isinstance(g, App)})
 
     def formula(d):
         if not conns or d == 0 or rng.random() < 0.3:
-            return Var(rng.choice("pq"))
+            return Var(rng.choice(letters))
         name, k = rng.choice(conns)
         return App(name, tuple(formula(d - 1) for _ in range(k)))
 
@@ -568,6 +617,25 @@ class TestProveDifferential:
             assert {"Proved", "Saturated"} <= kinds, kinds
         if name in ("hmci2d", "ex2-calc"):
             assert {"max_nodes", "max_depth"} <= kinds, kinds
+
+
+class TestProveAgainstSemantics:
+    def test_hmci2d_agrees_with_mci_b_past_the_golden_batch(self):
+        # depth 2 over p, q and r: larger fences than the golden batch's,
+        # where matching descends through nested compounds
+        arts = mci_artifacts()
+        c = arts.hmci2d
+        rng = random.Random(36)
+        outcomes = Counter()
+        for _ in range(300):
+            s = random_statement(c, rng, 2, "pqr")
+            got = prove(c, s, c.theta)
+            assert isinstance(got, (Proved, Saturated)), s
+            assert isinstance(got, Proved) == b_entails(arts.b5, s).valid, s
+            if isinstance(got, Proved):
+                assert check_proof(c, s, got.tree), s
+            outcomes[type(got).__name__] += 1
+        assert outcomes == {"Proved": 103, "Saturated": 197}
 
 
 # ---------------------------------------------------------------------------
